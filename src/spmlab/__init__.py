@@ -67,6 +67,7 @@ from .solver import (
     implicit_step,
     ito_residual,
     lambda_sweep,
+    march_batch,
     picard_solve,
     strong_identity_residual,
     trajectory_diagnostics,

@@ -87,14 +87,13 @@ def make_grid(dim: int, n, length=1.0) -> SpatialGrid:
 
 
 class DirichletLaplacian:
-    """Dense -Lap on interior nodes with cached eigenpairs and factorization.
+    """Dense -Lap on interior nodes with cached eigenpairs and Cholesky factor.
 
     ``matrix`` is the symmetric positive definite matrix of -Lap, so
     ``matrix @ u`` discretizes -Lap(u). ``eigenvalues`` are ascending and
     strictly positive; ``eigenvectors`` columns are orthonormal in the plain
     Euclidean sense (divide by sqrt(grid.weight) for the L2-orthonormal
-    modes). Instances are immutable after construction apart from the private
-    factorization cache used by the time steppers.
+    modes). Instances are not modified after construction.
     """
 
     def __init__(self, grid: SpatialGrid, matrix: np.ndarray,
@@ -104,7 +103,6 @@ class DirichletLaplacian:
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         self._cho = cho_factor(matrix)
-        self._step_cache: dict = {}
 
     @property
     def n(self) -> int:

@@ -56,8 +56,12 @@ class MonotoneGraph:
 
     def yosida_slope(self, lam, r):
         lam = _check_lam(lam)
-        slope = (1.0 - np.asarray(self.resolvent_slope(lam, r), dtype=float)) / lam
-        return _match(r, np.clip(slope, 0.0, 1.0 / lam))
+        return _match(r, _yosida_slope(lam, self.resolvent_slope(lam, r)))
+
+    def yosida_and_slope(self, lam, r):
+        """(yosida, yosida_slope) at r; variants override it to share one
+        resolvent solve between the two."""
+        return self.yosida(lam, r), self.yosida_slope(lam, r)
 
     def minimal_section(self, r):
         """The minimal-norm value of beta(r)."""
@@ -79,6 +83,11 @@ class MonotoneGraph:
     def conjugate(self, s):
         """Convex conjugate sup_r (r*s - potential(r)); +inf outside range(beta)."""
         raise NotImplementedError
+
+
+def _yosida_slope(lam, res_slope):
+    slope = (1.0 - np.asarray(res_slope, dtype=float)) / lam
+    return np.clip(slope, 0.0, 1.0 / lam)
 
 
 def _bisect_increasing(fn, lo, hi, tol=_BISECT_TOL, max_iter=_BISECT_MAX_ITER):
@@ -143,6 +152,16 @@ class PowerLaw(MonotoneGraph):
             return _match(r, np.full_like(r_arr, 1.0 / (1.0 + lam)))
         s = self._resolvent_abs(lam, np.abs(r_arr))
         return _match(r, 1.0 / (1.0 + lam * self.exponent * s ** (self.exponent - 1.0)))
+
+    def yosida_and_slope(self, lam, r):
+        if self.exponent == 1:
+            return super().yosida_and_slope(lam, r)
+        lam = _check_lam(lam)
+        r_arr = np.asarray(r, dtype=float)
+        s = self._resolvent_abs(lam, np.abs(r_arr))
+        res_slope = 1.0 / (1.0 + lam * self.exponent * s ** (self.exponent - 1.0))
+        return (_match(r, (r_arr - np.sign(r_arr) * s) / lam),
+                _match(r, _yosida_slope(lam, res_slope)))
 
     def minimal_section(self, r):
         r_arr = np.asarray(r, dtype=float)

@@ -8,11 +8,19 @@ the stochastic equation into the deterministic evolution
 
 which is integrated by backward Euler. Each implicit step solves the strictly
 monotone system  y + tau * (-Lap) b(y + g_next) = rhs  by damped Newton with a
-slope-clamped Jacobian (the slopes of b live in [lam, lam + 1/lam]); linear
-graphs take a cached direct-solve shortcut. The noise enters only through the
-exactly computed g, so no stochastic-integral discretization error pollutes
-the drift solve. Grids contain every jump time, hence integrands frozen at
-sub-interval left endpoints are genuine left limits.
+slope-clamped Jacobian (the slopes of b live in [lam, lam + 1/lam]). The noise
+enters only through the exactly computed g, so no stochastic-integral
+discretization error pollutes the drift solve. Grids contain every jump time,
+hence integrands frozen at sub-interval left endpoints are genuine left limits.
+
+All marching goes through one batched core, ``march_batch``: the P paths of an
+ensemble advance in lock step as one (P, n) state. Every jump grid is its own,
+so shorter grids are padded with zero-length steps that hold the driving
+integral at its last value; a padded step is an exact no-op. Per Newton
+iterate there is one resolvent solve (value, slope and selection together)
+and one batched linear solve on the Jacobians of the paths still above their
+target; the line search backtracks per path. A single path and the public
+``implicit_step`` are the P = 1 case of the same core.
 
 Multiplicative noise is handled by the fixed-point map Phi: a candidate
 process X yields the frozen coefficient t -> B(X(t-)), whose additive solve is
@@ -30,11 +38,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .errors import NonContractionError, SolverError
 from .grid import DirichletLaplacian, hminus1_norm_sq_rows, norm_hminus1
-from .monotone import Linear, MonotoneGraph
+from .monotone import MonotoneGraph
 from .noise import (
     DiffusionCoefficient,
     IntegralPath,
@@ -44,7 +52,8 @@ from .noise import (
     mollified,
 )
 
-_STEP_CACHE_CAP = 64
+# memory for the Newton Jacobians solved together in one batch
+_JAC_BUF_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -106,42 +115,24 @@ def contraction_time_limit(k: float, eps: float) -> float:
     return (1.0 - 6.0 * eps) / (1.0 + 6.0 / eps) / k
 
 
-def _drift_value(graph: MonotoneGraph, lam: float, u: np.ndarray) -> np.ndarray:
+def _drift(graph: MonotoneGraph, lam: float, u: np.ndarray):
+    """Drift value b(u), its clamped slope and the selection, from one
+    resolvent solve; the slopes of b live in [lam, lam + 1/lam]."""
     if lam > 0:
-        return np.asarray(graph.yosida(lam, u)) + lam * u
-    return np.asarray(graph.minimal_section(u))
+        yos, slope = graph.yosida_and_slope(lam, u)
+        return yos + lam * u, np.clip(slope + lam, lam, lam + 1.0 / lam), yos
+    value = np.asarray(graph.minimal_section(u))
+    return value, np.asarray(graph.section_slope(u)), value
 
 
-def _drift_slope(graph: MonotoneGraph, lam: float, u: np.ndarray) -> np.ndarray:
-    if lam > 0:
-        return np.clip(np.asarray(graph.yosida_slope(lam, u)) + lam, lam, lam + 1.0 / lam)
-    return np.asarray(graph.section_slope(u))
-
-
-def _selection(graph: MonotoneGraph, lam: float, u: np.ndarray) -> np.ndarray:
-    if lam > 0:
-        return np.asarray(graph.yosida(lam, u))
-    return np.asarray(graph.minimal_section(u))
-
-
-def _linear_step(graph: Linear, lam: float, L: DirichletLaplacian, tau: float,
-                 rhs: np.ndarray, g_next: np.ndarray):
-    # constant-coefficient step (I + tau*s*(-Lap)) y = rhs - tau*s*(-Lap) g
-    s = graph.slope / (1.0 + lam * graph.slope) + lam
-    key = (float(tau), float(s))
-    fac = L._step_cache.get(key)
-    if fac is None:
-        fac = cho_factor(np.eye(L.n) + tau * s * L.matrix)
-        if len(L._step_cache) < _STEP_CACHE_CAP:
-            L._step_cache[key] = fac
-    y = cho_solve(fac, rhs - tau * s * (L.matrix @ g_next))
-    return y, _selection(graph, lam, y + g_next)
+def _dual_norms(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(hminus1_norm_sq_rows(L, rows))
 
 
 def _scalar_bisection(graph, lam, a, tau, g, rhs):
     # 1-node fallback: y + tau*a*b(y + g) = rhs with b nondecreasing
     def fn(yv):
-        return yv + tau * a * float(_drift_value(graph, lam, np.array([yv + g]))[0]) - rhs
+        return yv + tau * a * float(_drift(graph, lam, np.array([yv + g]))[0][0]) - rhs
 
     lo, hi = rhs - 1.0, rhs + 1.0
     for _ in range(200):
@@ -163,6 +154,74 @@ def _scalar_bisection(graph, lam, a, tau, g, rhs):
     return 0.5 * (lo + hi)
 
 
+def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, jac_buf, paths=None):
+    """Solve y + tau*(-Lap) b(y + g_next) = rhs row by row for a stack of P steps.
+
+    tau and tol have shape (P,), rhs and g_next (P, n). Each row runs its own
+    damped Newton iteration in lock step with the others: one batched solve
+    on the Jacobians of the rows still above their target, then a line search
+    masked per row. The Jacobians are built in jac_buf and solved
+    len(jac_buf) at a time. Rows with a non-finite residual are left
+    untouched for the caller's guard. Returns (y, selection).
+    """
+    mat = L.matrix
+    n = L.n
+    target = tol * (1.0 + _dual_norms(L, rhs))
+    y = rhs.copy()
+    value, slope, sel = _drift(graph, lam, y + g_next)
+    res_vec = y + tau[:, None] * (value @ mat) - rhs
+    res = _dual_norms(L, res_vec)
+    live = np.ones(len(tau), dtype=bool)
+    for _ in range(max_iter):
+        act = np.flatnonzero(live & (res > target))
+        if act.size == 0:
+            break
+        k = act.size
+        delta = np.empty((k, n))
+        for c in range(0, k, len(jac_buf)):
+            rows = act[c:c + len(jac_buf)]
+            # Jacobian I + tau*(-Lap)*diag(slope), built in place
+            jac = np.multiply(mat, (tau[rows, None] * slope[rows])[:, None, :],
+                              out=jac_buf[:len(rows)])
+            jac.reshape(len(rows), n * n)[:, ::n + 1] += 1.0
+            delta[c:c + len(rows)] = np.linalg.solve(jac, -res_vec[rows, :, None])[..., 0]
+        y_act, res_act = y[act], res[act]
+        pending = np.arange(k)
+        step = 1.0
+        for _ in range(30):
+            rows = act[pending]
+            y_try = y_act[pending] + step * delta[pending]
+            value, s_try, sel_try = _drift(graph, lam, y_try + g_next[rows])
+            vec_try = y_try + tau[rows, None] * (value @ mat) - rhs[rows]
+            res_try = _dual_norms(L, vec_try)
+            ok = res_try < res_act[pending]
+            done = rows[ok]
+            y[done], res_vec[done], res[done] = y_try[ok], vec_try[ok], res_try[ok]
+            slope[done], sel[done] = s_try[ok], sel_try[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            step *= 0.5
+        live[act[pending]] = False
+
+    failed = np.flatnonzero(res > target)
+    if failed.size and n == 1:
+        for j in failed:
+            y[j, 0] = _scalar_bisection(graph, lam, mat[0, 0], tau[j], g_next[j, 0], rhs[j, 0])
+        value, _, sel_fixed = _drift(graph, lam, y[failed] + g_next[failed])
+        sel[failed] = sel_fixed
+        res[failed] = _dual_norms(L, y[failed] + tau[failed, None] * (value @ mat) - rhs[failed])
+        failed = failed[res[failed] > target[failed]]
+    if failed.size:
+        j = failed[0]
+        where = "" if paths is None else f", path {paths[j]}"
+        raise SolverError(
+            f"implicit step failed: residual {res[j]:.3e} above target {target[j]:.3e} "
+            f"(tau={tau[j]:.3e}, lam={lam:.3e}, n={n}{where})"
+        )
+    return y, sel
+
+
 def implicit_step(graph: MonotoneGraph, lam: float, L: DirichletLaplacian, tau: float,
                   rhs: np.ndarray, g_next: np.ndarray, *,
                   newton_tol: float = 1e-10, newton_max_iter: int = 50):
@@ -170,82 +229,16 @@ def implicit_step(graph: MonotoneGraph, lam: float, L: DirichletLaplacian, tau: 
 
     Returns (y, selection) with the dual-norm residual below
     newton_tol * (1 + |rhs|); raises SolverError when Newton and the scalar
-    fallback both fail.
+    fallback both fail. This is the one-row case of the batched core.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    rhs = np.asarray(rhs, dtype=float)
-    g_next = np.asarray(g_next, dtype=float)
-    if isinstance(graph, Linear):
-        return _linear_step(graph, lam, L, tau, rhs, g_next)
-
-    mat = L.matrix
-    target = newton_tol * (1.0 + norm_hminus1(rhs, L))
-
-    def residual(y):
-        return y + tau * (mat @ _drift_value(graph, lam, y + g_next)) - rhs
-
-    y = rhs.copy()
-    res_vec = residual(y)
-    res = norm_hminus1(res_vec, L)
-    for _ in range(newton_max_iter):
-        if res <= target:
-            break
-        slope = _drift_slope(graph, lam, y + g_next)
-        jac = np.eye(L.n) + tau * (mat * slope[None, :])
-        delta = np.linalg.solve(jac, -res_vec)
-        improved = False
-        step = 1.0
-        for _ in range(30):
-            y_try = y + step * delta
-            vec_try = residual(y_try)
-            res_try = norm_hminus1(vec_try, L)
-            if res_try < res:
-                y, res_vec, res = y_try, vec_try, res_try
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-
-    if res > target:
-        if L.n == 1:
-            y = np.array([_scalar_bisection(graph, lam, mat[0, 0], tau,
-                                            float(g_next[0]), float(rhs[0]))])
-            res = norm_hminus1(residual(y), L)
-        if res > target:
-            raise SolverError(
-                f"implicit step failed: residual {res:.3e} above target {target:.3e} "
-                f"(tau={tau:.3e}, lam={lam:.3e}, n={L.n})"
-            )
-    return y, _selection(graph, lam, y + g_next)
-
-
-def _march(graph, lam, L, times, gm_values, x0, newton_tol, newton_max_iter):
-    times = np.asarray(times, dtype=float)
-    gm_values = np.asarray(gm_values, dtype=float)
-    n_steps = len(times) - 1
-    if gm_values.shape != (n_steps + 1, L.n):
-        raise ValueError(f"gm values must have shape {(n_steps + 1, L.n)}, got {gm_values.shape}")
-    x0 = np.asarray(x0, dtype=float)
-
-    states = np.empty((n_steps + 1, L.n))
-    selections = np.empty_like(states)
-    y = x0 - gm_values[0]
-    states[0] = x0
-    selections[0] = _selection(graph, lam, states[0])
-    # per-step tolerance divided by the step count keeps the accumulated
-    # integral-identity defect at the newton_tol scale
-    step_tol = newton_tol / max(1, n_steps)
-    for i in range(n_steps):
-        tau = times[i + 1] - times[i]
-        y, sel = implicit_step(graph, lam, L, tau, y, gm_values[i + 1],
-                               newton_tol=step_tol, newton_max_iter=newton_max_iter)
-        if not np.all(np.isfinite(y)):
-            raise SolverError(f"non-finite state at t={times[i + 1]:.6g}")
-        states[i + 1] = y + gm_values[i + 1]
-        selections[i + 1] = sel
-    return states, selections
+    y, sel = _newton_batch(graph, lam, L, np.array([float(tau)]),
+                           np.array(rhs, dtype=float, ndmin=2),
+                           np.array(g_next, dtype=float, ndmin=2),
+                           np.array([float(newton_tol)]), newton_max_iter,
+                           np.empty((1, L.n, L.n)))
+    return y[0], sel[0]
 
 
 def _check_gates(graph: MonotoneGraph, cfg: SolverConfig):
@@ -257,14 +250,66 @@ def _check_gates(graph: MonotoneGraph, cfg: SolverConfig):
         raise SolverError("lam = 0 requires a globally Lipschitz single-valued graph")
 
 
+def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
+                times: Sequence[np.ndarray], gm_values: Sequence[np.ndarray], x0):
+    """Backward Euler on y = X - g for P paths at once, in lock step.
+
+    times[p] is the grid of path p and gm_values[p] its driving integral on
+    that grid, shape (len(times[p]), n); x0 is one datum (n,) or one per path
+    (P, n). Shorter grids are padded with zero-length steps that hold the
+    integral at its last value; a padded step is an exact no-op that no
+    Newton iteration touches. Each path keeps the per-step tolerance
+    newton_tol / (its own step count), which keeps its accumulated
+    integral-identity defect at the newton_tol scale. Returns the per-path
+    lists (states, selections).
+    """
+    _check_gates(graph, cfg)
+    n_paths = len(times)
+    steps = np.array([len(t) - 1 for t in times])
+    n_max = int(steps.max())
+    taus = np.zeros((n_paths, n_max))
+    gm = np.empty((n_paths, n_max + 1, L.n))
+    for p in range(n_paths):
+        m = steps[p]
+        vals = np.asarray(gm_values[p], dtype=float)
+        if vals.shape != (m + 1, L.n):
+            raise ValueError(f"gm values must have shape {(m + 1, L.n)}, got {vals.shape}")
+        taus[p, :m] = np.diff(np.asarray(times[p], dtype=float))
+        if np.any(taus[p, :m] <= 0):
+            raise ValueError("time grids must be strictly increasing")
+        gm[p, :m + 1] = vals
+        gm[p, m + 1:] = vals[-1]
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, L.n))
+
+    states = np.empty_like(gm)
+    selections = np.empty_like(gm)
+    states[:, 0] = x0
+    selections[:, 0] = _drift(graph, cfg.lam, states[:, 0])[2]
+    y = x0 - gm[:, 0]
+    step_tol = cfg.newton_tol / np.maximum(1, steps)
+    jac_buf = np.empty((min(n_paths, max(1, _JAC_BUF_BYTES // (8 * L.n * L.n))), L.n, L.n))
+    for i in range(n_max):
+        act = np.flatnonzero(steps > i)
+        y_new, sel = _newton_batch(graph, cfg.lam, L, taus[act, i], y[act], gm[act, i + 1],
+                                   step_tol[act], cfg.newton_max_iter, jac_buf, paths=act)
+        x_new = y_new + gm[act, i + 1]
+        bad = np.flatnonzero(~np.all(np.isfinite(x_new), axis=1))
+        if bad.size:
+            p = act[bad[0]]
+            raise SolverError(f"non-finite state at t={times[p][i + 1]:.6g} on path {p}")
+        y[act] = y_new
+        states[act, i + 1] = x_new
+        selections[act, i + 1] = sel
+    return ([states[p, :m + 1] for p, m in enumerate(steps)],
+            [selections[p, :m + 1] for p, m in enumerate(steps)])
+
+
 def additive_path_solve(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
                         x0: np.ndarray, gm: IntegralPath) -> Trajectory:
     """Backward Euler on y = X - g along the grid of the driving integral."""
-    _check_gates(graph, cfg)
-    states, selections = _march(graph, cfg.lam, L, gm.times, gm.values, x0,
-                                cfg.newton_tol, cfg.newton_max_iter)
-    return Trajectory(times=np.asarray(gm.times, dtype=float), states=states,
-                      selections=selections, lam=cfg.lam)
+    states, selections = march_batch(graph, cfg, L, [gm.times], [gm.values], x0)
+    return Trajectory(times=np.asarray(gm.times, dtype=float), states=states[0],
+                      selections=selections[0], lam=cfg.lam)
 
 
 def strong_identity_residual(traj: Trajectory, gm: IntegralPath, x0: np.ndarray,
@@ -426,20 +471,23 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
         dists, factors = [], []
         converged_window = False
         for _ in range(cfg.picard_max_iter):
-            sq_sums = np.zeros(m_cur + 1)
-            new_states, new_sels = [], []
+            # one coefficient evaluation for the left limits of every path
+            lefts = B.mode_fields_batch(np.concatenate([pv[:-1] for pv in prev]), L)
+            gms, offset = [], 0
             for pi, p in enumerate(paths):
                 i0, i1 = i0s[pi], i1s[pi]
-                fields_left = B.mode_fields_batch(prev[pi][:-1], L)
                 dm = p.values[:, i0 + 1:i1 + 1] - p.values[:, i0:i1]
-                incr = np.einsum("jkn,kj->jn", fields_left, dm)
+                incr = np.einsum("jkn,kj->jn", lefts[offset:offset + i1 - i0], dm)
+                offset += i1 - i0
                 gm = np.zeros((i1 - i0 + 1, L.n))
                 np.cumsum(incr, axis=0, out=gm[1:])
-                st, sel = _march(graph, cfg.lam, L, p.times[i0:i1 + 1], gm, datum[pi],
-                                 cfg.newton_tol, cfg.newton_max_iter)
-                sq_sums += hminus1_norm_sq_rows(L, (st - prev[pi])[local_base[pi]])
-                new_states.append(st)
-                new_sels.append(sel)
+                gms.append(gm)
+            new_states, new_sels = march_batch(
+                graph, cfg, L, [p.times[i0:i1 + 1] for p, i0, i1 in zip(paths, i0s, i1s)],
+                gms, np.stack(datum))
+            diffs = np.concatenate([(st - pv)[lb]
+                                    for st, pv, lb in zip(new_states, prev, local_base)])
+            sq_sums = hminus1_norm_sq_rows(L, diffs).reshape(n_paths, m_cur + 1).sum(axis=0)
             total_iters += 1
             dist = float(np.max(sq_sums / n_paths))
             if dists and dists[-1] > 0:

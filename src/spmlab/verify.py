@@ -36,9 +36,10 @@ from .noise import (
 )
 from .solver import (
     SolverConfig,
-    additive_path_solve,
     contraction_time_limit,
+    ensemble_mean_sup_sq,
     lambda_sweep,
+    march_batch,
     picard_solve,
 )
 
@@ -158,19 +159,11 @@ def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     bound = float(hminus1_norm_sq_rows(L, (x1 - x2)[None, :])[0])
     bound += expected_quadratic_budget(diff_op, spec, horizon, L)
 
-    sums = None
-    sq_sums = None
-    for i in range(n_paths):
-        path = sample_path(spec, horizon, cfg.dt, rng_for(seed, i))
-        t1 = additive_path_solve(graph, cfg, L, x1, stochastic_integral(op1, path, L))
-        t2 = additive_path_solve(graph, cfg, L, x2, stochastic_integral(op2, path, L))
-        sq = hminus1_norm_sq_rows(L, (t1.states - t2.states)[path.base_indices])
-        if sums is None:
-            sums = np.zeros_like(sq)
-            sq_sums = np.zeros_like(sq)
-        sums += sq
-        sq_sums += sq * sq
-    mean = sums / n_paths
+    paths = [sample_path(spec, horizon, cfg.dt, rng_for(seed, i)) for i in range(n_paths)]
+    diffs = _paired_differences(graph, cfg, L, paths, (x1, op1), (x2, op2))
+    sq = np.stack([hminus1_norm_sq_rows(L, d[p.base_indices]) for d, p in zip(diffs, paths)])
+    mean = sq.sum(axis=0) / n_paths
+    sq_sums = (sq * sq).sum(axis=0)
     idx = int(np.argmax(mean))
     var = (sq_sums[idx] - n_paths * mean[idx] ** 2) / max(1, n_paths - 1)
     se = float(np.sqrt(max(var, 0.0) / n_paths))
@@ -178,6 +171,16 @@ def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
         name, float(mean[idx]), bound, se, margin_sigmas, n_paths,
         time.perf_counter() - t0, notes=f"argmax_t={idx}",
     )
+
+
+def _paired_differences(graph, cfg, L, paths, data1, data2):
+    """X1 - X2 per path, both data solved on each path's grid in one batched march."""
+    (x1, op1), (x2, op2) = data1, data2
+    times = [p.times for p in paths]
+    gms = [stochastic_integral(op, p, L).values for op in (op1, op2) for p in paths]
+    x0 = np.concatenate([np.tile(x1, (len(paths), 1)), np.tile(x2, (len(paths), 1))])
+    states, _ = march_batch(graph, cfg, L, times + times, gms, x0)
+    return [a - b for a, b in zip(states[:len(paths)], states[len(paths):])]
 
 
 def _difference_operator(op1, op2):
@@ -245,12 +248,9 @@ def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noise
     reports = []
     for T0 in T0_list:
         t0 = time.perf_counter()
-        sup_sq = np.empty(n_paths)
-        for i in range(n_paths):
-            path = sample_path(spec, T0, cfg.dt, rng_for(seed, i))
-            t1 = additive_path_solve(graph, cfg, L, x0, stochastic_integral(op1, path, L))
-            t2 = additive_path_solve(graph, cfg, L, x0, stochastic_integral(op2, path, L))
-            sup_sq[i] = float(np.max(hminus1_norm_sq_rows(L, t1.states - t2.states)))
+        paths = [sample_path(spec, T0, cfg.dt, rng_for(seed, i)) for i in range(n_paths)]
+        sup_sq = np.array([np.max(hminus1_norm_sq_rows(L, d)) for d in
+                           _paired_differences(graph, cfg, L, paths, (x0, op1), (x0, op2))])
         factor = float(sup_sq.mean()) / denom
         se = _std_err(sup_sq) / denom
         bound = k_est * T0 * modulus_coeff
@@ -292,10 +292,7 @@ def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noi
                  for i in range(n_paths)]
         r1 = picard_solve(graph, B, spec, cfg, L, y1, paths)
         r2 = picard_solve(graph, B, spec, cfg, L, y2, paths)
-        acc = 0.0
-        for ta, tb in zip(r1.trajectories, r2.trajectories):
-            acc += float(np.max(hminus1_norm_sq_rows(L, ta.states - tb.states)))
-        ratios.append(acc / n_paths / denom)
+        ratios.append(ensemble_mean_sup_sq(r1.trajectories, r2.trajectories, L) / denom)
     spread = abs(ratios[0] - ratios[1])
     scale = max(ratios)
     passed = np.isfinite(ratios).all() and spread <= stability_tol * scale

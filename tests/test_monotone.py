@@ -100,6 +100,18 @@ def test_yosida_value_lies_in_graph_at_resolvent(graph):
         assert np.all(y <= np.asarray(hi) + 1e-9)
 
 
+@pytest.mark.parametrize("graph", VARIANTS + [PowerLaw(1.0)], ids=VARIANT_IDS + ["pl1"])
+def test_yosida_and_slope_equals_the_separate_calls(graph):
+    r = np.concatenate([RNG.uniform(-10, 10, 300), [0.0, 1e-9, -1e-9]])
+    for lam in LAMBDAS:
+        value, slope = graph.yosida_and_slope(lam, r)
+        np.testing.assert_array_equal(value, graph.yosida(lam, r))
+        np.testing.assert_array_equal(slope, graph.yosida_slope(lam, r))
+        pair = graph.yosida_and_slope(lam, 1.3)
+        assert pair == (graph.yosida(lam, 1.3), graph.yosida_slope(lam, 1.3))
+        assert all(isinstance(v, float) for v in pair)
+
+
 @pytest.mark.parametrize("graph", [PowerLaw(3.0), PowerLaw(1.5), Linear(0.7)],
                          ids=["pl3", "pl15", "lin"])
 def test_yosida_converges_to_section(graph):

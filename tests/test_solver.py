@@ -27,6 +27,7 @@ from spmlab import (
     lambda_sweep,
     make_grid,
     make_noise_spec,
+    march_batch,
     mollify,
     norm_hminus1,
     picard_solve,
@@ -375,3 +376,119 @@ def test_implicit_step_residual_contract_stefan(lap):
         resid = y + tau * (lap.matrix @ drift) - rhs
         assert norm_hminus1(resid, lap) <= 1e-10 * (1 + norm_hminus1(rhs, lap))
         np.testing.assert_allclose(sel, np.asarray(graph.yosida(lam, y + g)), atol=1e-13)
+
+
+def serial_reference_step(graph, lam, L, tau, rhs, g):
+    # plain damped Newton on one step, driven to the rounding floor, with the
+    # separate value and slope calls and a Cholesky dual norm
+    def drift(u):
+        if lam > 0:
+            return np.asarray(graph.yosida(lam, u)) + lam * u, \
+                np.clip(np.asarray(graph.yosida_slope(lam, u)) + lam, lam, lam + 1 / lam)
+        return np.asarray(graph.minimal_section(u)), np.asarray(graph.section_slope(u))
+
+    def residual(y):
+        return y + tau * (L.matrix @ drift(y + g)[0]) - rhs
+
+    y = rhs.copy()
+    res = norm_hminus1(residual(y), L)
+    for _ in range(100):
+        jac = np.eye(L.n) + tau * L.matrix * drift(y + g)[1][None, :]
+        delta = np.linalg.solve(jac, -residual(y))
+        step = 1.0
+        while step > 1e-9 and norm_hminus1(residual(y + step * delta), L) >= res:
+            step *= 0.5
+        if step <= 1e-9:
+            break
+        y = y + step * delta
+        res = norm_hminus1(residual(y), L)
+    return y
+
+
+def ragged_ensemble(lap):
+    # three grids on [0, 0.25] with 0, 1 and 3 inserted jump times, so the
+    # shorter two are padded in the batch; the driving integrals jump there
+    base = np.linspace(0.0, 0.25, 9)
+    rng = np.random.default_rng(19)
+    times, gms = [], []
+    for extra in ([], [0.07], [0.01, 0.1, 0.2]):
+        t = np.unique(np.concatenate([base, extra]))
+        incr = 0.2 * np.sqrt(np.diff(t))[:, None] * rng.standard_normal((len(t) - 1, lap.n))
+        for e in extra:
+            incr[np.searchsorted(t, e) - 1] += 0.5 * eigenmode(lap, 1)
+        gm = np.zeros((len(t), lap.n))
+        np.cumsum(incr, axis=0, out=gm[1:])
+        times.append(t)
+        gms.append(gm)
+    x0 = np.stack([eigenmode(lap, 0), -0.5 * eigenmode(lap, 2), 0.8 * eigenmode(lap, 1)])
+    return times, gms, x0
+
+
+@pytest.mark.parametrize("graph,lam", [(PowerLaw(3.0), 0.05),
+                                       (StefanPiecewise(1.0, 3.0, 2.0), 0.1),
+                                       (Linear(1.0), 0.0)], ids=["pl3", "stefan", "lin"])
+def test_march_batch_matches_serial_reference(lap, graph, lam):
+    times, gms, x0 = ragged_ensemble(lap)
+    cfg = SolverConfig(lam=lam, dt=1 / 32)
+    states, sels = march_batch(graph, cfg, lap, times, gms, x0)
+    for p, (t, gm) in enumerate(zip(times, gms)):
+        assert states[p].shape == sels[p].shape == (len(t), lap.n)
+        n_steps = len(t) - 1
+        y = x0[p] - gm[0]
+        np.testing.assert_array_equal(states[p][0], x0[p])
+        for i in range(n_steps):
+            tau = t[i + 1] - t[i]
+            y_next = serial_reference_step(graph, lam, lap, tau, y, gm[i + 1])
+            np.testing.assert_allclose(states[p][i + 1], y_next + gm[i + 1], rtol=0, atol=1e-9)
+            # the batched step met its own target: newton_tol / (its step count)
+            x = states[p][i + 1]
+            drift = sels[p][i + 1] + lam * x
+            rhs = states[p][i] - gm[i]
+            resid = (x - gm[i + 1]) + tau * (lap.matrix @ drift) - rhs
+            target = cfg.newton_tol / n_steps * (1 + norm_hminus1(rhs, lap))
+            assert norm_hminus1(resid, lap) <= target
+            y = y_next
+        ref_sel = (graph.yosida(lam, states[p]) if lam > 0
+                   else graph.minimal_section(states[p]))
+        np.testing.assert_allclose(sels[p], ref_sel, rtol=0, atol=1e-9)
+        # one path alone agrees with the same path inside the batch
+        alone, alone_sel = march_batch(graph, cfg, lap, [t], [gm], x0[p])
+        np.testing.assert_allclose(alone[0], states[p], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(alone_sel[0], sels[p], rtol=0, atol=1e-9)
+
+
+def test_march_batch_nan_in_driving_integral_names_time_and_path(lap):
+    times, gms, x0 = ragged_ensemble(lap)
+    gms[2][5, 3] = np.nan
+    with pytest.raises(SolverError, match=rf"non-finite state at t={times[2][5]:.6g} on path 2"):
+        march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, times, gms, x0)
+
+
+def test_newton_failure_raises_with_step_details(lap):
+    rhs = eigenmode(lap, 0)
+    with pytest.raises(SolverError, match=r"residual .* above target .*tau=1\.000e-02, "
+                                          r"lam=5\.000e-02, n=15\)"):
+        implicit_step(PowerLaw(3.0), 0.05, lap, 0.01, rhs, np.zeros(lap.n), newton_max_iter=0)
+    times, gms, x0 = ragged_ensemble(lap)
+    cfg = SolverConfig(lam=0.05, dt=1 / 32, newton_max_iter=0)
+    with pytest.raises(SolverError, match=r"residual .*n=15, path 0\)"):
+        march_batch(PowerLaw(3.0), cfg, lap, times, gms, x0)
+
+
+def test_one_node_fallback_solves_only_the_failing_paths(lap1):
+    # without Newton iterations every nonzero step falls back to bisection;
+    # the path with zero data is already solved and stays exactly zero
+    graph, lam = PowerLaw(3.0), 0.2
+    times = [np.linspace(0.0, 0.2, 5), np.linspace(0.0, 0.2, 3), np.linspace(0.0, 0.2, 5)]
+    gms = [np.zeros((5, 1)), np.linspace(0.0, 0.4, 3)[:, None], np.zeros((5, 1))]
+    x0 = np.array([[1.5], [-0.7], [0.0]])
+    cfg = SolverConfig(lam=lam, dt=0.05, newton_max_iter=0)
+    states, _ = march_batch(graph, cfg, lap1, times, gms, x0)
+    np.testing.assert_array_equal(states[2], 0.0)
+    for p in (0, 1):
+        g = gms[p][:, 0]
+        for i in range(len(times[p]) - 1):
+            tau = times[p][i + 1] - times[p][i]
+            y = scalar_step_oracle(graph, lam, lap1.matrix[0, 0], tau, g[i + 1],
+                                   states[p][i, 0] - g[i])
+            assert states[p][i + 1, 0] == pytest.approx(y + g[i + 1], abs=1e-9)
