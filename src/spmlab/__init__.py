@@ -22,7 +22,6 @@ from .grid import (
     make_grid,
     mollify,
     norm_hminus1,
-    norm_l2,
     smooth_gamma,
     solve_laplacian,
     spectral_apply,

@@ -1,10 +1,11 @@
 """Command line driver for batch experiments.
 
 Subcommands: simulate-additive, simulate-multiplicative, generalized,
-lambda-sweep, verify-all, mollify-demo. Each loads a JSON config (bundled
+lambda-sweep, verify-all, mollify-demo. ``main`` loads a JSON config (bundled
 default when --config is omitted), applies dotted-path --set overrides plus
-the --seed/--paths/--out shortcuts, runs the pipeline and writes CSV files
-and a summary into the output directory.
+the --seed/--paths/--out shortcuts and builds one context from it. The
+command runs the pipeline, writes its CSV files and returns its summary
+lines, which ``main`` writes into the output directory and prints.
 
 Exit codes: 0 success / all checks passed, 1 a check or assertion failed,
 2 configuration error, 3 solver failure.
@@ -15,23 +16,26 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, SolverError
-from .grid import hminus1_norm_sq_rows, norm_hminus1
+from .grid import hminus1_norm_sq_rows, mollify
 from .noise import (
     ConstantOperator,
     StepOperator,
     lipschitz_constant,
     rng_for,
+    sample_ensemble,
     sample_path,
     stochastic_integral,
 )
 from .reporting import fmt_value, provenance_line, report_table, write_csv, write_summary
 from .solver import (
     additive_path_solve,
+    base_grid_norms_sq,
     contraction_time_limit,
     generalized_solve,
     lambda_sweep,
@@ -52,27 +56,35 @@ _COMMANDS = {}
 
 
 def _command(name):
+    """Register a command: it takes a _Context and returns (summary lines,
+    exit code, stdout-only suffixes for the first lines)."""
     def wrap(fn):
         _COMMANDS[name] = fn
         return fn
     return wrap
 
 
-def _context(cfg: ExperimentConfig):
-    L = cfg.laplacian()
-    return {
-        "L": L,
-        "graph": cfg.graph(),
-        "spec": cfg.noise_spec(),
-        "scfg": cfg.solver_config(),
-        "x0": cfg.initial_field(L),
-        "B": cfg.diffusion(L),
-        "prov": provenance_line(cfg.digest, cfg.master_seed),
-    }
+class _Context:
+    """The pieces of one experiment, built once from its config."""
 
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.L = cfg.laplacian()
+        self.graph = cfg.graph()
+        self.spec = cfg.noise_spec()
+        self.scfg = cfg.solver_config()
+        self.x0 = cfg.initial_field(self.L)
+        self.B = cfg.diffusion(self.L)
+        self.prov = provenance_line(cfg.digest, cfg.master_seed)
 
-def _out(cfg, name):
-    return os.path.join(cfg.output_dir, name)
+    def out(self, name):
+        return os.path.join(self.cfg.output_dir, name)
+
+    def frozen_integral(self, seed):
+        """Path 0 under seed and its integral of the coefficient frozen at the datum."""
+        path = sample_path(self.spec, self.cfg.horizon, self.cfg.dt, rng_for(seed, 0))
+        op = ConstantOperator(self.B.mode_fields(self.x0, self.L))
+        return path, stochastic_integral(op, path, self.L)
 
 
 def _write_trajectory(path, traj, prov):
@@ -93,42 +105,33 @@ def _write_martingale(path_obj, out_path, prov):
 
 
 @_command("simulate-additive")
-def _cmd_simulate_additive(cfg: ExperimentConfig) -> int:
-    ctx = _context(cfg)
-    L, graph, spec, scfg = ctx["L"], ctx["graph"], ctx["spec"], ctx["scfg"]
-    x0, prov = ctx["x0"], ctx["prov"]
-    path = sample_path(spec, cfg.horizon, cfg.dt, rng_for(cfg.master_seed, 0))
-    op = ConstantOperator(ctx["B"].mode_fields(x0, L))
-    gm = stochastic_integral(op, path, L)
-    traj = additive_path_solve(graph, scfg, L, x0, gm)
+def _cmd_simulate_additive(ctx: _Context):
+    L, x0 = ctx.L, ctx.x0
+    path, gm = ctx.frozen_integral(ctx.cfg.master_seed)
+    traj = additive_path_solve(ctx.graph, ctx.scfg, L, x0, gm)
 
-    _write_trajectory(_out(cfg, "trajectory.csv"), traj, prov)
-    _write_martingale(path, _out(cfg, "martingale.csv"), prov)
-    diag = trajectory_diagnostics(traj, graph, L)
+    _write_trajectory(ctx.out("trajectory.csv"), traj, ctx.prov)
+    _write_martingale(path, ctx.out("martingale.csv"), ctx.prov)
+    diag = trajectory_diagnostics(traj, ctx.graph, L)
     resid = strong_identity_residual(traj, gm, x0, L)
     lines = [
         "command: simulate-additive",
-        f"horizon: {fmt_value(cfg.horizon)}",
+        f"horizon: {fmt_value(ctx.cfg.horizon)}",
         f"steps: {len(traj.times) - 1}",
-        f"lambda: {fmt_value(scfg.lam)}",
+        f"lambda: {fmt_value(ctx.scfg.lam)}",
         f"final_dual_norm: {fmt_value(float(diag['dual_norms'][-1]))}",
         f"potential_integral: {fmt_value(diag['potential_integral'])}",
         f"conjugate_integral: {fmt_value(diag['conjugate_integral'])}",
         f"max_identity_residual: {fmt_value(float(resid.max()))}",
     ]
-    write_summary(_out(cfg, "summary.txt"), lines, prov)
-    print("\n".join(lines))
-    return 0
+    return lines, 0, ()
 
 
 @_command("simulate-multiplicative")
-def _cmd_simulate_multiplicative(cfg: ExperimentConfig) -> int:
-    ctx = _context(cfg)
-    L, graph, spec, scfg = ctx["L"], ctx["graph"], ctx["spec"], ctx["scfg"]
-    x0, B, prov = ctx["x0"], ctx["B"], ctx["prov"]
-    paths = [sample_path(spec, cfg.horizon, cfg.dt, rng_for(cfg.master_seed, i))
-             for i in range(cfg.n_paths)]
-    res = picard_solve(graph, B, spec, scfg, L, x0, paths)
+def _cmd_simulate_multiplicative(ctx: _Context):
+    cfg, prov = ctx.cfg, ctx.prov
+    paths = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
+    res = picard_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0, paths)
 
     rows = []
     for w, ((t0, t1), dists, factors) in enumerate(
@@ -136,16 +139,15 @@ def _cmd_simulate_multiplicative(cfg: ExperimentConfig) -> int:
         for it, dist in enumerate(dists):
             factor = factors[it - 1] if 0 < it <= len(factors) else None
             rows.append((w, t0, t1, it + 1, dist, factor))
-    write_csv(_out(cfg, "picard.csv"),
+    write_csv(ctx.out("picard.csv"),
               ["window", "t_start", "t_end", "iteration", "distance_sq", "factor"],
               rows, prov)
 
-    sums = np.zeros(len(res.base_times))
-    for traj, p in zip(res.trajectories, paths):
-        sums += hminus1_norm_sq_rows(L, traj.states[p.base_indices])
-    write_csv(_out(cfg, "ensemble_norms.csv"), ["time", "mean_sq_dual_norm"],
-              list(zip(res.base_times, sums / len(paths))), prov)
-    _write_trajectory(_out(cfg, "trajectory0.csv"), res.trajectories[0], prov)
+    sq = base_grid_norms_sq(ctx.L, [traj.states for traj in res.trajectories],
+                            [p.base_indices for p in paths])
+    write_csv(ctx.out("ensemble_norms.csv"), ["time", "mean_sq_dual_norm"],
+              list(zip(res.base_times, sq.mean(axis=0))), prov)
+    _write_trajectory(ctx.out("trajectory0.csv"), res.trajectories[0], prov)
 
     lines = [
         "command: simulate-multiplicative",
@@ -156,102 +158,73 @@ def _cmd_simulate_multiplicative(cfg: ExperimentConfig) -> int:
         f"lipschitz_estimate: {fmt_value(res.lipschitz_estimate)}",
         f"converged: {fmt_value(res.converged)}",
     ]
-    write_summary(_out(cfg, "summary.txt"), lines, prov)
-    print("\n".join(lines))
-    return 0
+    return lines, 0, ()
 
 
 @_command("lambda-sweep")
-def _cmd_lambda_sweep(cfg: ExperimentConfig) -> int:
-    ctx = _context(cfg)
-    L, graph, spec, scfg = ctx["L"], ctx["graph"], ctx["spec"], ctx["scfg"]
-    x0, prov = ctx["x0"], ctx["prov"]
-    path = sample_path(spec, cfg.horizon, cfg.dt, rng_for(cfg.master_seed, 0))
-    op = ConstantOperator(ctx["B"].mode_fields(x0, L))
-    gm = stochastic_integral(op, path, L)
-    report = lambda_sweep(graph, scfg, L, x0, gm, cfg.sweep_lambdas())
+def _cmd_lambda_sweep(ctx: _Context):
+    _, gm = ctx.frozen_integral(ctx.cfg.master_seed)
+    report = lambda_sweep(ctx.graph, ctx.scfg, ctx.L, ctx.x0, gm, ctx.cfg.sweep_lambdas())
 
     rows = []
     for i, lam in enumerate(report.lambdas):
         sup_diff = report.sup_diffs[i - 1] if i > 0 else None
         rows.append((lam, sup_diff, report.gap_integrals[i], report.gap_ratios[i],
                      report.potential_integrals[i], report.conjugate_integrals[i]))
-    write_csv(_out(cfg, "sweep.csv"),
+    write_csv(ctx.out("sweep.csv"),
               ["lambda", "sup_diff_prev", "gap_integral", "gap_ratio",
                "potential_integral", "conjugate_integral"],
-              rows, prov)
+              rows, ctx.prov)
     lines = [
         "command: lambda-sweep",
         f"lambdas: {len(report.lambdas)}",
         f"initial_norm_sq: {fmt_value(report.initial_norm_sq)}",
         f"max_gap_ratio: {fmt_value(float(report.gap_ratios.max()))}",
     ]
-    write_summary(_out(cfg, "summary.txt"), lines, prov)
-    print("\n".join(lines))
-    return 0
+    return lines, 0, ()
 
 
 @_command("generalized")
-def _cmd_generalized(cfg: ExperimentConfig) -> int:
-    ctx = _context(cfg)
-    L, graph, spec, scfg = ctx["L"], ctx["graph"], ctx["spec"], ctx["scfg"]
-    x0, B, prov = ctx["x0"], ctx["B"], ctx["prov"]
-    levels = cfg.generalized_levels()
-    paths = [sample_path(spec, cfg.horizon, cfg.dt, rng_for(cfg.master_seed, i))
-             for i in range(cfg.n_paths)]
-    res = generalized_solve(graph, B, spec, scfg, L, x0, levels, paths)
+def _cmd_generalized(ctx: _Context):
+    cfg = ctx.cfg
+    paths = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
+    res = generalized_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0,
+                            cfg.generalized_levels(), paths)
 
     rows = []
     for i, level in enumerate(res.levels):
         sup_mean = res.sup_mean_distances[i - 1] if i > 0 else None
         mean_sup = res.mean_sup_distances[i - 1] if i > 0 else None
         rows.append((level, sup_mean, mean_sup))
-    write_csv(_out(cfg, "levels.csv"),
-              ["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], rows, prov)
+    write_csv(ctx.out("levels.csv"),
+              ["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], rows, ctx.prov)
     lines = [
         "command: generalized",
         f"levels: {' '.join(str(n) for n in res.levels)}",
         f"cauchy_ok: {fmt_value(res.cauchy_ok)}",
     ]
-    write_summary(_out(cfg, "summary.txt"), lines, prov)
-    print("\n".join(lines))
-    return 0 if res.cauchy_ok else 1
+    return lines, 0 if res.cauchy_ok else 1, ()
 
 
 @_command("mollify-demo")
-def _cmd_mollify_demo(cfg: ExperimentConfig) -> int:
-    from .grid import mollify
-
-    ctx = _context(cfg)
-    L, prov = ctx["L"], ctx["prov"]
-    rng = np.random.default_rng(cfg.master_seed)
-    rough = rng.standard_normal(L.n)
-    base_norm = norm_hminus1(rough, L)
-    rows = []
-    ok = True
-    prev_defect = None
-    for level in (1, 2, 4, 8, 16, 32):
-        smoothed = mollify(rough, level, L)
-        defect = norm_hminus1(smoothed - rough, L)
-        ratio = norm_hminus1(smoothed, L) / base_norm
-        ok = ok and ratio <= 1.0 + 1e-12
-        if prev_defect is not None:
-            ok = ok and defect <= prev_defect
-        prev_defect = defect
-        rows.append((level, defect, ratio))
-    write_csv(_out(cfg, "mollify.csv"), ["level", "defect_dual_norm", "norm_ratio"],
-              rows, prov)
+def _cmd_mollify_demo(ctx: _Context):
+    L, levels = ctx.L, (1, 2, 4, 8, 16, 32)
+    rough = np.random.default_rng(ctx.cfg.master_seed).standard_normal(L.n)
+    smoothed = np.stack([mollify(rough, level, L) for level in levels])
+    norms = np.sqrt(hminus1_norm_sq_rows(L, np.concatenate([rough[None, :], smoothed - rough,
+                                                            smoothed])))
+    defects, ratios = norms[1:len(levels) + 1], norms[len(levels) + 1:] / norms[0]
+    ok = bool(np.all(ratios <= 1.0 + 1e-12) and np.all(np.diff(defects) <= 0.0))
+    write_csv(ctx.out("mollify.csv"), ["level", "defect_dual_norm", "norm_ratio"],
+              list(zip(levels, defects, ratios)), ctx.prov)
     lines = ["command: mollify-demo", f"contraction_and_decrease: {fmt_value(ok)}"]
-    write_summary(_out(cfg, "summary.txt"), lines, prov)
-    print("\n".join(lines))
-    return 0 if ok else 1
+    return lines, 0 if ok else 1, ()
 
 
 @_command("verify-all")
-def _cmd_verify_all(cfg: ExperimentConfig) -> int:
-    ctx = _context(cfg)
-    L, graph, spec, scfg = ctx["L"], ctx["graph"], ctx["spec"], ctx["scfg"]
-    x0, B, prov = ctx["x0"], ctx["B"], ctx["prov"]
+def _cmd_verify_all(ctx: _Context):
+    cfg, L, graph, spec, scfg = ctx.cfg, ctx.L, ctx.graph, ctx.spec, ctx.scfg
+    x0, B = ctx.x0, ctx.B
     seed = cfg.master_seed
     horizon, n_paths = cfg.horizon, cfg.n_paths
 
@@ -267,10 +240,7 @@ def _cmd_verify_all(cfg: ExperimentConfig) -> int:
         check_isometry(spec, op_pc, horizon, cfg.dt, n_paths, seed + 2, L),
         check_resta(graph, scfg, L, spec, (x0, op_full),
                     (0.5 * x0, op_half), horizon, max(100, n_paths // 2), seed + 3),
-        check_apriori(graph, scfg, L, x0,
-                      stochastic_integral(op_full,
-                                          sample_path(spec, horizon, cfg.dt,
-                                                      rng_for(seed + 4, 0)), L),
+        check_apriori(graph, scfg, L, x0, ctx.frozen_integral(seed + 4)[1],
                       cfg.sweep_lambdas()),
     ]
     k_est = lipschitz_constant(B, spec, L, seed=seed + 5)
@@ -283,7 +253,7 @@ def _cmd_verify_all(cfg: ExperimentConfig) -> int:
                                        horizon, max(50, n_paths // 4), seed + 6))
 
     header, rows = report_table(reports)
-    write_csv(_out(cfg, "reports.csv"), header, rows, prov)
+    write_csv(ctx.out("reports.csv"), header, rows, ctx.prov)
     lines = []
     for r in reports:
         lines.append(
@@ -293,11 +263,7 @@ def _cmd_verify_all(cfg: ExperimentConfig) -> int:
         )
     n_failed = sum(not r.passed for r in reports)
     lines.append(f"checks: {len(reports)} failed: {n_failed}")
-    write_summary(_out(cfg, "summary.txt"), lines, prov)
-    for r, line in zip(reports, lines):
-        print(f"{line} runtime={r.runtime_s:.2f}s")
-    print(lines[-1])
-    return 0 if n_failed == 0 else 1
+    return lines, 0 if n_failed == 0 else 1, [f" runtime={r.runtime_s:.2f}s" for r in reports]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,13 +312,17 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg)
+        ctx = _Context(cfg)
+        lines, code, suffixes = _COMMANDS[args.command](ctx)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
+    write_summary(ctx.out("summary.txt"), lines, ctx.prov)
+    print("\n".join(line + suffix for line, suffix in zip_longest(lines, suffixes, fillvalue="")))
+    return code
 
 
 if __name__ == "__main__":

@@ -8,11 +8,15 @@ as flat float arrays. Two inner products are used throughout:
 
 where ``-Lap`` is the standard second-difference Laplacian with homogeneous
 Dirichlet boundary conditions. The operator is assembled densely and
-eigendecomposed once per grid (desk-scale sizes only, see ``DEFAULT_NODE_CAP``),
-which makes fractional smoothing (-Lap)^{-gamma} and the heat-kernel mollifier
-exact spectral multipliers. The mollifier multiplier exp(-mu/n^2) lies in
-(0, 1], so smoothing is a strict contraction of the dual norm and converges to
-the identity as the level n grows.
+eigendecomposed once per grid (desk-scale sizes only, see ``DEFAULT_NODE_CAP``).
+Everything the solvers need goes through that eigenbasis: dual norms
+(``hminus1_norm_sq_rows``), the lift (-Lap)^{-1}, fractional smoothing
+(-Lap)^{-gamma} and the heat-kernel mollifier are exact spectral multipliers
+(``spectral_apply``). The mollifier multiplier exp(-mu/n^2) lies in (0, 1], so
+smoothing is a strict contraction of the dual norm and converges to the
+identity as the level n grows. ``solve_laplacian``, ``inner_hminus1`` and
+``norm_hminus1`` solve with the matrix directly and cache nothing; they are
+the reference the eigenbasis is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh, solve
 
 DEFAULT_NODE_CAP = 4096
 
@@ -87,7 +91,7 @@ def make_grid(dim: int, n, length=1.0) -> SpatialGrid:
 
 
 class DirichletLaplacian:
-    """Dense -Lap on interior nodes with cached eigenpairs and Cholesky factor.
+    """Dense -Lap on interior nodes with cached eigenpairs.
 
     ``matrix`` is the symmetric positive definite matrix of -Lap, so
     ``matrix @ u`` discretizes -Lap(u). ``eigenvalues`` are ascending and
@@ -102,7 +106,6 @@ class DirichletLaplacian:
         self.matrix = matrix
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
-        self._cho = cho_factor(matrix)
 
     @property
     def n(self) -> int:
@@ -158,19 +161,15 @@ def apply_laplacian(L: DirichletLaplacian, u) -> np.ndarray:
 
 
 def solve_laplacian(L: DirichletLaplacian, f) -> np.ndarray:
-    """Solve -Lap u = f by the cached Cholesky factorization."""
+    """Solve -Lap u = f directly with the matrix (uncached test reference)."""
     f = _check_field(f, L.n, "f")
-    return cho_solve(L._cho, f)
+    return solve(L.matrix, f, assume_a="pos")
 
 
 def inner_l2(u, v, grid: SpatialGrid) -> float:
     u = _check_field(u, grid.n_total, "u")
     v = _check_field(v, grid.n_total, "v")
     return grid.weight * float(u @ v)
-
-
-def norm_l2(u, grid: SpatialGrid) -> float:
-    return float(np.sqrt(max(inner_l2(u, u, grid), 0.0)))
 
 
 def inner_hminus1(f, g, L: DirichletLaplacian) -> float:

@@ -4,9 +4,11 @@ Each graph is the subdifferential of a convex potential normalized to vanish
 at zero. The workhorses are the resolvent x = (I + lam*beta)^{-1}(r), which is
 everywhere defined, single valued and nonexpansive, and the Yosida regularization
 (r - resolvent) / lam, which is monotone, 1/lam-Lipschitz and always selects a
-value of beta at the resolvent point. Closed forms are used where the variant
-admits them; the generic fallback is safeguarded bisection on the strictly
-increasing map x -> x + lam*beta(x).
+value of beta at the resolvent point. Each variant implements one method,
+``_resolvent_and_slope``, which returns the resolvent and its a.e. slope in r;
+the base class derives the resolvent, the Yosida value and the Yosida slope
+from it. Closed forms are used where the variant admits them; the power law
+solves its scalar equation by Newton with bisection as the safety net.
 
 All operations are vectorized: scalars in, float out; arrays in, arrays out.
 """
@@ -42,26 +44,27 @@ class MonotoneGraph:
     #: Lipschitz, else None. Only such graphs admit an unregularized solve.
     lipschitz_slope = None
 
-    def resolvent(self, lam, r):
+    def _resolvent_and_slope(self, lam, r):
+        """(resolvent, its a.e. derivative in r) for lam > 0 and a float array
+        r; the derivative lies in [0, 1]."""
         raise NotImplementedError
 
-    def resolvent_slope(self, lam, r):
-        """Derivative of the resolvent in r (a.e.); lies in [0, 1]."""
-        raise NotImplementedError
+    def resolvent(self, lam, r):
+        return _match(r, self._resolvent_and_slope(_check_lam(lam), np.asarray(r, dtype=float))[0])
 
     def yosida(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, (r_arr - self.resolvent(lam, r_arr)) / lam)
+        return self.yosida_and_slope(lam, r)[0]
 
     def yosida_slope(self, lam, r):
-        lam = _check_lam(lam)
-        return _match(r, _yosida_slope(lam, self.resolvent_slope(lam, r)))
+        return self.yosida_and_slope(lam, r)[1]
 
     def yosida_and_slope(self, lam, r):
-        """(yosida, yosida_slope) at r; variants override it to share one
-        resolvent solve between the two."""
-        return self.yosida(lam, r), self.yosida_slope(lam, r)
+        """(yosida, yosida_slope) at r from one resolvent solve."""
+        lam = _check_lam(lam)
+        r_arr = np.asarray(r, dtype=float)
+        x, slope = self._resolvent_and_slope(lam, r_arr)
+        return (_match(r, (r_arr - x) / lam),
+                _match(r, np.clip((1.0 - slope) / lam, 0.0, 1.0 / lam)))
 
     def minimal_section(self, r):
         """The minimal-norm value of beta(r)."""
@@ -83,11 +86,6 @@ class MonotoneGraph:
     def conjugate(self, s):
         """Convex conjugate sup_r (r*s - potential(r)); +inf outside range(beta)."""
         raise NotImplementedError
-
-
-def _yosida_slope(lam, res_slope):
-    slope = (1.0 - np.asarray(res_slope, dtype=float)) / lam
-    return np.clip(slope, 0.0, 1.0 / lam)
 
 
 def _bisect_increasing(fn, lo, hi, tol=_BISECT_TOL, max_iter=_BISECT_MAX_ITER):
@@ -137,31 +135,11 @@ class PowerLaw(MonotoneGraph):
             s = _bisect_increasing(lambda t: t + lam * t**m - a, np.zeros_like(a), a)
         return s
 
-    def resolvent(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
+    def _resolvent_and_slope(self, lam, r):
         if self.exponent == 1:
-            return _match(r, r_arr / (1.0 + lam))
-        s = self._resolvent_abs(lam, np.abs(r_arr))
-        return _match(r, np.sign(r_arr) * s)
-
-    def resolvent_slope(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
-        if self.exponent == 1:
-            return _match(r, np.full_like(r_arr, 1.0 / (1.0 + lam)))
-        s = self._resolvent_abs(lam, np.abs(r_arr))
-        return _match(r, 1.0 / (1.0 + lam * self.exponent * s ** (self.exponent - 1.0)))
-
-    def yosida_and_slope(self, lam, r):
-        if self.exponent == 1:
-            return super().yosida_and_slope(lam, r)
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
-        s = self._resolvent_abs(lam, np.abs(r_arr))
-        res_slope = 1.0 / (1.0 + lam * self.exponent * s ** (self.exponent - 1.0))
-        return (_match(r, (r_arr - np.sign(r_arr) * s) / lam),
-                _match(r, _yosida_slope(lam, res_slope)))
+            return r / (1.0 + lam), np.full_like(r, 1.0 / (1.0 + lam))
+        s = self._resolvent_abs(lam, np.abs(r))
+        return np.sign(r) * s, 1.0 / (1.0 + lam * self.exponent * s ** (self.exponent - 1.0))
 
     def minimal_section(self, r):
         r_arr = np.asarray(r, dtype=float)
@@ -195,15 +173,8 @@ class Linear(MonotoneGraph):
     def lipschitz_slope(self):
         return self.slope
 
-    def resolvent(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, r_arr / (1.0 + lam * self.slope))
-
-    def resolvent_slope(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, np.full_like(r_arr, 1.0 / (1.0 + lam * self.slope)))
+    def _resolvent_and_slope(self, lam, r):
+        return r / (1.0 + lam * self.slope), np.full_like(r, 1.0 / (1.0 + lam * self.slope))
 
     def minimal_section(self, r):
         r_arr = np.asarray(r, dtype=float)
@@ -238,16 +209,9 @@ class ScaledSignum(MonotoneGraph):
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def resolvent(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
-        out = np.sign(r_arr) * np.maximum(np.abs(r_arr) - lam * self.scale, 0.0)
-        return _match(r, out)
-
-    def resolvent_slope(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, np.where(np.abs(r_arr) > lam * self.scale, 1.0, 0.0))
+    def _resolvent_and_slope(self, lam, r):
+        beyond = np.abs(r) - lam * self.scale
+        return np.sign(r) * np.maximum(beyond, 0.0), np.where(beyond > 0.0, 1.0, 0.0)
 
     def minimal_section(self, r):
         r_arr = np.asarray(r, dtype=float)
@@ -289,24 +253,11 @@ class StefanPiecewise(MonotoneGraph):
         if self.height < 0:
             raise ValueError(f"segment height must be >= 0, got {self.height}")
 
-    def resolvent(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
+    def _resolvent_and_slope(self, lam, r):
         top = lam * self.height
-        neg = r_arr / (1.0 + lam * self.slope_neg)
-        pos = (r_arr - top) / (1.0 + lam * self.slope_pos)
-        return _match(r, np.where(r_arr < 0.0, neg, np.where(r_arr > top, pos, 0.0)))
-
-    def resolvent_slope(self, lam, r):
-        lam = _check_lam(lam)
-        r_arr = np.asarray(r, dtype=float)
-        top = lam * self.height
-        out = np.where(
-            r_arr < 0.0,
-            1.0 / (1.0 + lam * self.slope_neg),
-            np.where(r_arr > top, 1.0 / (1.0 + lam * self.slope_pos), 0.0),
-        )
-        return _match(r, out)
+        neg, pos = 1.0 + lam * self.slope_neg, 1.0 + lam * self.slope_pos
+        value = np.where(r < 0.0, r / neg, np.where(r > top, (r - top) / pos, 0.0))
+        return value, np.where(r < 0.0, 1.0 / neg, np.where(r > top, 1.0 / pos, 0.0))
 
     def minimal_section(self, r):
         r_arr = np.asarray(r, dtype=float)

@@ -14,12 +14,15 @@ Paths are sampled on a uniform base grid with every jump time inserted
 exactly, so integrands evaluated at the left endpoint of each sub-interval are
 genuine left limits and the integral of a piecewise-constant operator is a
 finite sum with no time-discretization error. Sampling is deterministic per
-(master seed, path index).
+(master seed, path index). Integrands are operator objects, constant
+(``ConstantOperator``) or piecewise constant in time (``StepOperator``); a
+plain (K, n) array stands for a constant one.
 
-Diffusion coefficients map a state field to one field per mode; the built-in
-variants are a state-independent family, a spectrally smoothed linear family
-and a smoothed superposition (Nemytskii) family. Their Lipschitz and growth
-constants in the dual norm are measured empirically on random fields.
+Diffusion coefficients map a stack of state fields to one field per mode and
+state (``mode_fields_batch``, the one method each variant implements); the
+built-in variants are a state-independent family, a spectrally smoothed linear
+family and a smoothed superposition (Nemytskii) family. Their Lipschitz and
+growth constants in the dual norm are measured empirically on random fields.
 """
 
 from __future__ import annotations
@@ -242,6 +245,12 @@ def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
     )
 
 
+def sample_ensemble(spec: NoiseSpec, horizon: float, base_dt: float, n_paths: int,
+                    master_seed: int) -> list:
+    """Paths 0, ..., n_paths - 1 under one master seed, each from its own stream."""
+    return [sample_path(spec, horizon, base_dt, rng_for(master_seed, i)) for i in range(n_paths)]
+
+
 # ---------------------------------------------------------------------------
 # operator-valued integrands
 
@@ -291,28 +300,11 @@ class StepOperator:
         return self.fields[self._locate(np.asarray(ts))]
 
 
-class CallableOperator:
-    """Adapter for an arbitrary t -> (K, n) function."""
-
-    def __init__(self, fn: Callable[[float], np.ndarray]):
-        self.fn = fn
-
-    def at(self, t: float) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.fn(t), dtype=float))
-
-    def at_many(self, ts: np.ndarray) -> np.ndarray:
-        return np.stack([self.at(t) for t in ts])
-
-
-ModeOperator = Union[ConstantOperator, StepOperator, CallableOperator]
+ModeOperator = Union[ConstantOperator, StepOperator]
 
 
 def as_mode_operator(G) -> ModeOperator:
-    if hasattr(G, "at_many"):
-        return G
-    if callable(G):
-        return CallableOperator(G)
-    return ConstantOperator(G)
+    return G if hasattr(G, "at_many") else ConstantOperator(G)
 
 
 @dataclass
@@ -361,20 +353,17 @@ def realized_qv(G, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:
 
     Continuous part by left-endpoint quadrature of sum_k sigma_k^2 |G_k(s)|^2,
     jump part as the exact sum of |G_k(jump-) * jump|^2 over recorded jumps.
+    A jump at times[i] sees the integrand at the left endpoint times[i - 1].
     """
-    op = as_mode_operator(G)
-    lefts = path.times[:-1]
-    g_left = op.at_many(lefts)
+    g_left = as_mode_operator(G).at_many(path.times[:-1])
     n_steps, n_modes, _ = g_left.shape
     vols_sq = np.array([m.wiener_vol**2 for m in path.spec.modes])
 
     norms = hminus1_norm_sq_rows(L, g_left.reshape(n_steps * n_modes, -1))
     norms = norms.reshape(n_steps, n_modes)
     incr = (norms @ vols_sq) * np.diff(path.times)
-
-    for idx, k, size in zip(path.jump_indices, path.jump_modes, path.jump_sizes):
-        g = op.at(path.times[idx - 1])[k]
-        incr[idx - 1] += size * size * float(hminus1_norm_sq_rows(L, g[None, :])[0])
+    steps = path.jump_indices - 1
+    np.add.at(incr, steps, path.jump_sizes**2 * norms[steps, path.jump_modes])
 
     out = np.zeros(len(path.times))
     np.cumsum(incr, out=out[1:])
@@ -395,11 +384,11 @@ class DiffusionCoefficient:
 
     def mode_fields(self, x: np.ndarray, L: DirichletLaplacian) -> np.ndarray:
         """(K, n) array of per-mode fields at state x."""
-        raise NotImplementedError
+        return self.mode_fields_batch(np.asarray(x, dtype=float)[None, :], L)[0]
 
     def mode_fields_batch(self, states: np.ndarray, L: DirichletLaplacian) -> np.ndarray:
         """(m, K, n) array for a stack of states (m, n)."""
-        return np.stack([self.mode_fields(x, L) for x in states])
+        raise NotImplementedError
 
 
 @dataclass
@@ -415,9 +404,6 @@ class ConstantAdditive(DiffusionCoefficient):
     @property
     def n_modes(self):
         return self.fields.shape[0]
-
-    def mode_fields(self, x, L):
-        return self.fields
 
     def mode_fields_batch(self, states, L):
         return np.broadcast_to(self.fields, (states.shape[0],) + self.fields.shape)
@@ -439,10 +425,6 @@ class LinearSpectral(DiffusionCoefficient):
     @property
     def n_modes(self):
         return len(self.coeffs)
-
-    def mode_fields(self, x, L):
-        smooth = smooth_gamma(np.asarray(x, dtype=float), self.gamma, L)
-        return np.outer(self.coeffs, smooth)
 
     def mode_fields_batch(self, states, L):
         smooth = smooth_gamma(states.T, self.gamma, L).T  # (m, n)
@@ -481,10 +463,6 @@ class SmoothedNemytskii(DiffusionCoefficient):
     def _fn(self):
         return _TRANSFORMS[self.transform]
 
-    def mode_fields(self, x, L):
-        smooth = smooth_gamma(self._fn()(np.asarray(x, dtype=float)), self.gamma, L)
-        return np.outer(self.coeffs, smooth)
-
     def mode_fields_batch(self, states, L):
         smooth = smooth_gamma(self._fn()(states).T, self.gamma, L).T
         return np.einsum("k,mn->mkn", self.coeffs, smooth)
@@ -506,10 +484,6 @@ class MollifiedDiffusion(DiffusionCoefficient):
     @property
     def n_modes(self):
         return self.base.n_modes
-
-    def mode_fields(self, x, L):
-        raw = self.base.mode_fields(x, L)
-        return mollify(raw.T, self.level, L).T
 
     def mode_fields_batch(self, states, L):
         raw = self.base.mode_fields_batch(states, L)  # (m, K, n)
@@ -534,28 +508,23 @@ def lipschitz_constant(B: DiffusionCoefficient, spec: NoiseSpec, L: DirichletLap
     """Measured squared-Lipschitz constant sup |B(x)-B(y)|_Q^2 / |x-y|_{-1}^2."""
     if B.state_independent:
         return 0.0
-    rng = np.random.default_rng(seed)
-    rates = spec.variance_rates
-    worst = 0.0
-    for _ in range(n_pairs):
-        x = scale * rng.standard_normal(L.n)
-        y = scale * rng.standard_normal(L.n)
-        dx_sq = float(hminus1_norm_sq_rows(L, (x - y)[None, :])[0])
-        if dx_sq <= 0:
-            continue
-        diff = B.mode_fields(x, L) - B.mode_fields(y, L)
-        num = float(rates @ hminus1_norm_sq_rows(L, diff))
-        worst = max(worst, num / dx_sq)
-    return worst
+    xy = scale * np.random.default_rng(seed).standard_normal((n_pairs, 2, L.n))
+    fields = B.mode_fields_batch(xy.reshape(2 * n_pairs, L.n), L)
+    diff = fields[0::2] - fields[1::2]
+    sq = hminus1_norm_sq_rows(L, np.concatenate([xy[:, 0] - xy[:, 1],
+                                                 diff.reshape(-1, L.n)]))
+    dx_sq = sq[:n_pairs]
+    num = sq[n_pairs:].reshape(n_pairs, -1) @ spec.variance_rates
+    return float(np.max(num[dx_sq > 0] / dx_sq[dx_sq > 0], initial=0.0))
 
 
 def growth_constant(B: DiffusionCoefficient, spec: NoiseSpec, L: DirichletLaplacian,
                     n_samples: int = 48, scale: float = 1.0, seed: int = 0) -> float:
-    """Measured constant k with |B(x)|_Q^2 <= k (1 + |x|_{-1}^2) on random states."""
-    rng = np.random.default_rng(seed)
-    worst = hs_norm_q(B, np.zeros(L.n), spec, L) ** 2
-    for _ in range(n_samples):
-        x = scale * rng.standard_normal(L.n)
-        x_sq = float(hminus1_norm_sq_rows(L, x[None, :])[0])
-        worst = max(worst, hs_norm_q(B, x, spec, L) ** 2 / (1.0 + x_sq))
-    return worst
+    """Measured constant k with |B(x)|_Q^2 <= k (1 + |x|_{-1}^2) on random states
+    and at x = 0."""
+    states = np.zeros((n_samples + 1, L.n))
+    states[1:] = scale * np.random.default_rng(seed).standard_normal((n_samples, L.n))
+    fields = B.mode_fields_batch(states, L)
+    sq = hminus1_norm_sq_rows(L, np.concatenate([states, fields.reshape(-1, L.n)]))
+    hs_sq = np.maximum(sq[n_samples + 1:].reshape(n_samples + 1, -1) @ spec.variance_rates, 0.0)
+    return float(np.max(hs_sq / (1.0 + sq[:n_samples + 1])))

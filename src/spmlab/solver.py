@@ -20,7 +20,8 @@ integral at its last value; a padded step is an exact no-op. Per Newton
 iterate there is one resolvent solve (value, slope and selection together)
 and one batched linear solve on the Jacobians of the paths still above their
 target; the line search backtracks per path. A single path and the public
-``implicit_step`` are the P = 1 case of the same core.
+``implicit_step`` are the P = 1 case of the same core, and a one-node grid
+takes the same Newton iteration as any other; there is no scalar fallback.
 
 Multiplicative noise is handled by the fixed-point map Phi: a candidate
 process X yields the frozen coefficient t -> B(X(t-)), whose additive solve is
@@ -38,10 +39,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import NonContractionError, SolverError
-from .grid import DirichletLaplacian, hminus1_norm_sq_rows, norm_hminus1
+from .grid import DirichletLaplacian, hminus1_norm_sq_rows, spectral_apply
 from .monotone import MonotoneGraph
 from .noise import (
     DiffusionCoefficient,
@@ -129,31 +129,6 @@ def _dual_norms(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(hminus1_norm_sq_rows(L, rows))
 
 
-def _scalar_bisection(graph, lam, a, tau, g, rhs):
-    # 1-node fallback: y + tau*a*b(y + g) = rhs with b nondecreasing
-    def fn(yv):
-        return yv + tau * a * float(_drift(graph, lam, np.array([yv + g]))[0][0]) - rhs
-
-    lo, hi = rhs - 1.0, rhs + 1.0
-    for _ in range(200):
-        if fn(lo) <= 0:
-            break
-        lo = rhs - 2.0 * (rhs - lo)
-    for _ in range(200):
-        if fn(hi) >= 0:
-            break
-        hi = rhs + 2.0 * (hi - rhs)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-14 * max(1.0, abs(rhs)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, jac_buf, paths=None):
     """Solve y + tau*(-Lap) b(y + g_next) = rhs row by row for a stack of P steps.
 
@@ -205,13 +180,6 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, jac_buf, paths
         live[act[pending]] = False
 
     failed = np.flatnonzero(res > target)
-    if failed.size and n == 1:
-        for j in failed:
-            y[j, 0] = _scalar_bisection(graph, lam, mat[0, 0], tau[j], g_next[j, 0], rhs[j, 0])
-        value, _, sel_fixed = _drift(graph, lam, y[failed] + g_next[failed])
-        sel[failed] = sel_fixed
-        res[failed] = _dual_norms(L, y[failed] + tau[failed, None] * (value @ mat) - rhs[failed])
-        failed = failed[res[failed] > target[failed]]
     if failed.size:
         j = failed[0]
         where = "" if paths is None else f", path {paths[j]}"
@@ -228,8 +196,8 @@ def implicit_step(graph: MonotoneGraph, lam: float, L: DirichletLaplacian, tau: 
     """One backward Euler step: solve y + tau*(-Lap) b(y + g_next) = rhs.
 
     Returns (y, selection) with the dual-norm residual below
-    newton_tol * (1 + |rhs|); raises SolverError when Newton and the scalar
-    fallback both fail. This is the one-row case of the batched core.
+    newton_tol * (1 + |rhs|); raises SolverError when damped Newton misses
+    that target. This is the one-row case of the batched core.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -320,13 +288,10 @@ def strong_identity_residual(traj: Trajectory, gm: IntegralPath, x0: np.ndarray,
     actually integrates; at lam = 0 it coincides with the graph section.
     """
     drift = traj.selections + traj.lam * traj.states
-    dtau = np.diff(traj.times)
-    cum = np.cumsum(dtau[:, None] * drift[1:], axis=0)
-    defect = traj.states[1:] - x0[None, :] - gm.values[1:] + cum @ L.matrix.T
-    out = np.zeros(len(traj.times))
-    out[1:] = np.sqrt(np.maximum(hminus1_norm_sq_rows(L, defect), 0.0))
-    out[0] = norm_hminus1(traj.states[0] - x0 - gm.values[0], L)
-    return out
+    cum = np.zeros_like(traj.states)
+    np.cumsum(np.diff(traj.times)[:, None] * drift[1:], axis=0, out=cum[1:])
+    defect = traj.states - x0[None, :] - gm.values + cum @ L.matrix.T
+    return np.sqrt(np.maximum(hminus1_norm_sq_rows(L, defect), 0.0))
 
 
 def trajectory_diagnostics(traj: Trajectory, graph: MonotoneGraph,
@@ -485,9 +450,8 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
             new_states, new_sels = march_batch(
                 graph, cfg, L, [p.times[i0:i1 + 1] for p, i0, i1 in zip(paths, i0s, i1s)],
                 gms, np.stack(datum))
-            diffs = np.concatenate([(st - pv)[lb]
-                                    for st, pv, lb in zip(new_states, prev, local_base)])
-            sq_sums = hminus1_norm_sq_rows(L, diffs).reshape(n_paths, m_cur + 1).sum(axis=0)
+            sq_sums = base_grid_norms_sq(
+                L, [st - pv for st, pv in zip(new_states, prev)], local_base).sum(axis=0)
             total_iters += 1
             dist = float(np.max(sq_sums / n_paths))
             if dists and dists[-1] > 0:
@@ -539,14 +503,21 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
     )
 
 
+def base_grid_norms_sq(L: DirichletLaplacian, fields: Sequence[np.ndarray],
+                       indices: Sequence[np.ndarray]) -> np.ndarray:
+    """Squared dual norms of fields[p][indices[p]] for every path p, in one
+    call; indices[p] picks the shared base grid out of path p's own grid, so
+    the result has one row per path and one column per base point."""
+    rows = np.concatenate([f[idx] for f, idx in zip(fields, indices)])
+    return hminus1_norm_sq_rows(L, rows).reshape(len(fields), -1)
+
+
 def ensemble_sup_mean_sq(trajs_a: Sequence[Trajectory], trajs_b: Sequence[Trajectory],
                          paths: Sequence[MartingalePath], L: DirichletLaplacian) -> float:
     """sup over base grid points of mean over paths of |Xa - Xb|^2 (dual norm)."""
-    total = None
-    for ta, tb, p in zip(trajs_a, trajs_b, paths):
-        sq = hminus1_norm_sq_rows(L, (ta.states - tb.states)[p.base_indices])
-        total = sq if total is None else total + sq
-    return float(np.max(total / len(paths)))
+    sq = base_grid_norms_sq(L, [ta.states - tb.states for ta, tb in zip(trajs_a, trajs_b)],
+                            [p.base_indices for p in paths])
+    return float(np.max(sq.mean(axis=0)))
 
 
 def ensemble_mean_sup_sq(trajs_a: Sequence[Trajectory], trajs_b: Sequence[Trajectory],
@@ -629,7 +600,7 @@ def ito_residual(traj: Trajectory, gm: IntegralPath, path: MartingalePath,
     norms_sq = hminus1_norm_sq_rows(L, states)
     drift_cum = np.cumsum(dtau * w * np.sum(states[1:] * drift[1:], axis=1))
     dg = np.diff(gm.values, axis=0)
-    lifted = cho_solve(L._cho, dg.T)  # (n, N) columns (-Lap)^{-1} dg_j
+    lifted = spectral_apply(L, 1.0 / L.eigenvalues, dg.T)  # (n, N) columns (-Lap)^{-1} dg_j
     mart_cum = np.cumsum(w * np.sum(states[:-1] * lifted.T, axis=1))
     qv = realized_qv(gm.integrand, path, L)
 

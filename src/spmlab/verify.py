@@ -30,12 +30,12 @@ from .noise import (
     StepOperator,
     as_mode_operator,
     lipschitz_constant,
-    rng_for,
-    sample_path,
+    sample_ensemble,
     stochastic_integral,
 )
 from .solver import (
     SolverConfig,
+    base_grid_norms_sq,
     contraction_time_limit,
     ensemble_mean_sup_sq,
     lambda_sweep,
@@ -112,14 +112,13 @@ def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed
                L: DirichletLaplacian, margin_sigmas: float = 3.0) -> VerificationReport:
     """E sup_t |G.M(t)|^2 against 4 E |G.M(T)|^2, paired over one ensemble."""
     t0 = time.perf_counter()
-    sup_sq = np.empty(n_paths)
-    fin_sq = np.empty(n_paths)
-    for i in range(n_paths):
-        path = sample_path(spec, horizon, dt, rng_for(seed, i))
-        gm = stochastic_integral(G, path, L)
-        norms = hminus1_norm_sq_rows(L, gm.values)
-        sup_sq[i] = norms.max()
-        fin_sq[i] = norms[-1]
+    values = [stochastic_integral(G, p, L).values
+              for p in sample_ensemble(spec, horizon, dt, n_paths, seed)]
+    norms = hminus1_norm_sq_rows(L, np.concatenate(values))
+    lengths = [len(v) for v in values]
+    ends = np.cumsum(lengths)
+    sup_sq = np.maximum.reduceat(norms, ends - lengths)
+    fin_sq = norms[ends - 1]
     diff = sup_sq - 4.0 * fin_sq
     return _inequality_report(
         "doob", float(sup_sq.mean()), 4.0 * float(fin_sq.mean()), _std_err(diff),
@@ -133,11 +132,9 @@ def check_isometry(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, 
     """E |G.M(T)|^2 against the exact integrand budget."""
     t0 = time.perf_counter()
     target = expected_quadratic_budget(G, spec, horizon, L)
-    fin_sq = np.empty(n_paths)
-    for i in range(n_paths):
-        path = sample_path(spec, horizon, dt, rng_for(seed, i))
-        gm = stochastic_integral(G, path, L)
-        fin_sq[i] = float(hminus1_norm_sq_rows(L, gm.values[-1][None, :])[0])
+    fin_sq = hminus1_norm_sq_rows(L, np.stack([
+        stochastic_integral(G, p, L).values[-1]
+        for p in sample_ensemble(spec, horizon, dt, n_paths, seed)]))
     return _identity_report(
         "isometry", float(fin_sq.mean()), target, _std_err(fin_sq),
         margin_sigmas, n_paths, time.perf_counter() - t0,
@@ -159,16 +156,13 @@ def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     bound = float(hminus1_norm_sq_rows(L, (x1 - x2)[None, :])[0])
     bound += expected_quadratic_budget(diff_op, spec, horizon, L)
 
-    paths = [sample_path(spec, horizon, cfg.dt, rng_for(seed, i)) for i in range(n_paths)]
+    paths = sample_ensemble(spec, horizon, cfg.dt, n_paths, seed)
     diffs = _paired_differences(graph, cfg, L, paths, (x1, op1), (x2, op2))
-    sq = np.stack([hminus1_norm_sq_rows(L, d[p.base_indices]) for d, p in zip(diffs, paths)])
-    mean = sq.sum(axis=0) / n_paths
-    sq_sums = (sq * sq).sum(axis=0)
+    sq = base_grid_norms_sq(L, diffs, [p.base_indices for p in paths])
+    mean = sq.mean(axis=0)
     idx = int(np.argmax(mean))
-    var = (sq_sums[idx] - n_paths * mean[idx] ** 2) / max(1, n_paths - 1)
-    se = float(np.sqrt(max(var, 0.0) / n_paths))
     return _inequality_report(
-        name, float(mean[idx]), bound, se, margin_sigmas, n_paths,
+        name, float(mean[idx]), bound, _std_err(sq[:, idx]), margin_sigmas, n_paths,
         time.perf_counter() - t0, notes=f"argmax_t={idx}",
     )
 
@@ -184,16 +178,12 @@ def _paired_differences(graph, cfg, L, paths, data1, data2):
 
 
 def _difference_operator(op1, op2):
-    if isinstance(op1, ConstantOperator) and isinstance(op2, ConstantOperator):
-        return ConstantOperator(op1.fields - op2.fields)
-    if isinstance(op1, StepOperator) and isinstance(op2, StepOperator) and \
-            np.array_equal(op1.breakpoints, op2.breakpoints):
-        return StepOperator(op1.breakpoints, op1.fields - op2.fields)
-    if isinstance(op1, ConstantOperator) and isinstance(op2, StepOperator):
-        return StepOperator(op2.breakpoints, op1.fields[None] - op2.fields)
-    if isinstance(op1, StepOperator) and isinstance(op2, ConstantOperator):
-        return StepOperator(op1.breakpoints, op1.fields - op2.fields[None])
-    raise ValueError("stability check needs constant or aligned step integrands")
+    # constant (K, n) fields broadcast against step fields (B, K, n)
+    breaks = {tuple(op.breakpoints) for op in (op1, op2) if isinstance(op, StepOperator)}
+    if len(breaks) > 1:
+        raise ValueError("stability check needs constant or aligned step integrands")
+    fields = op1.fields - op2.fields
+    return StepOperator(breaks.pop(), fields) if breaks else ConstantOperator(fields)
 
 
 def check_apriori(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
@@ -248,7 +238,7 @@ def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noise
     reports = []
     for T0 in T0_list:
         t0 = time.perf_counter()
-        paths = [sample_path(spec, T0, cfg.dt, rng_for(seed, i)) for i in range(n_paths)]
+        paths = sample_ensemble(spec, T0, cfg.dt, n_paths, seed)
         sup_sq = np.array([np.max(hminus1_norm_sq_rows(L, d)) for d in
                            _paired_differences(graph, cfg, L, paths, (x0, op1), (x0, op2))])
         factor = float(sup_sq.mean()) / denom
@@ -288,8 +278,7 @@ def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noi
 
     ratios = []
     for run, seed_run in enumerate((seed, seed + 1)):
-        paths = [sample_path(spec, horizon, cfg.dt, rng_for(seed_run, i))
-                 for i in range(n_paths)]
+        paths = sample_ensemble(spec, horizon, cfg.dt, n_paths, seed_run)
         r1 = picard_solve(graph, B, spec, cfg, L, y1, paths)
         r2 = picard_solve(graph, B, spec, cfg, L, y2, paths)
         ratios.append(ensemble_mean_sup_sq(r1.trajectories, r2.trajectories, L) / denom)

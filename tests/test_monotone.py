@@ -112,6 +112,35 @@ def test_yosida_and_slope_equals_the_separate_calls(graph):
         assert all(isinstance(v, float) for v in pair)
 
 
+def kinks(graph, lam):
+    # points where the Yosida value has a corner
+    if isinstance(graph, ScaledSignum):
+        return [-lam * graph.scale, lam * graph.scale]
+    if isinstance(graph, StefanPiecewise):
+        return [0.0, lam * graph.height]
+    return [0.0]
+
+
+def central_difference(fn, r, h=1e-5):
+    return (np.asarray(fn(r + h)) - np.asarray(fn(r - h))) / (2.0 * h)
+
+
+@pytest.mark.parametrize("graph", VARIANTS, ids=VARIANT_IDS)
+def test_yosida_slope_matches_finite_difference(graph):
+    for lam in LAMBDAS:
+        r = RNG.uniform(-10, 10, 400)
+        r = r[np.min(np.abs(r[:, None] - np.array(kinks(graph, lam))), axis=1) >= 1e-3]
+        fd = central_difference(lambda v: graph.yosida(lam, v), r)
+        np.testing.assert_allclose(graph.yosida_slope(lam, r), fd, rtol=1e-6, atol=1e-6 / lam)
+
+
+@pytest.mark.parametrize("graph", [Linear(0.7), PowerLaw(1.0)], ids=["lin", "pl1"])
+def test_section_slope_matches_finite_difference(graph):
+    r = RNG.uniform(-10, 10, 400)
+    fd = central_difference(graph.minimal_section, r)
+    np.testing.assert_allclose(graph.section_slope(r), fd, rtol=1e-8)
+
+
 @pytest.mark.parametrize("graph", [PowerLaw(3.0), PowerLaw(1.5), Linear(0.7)],
                          ids=["pl3", "pl15", "lin"])
 def test_yosida_converges_to_section(graph):

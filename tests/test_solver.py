@@ -464,31 +464,20 @@ def test_march_batch_nan_in_driving_integral_names_time_and_path(lap):
         march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, times, gms, x0)
 
 
-def test_newton_failure_raises_with_step_details(lap):
+def one_node_ragged_ensemble():
+    # three one-node grids, the middle one shorter; the path with zero data
+    # is solved before any Newton iteration
+    times = [np.linspace(0.0, 0.2, 5), np.linspace(0.0, 0.2, 3), np.linspace(0.0, 0.2, 5)]
+    gms = [np.zeros((5, 1)), np.linspace(0.0, 0.4, 3)[:, None], np.zeros((5, 1))]
+    return times, gms, np.array([[1.5], [-0.7], [0.0]])
+
+
+def test_newton_failure_raises_with_step_details(lap, lap1):
     rhs = eigenmode(lap, 0)
     with pytest.raises(SolverError, match=r"residual .* above target .*tau=1\.000e-02, "
                                           r"lam=5\.000e-02, n=15\)"):
         implicit_step(PowerLaw(3.0), 0.05, lap, 0.01, rhs, np.zeros(lap.n), newton_max_iter=0)
-    times, gms, x0 = ragged_ensemble(lap)
     cfg = SolverConfig(lam=0.05, dt=1 / 32, newton_max_iter=0)
-    with pytest.raises(SolverError, match=r"residual .*n=15, path 0\)"):
-        march_batch(PowerLaw(3.0), cfg, lap, times, gms, x0)
-
-
-def test_one_node_fallback_solves_only_the_failing_paths(lap1):
-    # without Newton iterations every nonzero step falls back to bisection;
-    # the path with zero data is already solved and stays exactly zero
-    graph, lam = PowerLaw(3.0), 0.2
-    times = [np.linspace(0.0, 0.2, 5), np.linspace(0.0, 0.2, 3), np.linspace(0.0, 0.2, 5)]
-    gms = [np.zeros((5, 1)), np.linspace(0.0, 0.4, 3)[:, None], np.zeros((5, 1))]
-    x0 = np.array([[1.5], [-0.7], [0.0]])
-    cfg = SolverConfig(lam=lam, dt=0.05, newton_max_iter=0)
-    states, _ = march_batch(graph, cfg, lap1, times, gms, x0)
-    np.testing.assert_array_equal(states[2], 0.0)
-    for p in (0, 1):
-        g = gms[p][:, 0]
-        for i in range(len(times[p]) - 1):
-            tau = times[p][i + 1] - times[p][i]
-            y = scalar_step_oracle(graph, lam, lap1.matrix[0, 0], tau, g[i + 1],
-                                   states[p][i, 0] - g[i])
-            assert states[p][i + 1, 0] == pytest.approx(y + g[i + 1], abs=1e-9)
+    for L, (times, gms, x0) in ((lap, ragged_ensemble(lap)), (lap1, one_node_ragged_ensemble())):
+        with pytest.raises(SolverError, match=rf"residual .*n={L.n}, path 0\)"):
+            march_batch(PowerLaw(3.0), cfg, L, times, gms, x0)

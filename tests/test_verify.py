@@ -119,6 +119,39 @@ def test_resta_trivial_and_bounded(lap):
     assert rep2.passed
 
 
+@pytest.mark.parametrize("pair", ["step_step", "const_step", "step_const"])
+def test_resta_bound_pairs_constant_and_step_integrands(lap, pair):
+    spec = mixed_spec()
+    g = np.stack([0.4 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 1)])
+    breaks = [0.0, 0.125, 0.25]
+    step1 = StepOperator(breaks, np.stack([g, 0.5 * g]))
+    step2 = StepOperator(breaks, np.stack([0.3 * g, -g]))
+    const = ConstantOperator(0.7 * g)
+    op1, op2, diff_fields = {
+        "step_step": (step1, step2, [0.7 * g, 1.5 * g]),
+        "const_step": (const, step2, [0.4 * g, 1.7 * g]),
+        "step_const": (step1, const, [0.3 * g, -0.2 * g]),
+    }[pair]
+    x1, x2 = eigenmode(lap, 0), 0.5 * eigenmode(lap, 0)
+    rep = check_resta(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 64), lap, spec,
+                      (x1, op1), (x2, op2), 0.25, 4, 1)
+    expected = float(hminus1_norm_sq_rows(lap, (x1 - x2)[None, :])[0])
+    expected += expected_quadratic_budget(StepOperator(breaks, np.stack(diff_fields)),
+                                          spec, 0.25, lap)
+    assert rep.bound_or_target == pytest.approx(expected, rel=1e-12)
+
+
+def test_resta_rejects_misaligned_step_integrands(lap):
+    spec = mixed_spec()
+    g = np.stack([0.4 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 1)])
+    x = eigenmode(lap, 0)
+    op1 = StepOperator([0.0, 0.125, 0.25], np.stack([g, 0.5 * g]))
+    op2 = StepOperator([0.0, 0.1, 0.25], np.stack([g, 0.5 * g]))
+    with pytest.raises(ValueError, match="aligned step"):
+        check_resta(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 64), lap, spec,
+                    (x, op1), (x, op2), 0.25, 4, 1)
+
+
 def test_apriori_cases(lap):
     cfg = SolverConfig(lam=0.25, dt=1 / 64)
     times = uniform_times(0.25, 1 / 64)
