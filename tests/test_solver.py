@@ -481,3 +481,20 @@ def test_newton_failure_raises_with_step_details(lap, lap1):
     for L, (times, gms, x0) in ((lap, ragged_ensemble(lap)), (lap1, one_node_ragged_ensemble())):
         with pytest.raises(SolverError, match=rf"residual .*n={L.n}, path 0\)"):
             march_batch(PowerLaw(3.0), cfg, L, times, gms, x0)
+
+
+def test_one_node_fallback_solves_only_the_failing_paths(lap1):
+    # the one-node ensemble that used to need a bisection fallback is solved
+    # by the batched Newton itself; the path with zero data is already at its
+    # target, is never iterated and stays exactly zero
+    graph, lam = PowerLaw(3.0), 0.2
+    times, gms, x0 = one_node_ragged_ensemble()
+    states, _ = march_batch(graph, SolverConfig(lam=lam, dt=0.05), lap1, times, gms, x0)
+    np.testing.assert_array_equal(states[2], 0.0)
+    for p in (0, 1):
+        g = gms[p][:, 0]
+        for i in range(len(times[p]) - 1):
+            tau = times[p][i + 1] - times[p][i]
+            y = scalar_step_oracle(graph, lam, lap1.matrix[0, 0], tau, g[i + 1],
+                                   states[p][i, 0] - g[i])
+            assert states[p][i + 1, 0] == pytest.approx(y + g[i + 1], abs=1e-9)
