@@ -9,14 +9,17 @@ as flat float arrays. Two inner products are used throughout:
 where ``-Lap`` is the standard second-difference Laplacian with homogeneous
 Dirichlet boundary conditions. The operator is assembled densely and
 eigendecomposed once per grid (desk-scale sizes only, see ``DEFAULT_NODE_CAP``).
-Everything the solvers need goes through that eigenbasis: dual norms
-(``hminus1_norm_sq_rows``), the lift (-Lap)^{-1}, fractional smoothing
-(-Lap)^{-gamma} and the heat-kernel mollifier are exact spectral multipliers
-(``spectral_apply``). The mollifier multiplier exp(-mu/n^2) lies in (0, 1], so
-smoothing is a strict contraction of the dual norm and converges to the
-identity as the level n grows. ``solve_laplacian``, ``inner_hminus1`` and
-``norm_hminus1`` solve with the matrix directly and cache nothing; they are
-the reference the eigenbasis is tested against.
+Dual norms (``hminus1_norm_sq_rows``), the lift (-Lap)^{-1}, fractional
+smoothing (-Lap)^{-gamma} and the heat-kernel mollifier go through that
+eigenbasis as exact spectral multipliers (``spectral_apply``). The mollifier
+multiplier exp(-mu/n^2) lies in (0, 1], so smoothing is a strict contraction
+of the dual norm and converges to the identity as the level n grows.
+``solve_laplacian``, ``inner_hminus1`` and ``norm_hminus1`` solve with the
+matrix directly and cache nothing; they are the reference the eigenbasis is
+tested against. The stencil is also kept in LAPACK band layout, (2b + 1, n)
+with entry (i, j) at ``band[b + i - j, j]`` for half-bandwidth b (1 in 1D, the
+node count of the last axis in 2D); the implicit solvers build their Newton
+Jacobians from it.
 """
 
 from __future__ import annotations
@@ -97,13 +100,19 @@ class DirichletLaplacian:
     ``matrix @ u`` discretizes -Lap(u). ``eigenvalues`` are ascending and
     strictly positive; ``eigenvectors`` columns are orthonormal in the plain
     Euclidean sense (divide by sqrt(grid.weight) for the L2-orthonormal
-    modes). Instances are not modified after construction.
+    modes). ``band`` is the matrix in LAPACK band layout, ``band[b + i - j, j]
+    == matrix[i, j]`` with b = ``half_bandwidth``, zero in the unused corners.
+    Instances are not modified after construction.
     """
 
     def __init__(self, grid: SpatialGrid, matrix: np.ndarray,
                  eigenvalues: np.ndarray, eigenvectors: np.ndarray):
         self.grid = grid
         self.matrix = matrix
+        i, j = np.nonzero(matrix)
+        self.half_bandwidth = int(np.max(np.abs(i - j)))
+        self.band = np.zeros((2 * self.half_bandwidth + 1, matrix.shape[0]))
+        self.band[self.half_bandwidth + i - j, j] = matrix[i, j]
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
 

@@ -18,8 +18,9 @@ ensemble advance in lock step as one (P, n) state. Every jump grid is its own,
 so shorter grids are padded with zero-length steps that hold the driving
 integral at its last value; a padded step is an exact no-op. Per Newton
 iterate there is one resolvent solve (value, slope and selection together)
-and one batched linear solve on the Jacobians of the paths still above their
-target; the line search backtracks per path. A single path and the public
+and one banded LU (LAPACK ``?gbsv``) per path still above its target; the
+Jacobians share the band of the stencil and are built in one array
+expression. The line search backtracks per path. A single path and the public
 ``implicit_step`` are the P = 1 case of the same core, and a one-node grid
 takes the same Newton iteration as any other; there is no scalar fallback.
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NonContractionError, SolverError
 from .grid import DirichletLaplacian, hminus1_norm_sq_rows, spectral_apply
@@ -52,8 +54,7 @@ from .noise import (
     mollified,
 )
 
-# memory for the Newton Jacobians solved together in one batch
-_JAC_BUF_BYTES = 1 << 20
+_gbsv = get_lapack_funcs("gbsv", (np.empty(1),))
 
 
 @dataclass(frozen=True)
@@ -129,18 +130,25 @@ def _dual_norms(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(hminus1_norm_sq_rows(L, rows))
 
 
-def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, jac_buf, paths=None):
+def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
     """Solve y + tau*(-Lap) b(y + g_next) = rhs row by row for a stack of P steps.
 
     tau and tol have shape (P,), rhs and g_next (P, n). Each row runs its own
-    damped Newton iteration in lock step with the others: one batched solve
-    on the Jacobians of the rows still above their target, then a line search
-    masked per row. The Jacobians are built in jac_buf and solved
-    len(jac_buf) at a time. Rows with a non-finite residual are left
-    untouched for the caller's guard. Returns (y, selection).
+    damped Newton iteration in lock step with the others: one banded LU on the
+    Jacobian of each row still above its target, then a line search masked
+    per row. The Jacobian is not symmetric, hence a general LU; with slopes
+    >= 0 (zero ones included, at lam = 0) it is column diagonally dominant, so
+    the LU's partial pivoting swaps no rows. Rows with a non-finite residual
+    are left untouched for the caller's guard. Returns (y, selection).
     """
     mat = L.matrix
-    n = L.n
+    n, b = L.n, L.half_bandwidth
+
+    def failure(j, what):
+        where = "" if paths is None else f", path {paths[j]}"
+        return SolverError(f"implicit step failed: {what} "
+                           f"(tau={tau[j]:.3e}, lam={lam:.3e}, n={n}{where})")
+
     target = tol * (1.0 + _dual_norms(L, rhs))
     y = rhs.copy()
     value, slope, sel = _drift(graph, lam, y + g_next)
@@ -152,14 +160,16 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, jac_buf, paths
         if act.size == 0:
             break
         k = act.size
-        delta = np.empty((k, n))
-        for c in range(0, k, len(jac_buf)):
-            rows = act[c:c + len(jac_buf)]
-            # Jacobian I + tau*(-Lap)*diag(slope), built in place
-            jac = np.multiply(mat, (tau[rows, None] * slope[rows])[:, None, :],
-                              out=jac_buf[:len(rows)])
-            jac.reshape(len(rows), n * n)[:, ::n + 1] += 1.0
-            delta[c:c + len(rows)] = np.linalg.solve(jac, -res_vec[rows, :, None])[..., 0]
+        # Jacobians I + tau*(-Lap)*diag(slope) in gbsv band layout, Fortran
+        # order per row: diagonal on row 2b, rows 0..b-1 left for the fill-in
+        ab = np.zeros((k, n, 3 * b + 1)).transpose(0, 2, 1)
+        ab[:, b:] = (tau[act, None] * slope[act])[:, None, :] * L.band
+        ab[:, 2 * b] += 1.0
+        delta = -res_vec[act]  # contiguous rows, so gbsv solves each in place
+        for r in range(k):
+            info = _gbsv(b, b, ab[r], delta[r], overwrite_ab=1, overwrite_b=1)[3]
+            if info != 0:
+                raise failure(act[r], f"singular Newton Jacobian (gbsv info={info})")
         y_act, res_act = y[act], res[act]
         pending = np.arange(k)
         step = 1.0
@@ -182,11 +192,7 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, jac_buf, paths
     failed = np.flatnonzero(res > target)
     if failed.size:
         j = failed[0]
-        where = "" if paths is None else f", path {paths[j]}"
-        raise SolverError(
-            f"implicit step failed: residual {res[j]:.3e} above target {target[j]:.3e} "
-            f"(tau={tau[j]:.3e}, lam={lam:.3e}, n={n}{where})"
-        )
+        raise failure(j, f"residual {res[j]:.3e} above target {target[j]:.3e}")
     return y, sel
 
 
@@ -204,8 +210,7 @@ def implicit_step(graph: MonotoneGraph, lam: float, L: DirichletLaplacian, tau: 
     y, sel = _newton_batch(graph, lam, L, np.array([float(tau)]),
                            np.array(rhs, dtype=float, ndmin=2),
                            np.array(g_next, dtype=float, ndmin=2),
-                           np.array([float(newton_tol)]), newton_max_iter,
-                           np.empty((1, L.n, L.n)))
+                           np.array([float(newton_tol)]), newton_max_iter)
     return y[0], sel[0]
 
 
@@ -255,11 +260,10 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     selections[:, 0] = _drift(graph, cfg.lam, states[:, 0])[2]
     y = x0 - gm[:, 0]
     step_tol = cfg.newton_tol / np.maximum(1, steps)
-    jac_buf = np.empty((min(n_paths, max(1, _JAC_BUF_BYTES // (8 * L.n * L.n))), L.n, L.n))
     for i in range(n_max):
         act = np.flatnonzero(steps > i)
         y_new, sel = _newton_batch(graph, cfg.lam, L, taus[act, i], y[act], gm[act, i + 1],
-                                   step_tol[act], cfg.newton_max_iter, jac_buf, paths=act)
+                                   step_tol[act], cfg.newton_max_iter, paths=act)
         x_new = y_new + gm[act, i + 1]
         bad = np.flatnonzero(~np.all(np.isfinite(x_new), axis=1))
         if bad.size:
@@ -523,10 +527,16 @@ def ensemble_sup_mean_sq(trajs_a: Sequence[Trajectory], trajs_b: Sequence[Trajec
 def ensemble_mean_sup_sq(trajs_a: Sequence[Trajectory], trajs_b: Sequence[Trajectory],
                          L: DirichletLaplacian) -> float:
     """Mean over paths of sup over the full grid of |Xa - Xb|^2 (dual norm)."""
-    acc = 0.0
-    for ta, tb in zip(trajs_a, trajs_b):
-        acc += float(np.max(hminus1_norm_sq_rows(L, ta.states - tb.states)))
-    return acc / len(trajs_a)
+    return float(path_sup_norms_sq(
+        L, [ta.states - tb.states for ta, tb in zip(trajs_a, trajs_b)]).mean())
+
+
+def path_sup_norms_sq(L: DirichletLaplacian, fields: Sequence[np.ndarray]) -> np.ndarray:
+    """Sup over the rows of fields[p] of the squared dual norm, one value per
+    path p; every row of every path goes through one dual-norm call."""
+    lengths = np.array([len(f) for f in fields])
+    norms = hminus1_norm_sq_rows(L, np.concatenate(fields))
+    return np.maximum.reduceat(norms, np.cumsum(lengths) - lengths)
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .solver import (
     ensemble_mean_sup_sq,
     lambda_sweep,
     march_batch,
+    path_sup_norms_sq,
     picard_solve,
 )
 
@@ -114,11 +115,8 @@ def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed
     t0 = time.perf_counter()
     values = [stochastic_integral(G, p, L).values
               for p in sample_ensemble(spec, horizon, dt, n_paths, seed)]
-    norms = hminus1_norm_sq_rows(L, np.concatenate(values))
-    lengths = [len(v) for v in values]
-    ends = np.cumsum(lengths)
-    sup_sq = np.maximum.reduceat(norms, ends - lengths)
-    fin_sq = norms[ends - 1]
+    sup_sq = path_sup_norms_sq(L, values)
+    fin_sq = hminus1_norm_sq_rows(L, np.stack([v[-1] for v in values]))
     diff = sup_sq - 4.0 * fin_sq
     return _inequality_report(
         "doob", float(sup_sq.mean()), 4.0 * float(fin_sq.mean()), _std_err(diff),
@@ -239,8 +237,8 @@ def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noise
     for T0 in T0_list:
         t0 = time.perf_counter()
         paths = sample_ensemble(spec, T0, cfg.dt, n_paths, seed)
-        sup_sq = np.array([np.max(hminus1_norm_sq_rows(L, d)) for d in
-                           _paired_differences(graph, cfg, L, paths, (x0, op1), (x0, op2))])
+        sup_sq = path_sup_norms_sq(
+            L, _paired_differences(graph, cfg, L, paths, (x0, op1), (x0, op2)))
         factor = float(sup_sq.mean()) / denom
         se = _std_err(sup_sq) / denom
         bound = k_est * T0 * modulus_coeff

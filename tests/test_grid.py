@@ -31,6 +31,23 @@ def test_single_node_matrix_by_hand():
     assert L.eigenvalues[0] == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("dim,n,b", [(1, 1, 0), (1, 15, 1), (2, (6, 6), 6), (2, (5, 7), 7),
+                                     (2, (7, 5), 5)])
+def test_band_layout_rebuilds_the_matrix(dim, n, b):
+    # in 2D the half-bandwidth is the node count of the last axis; the
+    # non-square grids show a bandwidth taken from the wrong axis
+    L = build_laplacian(make_grid(dim, n, 1.0))
+    assert L.half_bandwidth == b
+    assert L.band.shape == (2 * b + 1, L.n)
+    rows, cols = np.indices(L.band.shape)
+    i = rows - b + cols  # matrix row of each band entry
+    inside = (i >= 0) & (i < L.n)
+    dense = np.zeros((L.n, L.n))
+    dense[i[inside], cols[inside]] = L.band[inside]
+    np.testing.assert_array_equal(dense, L.matrix)
+    np.testing.assert_array_equal(L.band[~inside], 0.0)
+
+
 def test_1d_eigenvalues_closed_form():
     # oracle: tridiagonal (-1, 2, -1)/h^2 has eigenvalues (2/h^2)(1 - cos(j pi h))
     n = 3

@@ -25,6 +25,7 @@ from spmlab import (
     rng_for,
     sample_path,
     smooth_gamma,
+    solve_laplacian,
     stochastic_integral,
 )
 
@@ -238,6 +239,21 @@ def test_mode_fields_batch_consistency(lap):
         batch = B.mode_fields_batch(states, lap)
         for i, x in enumerate(states):
             np.testing.assert_allclose(batch[i], B.mode_fields(x, lap), atol=1e-13)
+    # closed forms, apart from the one-row wrapper: constant fields for every
+    # state, and coeffs[k] * (-Lap)^{-gamma} x for the linear coefficient
+    fields = np.stack([eigenmode(lap, 0), eigenmode(lap, 1)])
+    np.testing.assert_array_equal(ConstantAdditive(fields=fields).mode_fields_batch(states, lap),
+                                  np.broadcast_to(fields, (len(states),) + fields.shape))
+    for gamma in (0.0, 0.5, 1.0):
+        batch = LinearSpectral(coeffs=[0.6, 0.4], gamma=gamma).mode_fields_batch(states, lap)
+        assert batch.shape == (len(states), 2, lap.n)
+        for i, x in enumerate(states):
+            for k, c in enumerate([0.6, 0.4]):
+                np.testing.assert_allclose(batch[i, k], c * smooth_gamma(x, gamma, lap),
+                                           rtol=0, atol=1e-13)
+                if gamma == 1.0:
+                    np.testing.assert_allclose(batch[i, k], c * solve_laplacian(lap, x),
+                                               rtol=0, atol=1e-12)
 
 
 def test_mollified_coefficient_matches_mollify(lap):

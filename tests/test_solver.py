@@ -405,6 +405,52 @@ def serial_reference_step(graph, lam, L, tau, rhs, g):
     return y
 
 
+@pytest.mark.parametrize("dim,n", [(1, 15), (2, (6, 6)), (2, (5, 7)), (2, (7, 5))],
+                         ids=["1d15", "2d6x6", "2d5x7", "2d7x5"])
+@pytest.mark.parametrize("graph,lam", [(PowerLaw(3.0), 0.05), (PowerLaw(3.0), 0.0),
+                                       (StefanPiecewise(1.0, 3.0, 2.0), 0.1)],
+                         ids=["pl3", "pl3-lam0", "stefan"])
+def test_banded_newton_matches_dense_reference(dim, n, graph, lam):
+    # every third node starts at r = 0.1 * lam: at lam = 0 that is r = 0, where
+    # the section slope 3 r^2 vanishes and the Jacobian has unit columns; for
+    # Stefan it is on the flat part [0, lam * height] of the resolvent
+    L = build_laplacian(make_grid(dim, n, 1.0))
+    rng = np.random.default_rng(5)
+    rhs, g = rng.standard_normal(L.n), 0.3 * rng.standard_normal(L.n)
+    rhs[::3] = 0.1 * lam - g[::3]
+    if lam == 0:
+        assert np.all(graph.section_slope(rhs[::3] + g[::3]) == 0.0)
+    tau = 0.02
+    y, _ = implicit_step(graph, lam, L, tau, rhs, g)
+    np.testing.assert_allclose(y, serial_reference_step(graph, lam, L, tau, rhs, g),
+                               rtol=0, atol=1e-9)
+
+
+class DecreasingGraph:
+    # a non-monotone stand-in with slope -1: at tau = 1/8 the one-node
+    # Jacobian 1 + tau * 8 * slope is exactly zero
+    surjective = True
+    lipschitz_slope = 1.0
+
+    def minimal_section(self, r):
+        return -np.asarray(r)
+
+    def section_slope(self, r):
+        return -np.ones_like(np.asarray(r))
+
+
+def test_singular_newton_jacobian_raises_with_step_details(lap1):
+    graph = DecreasingGraph()
+    with pytest.raises(SolverError, match=r"singular Newton Jacobian .*\(tau=1\.250e-01, "
+                                          r"lam=0\.000e\+00, n=1\)"):
+        implicit_step(graph, 0.0, lap1, 0.125, np.ones(1), np.zeros(1))
+    # path 0 starts at its solution and is never iterated; path 1 is named
+    times, gms = [np.array([0.0, 0.125])] * 2, [np.zeros((2, 1))] * 2
+    with pytest.raises(SolverError, match=r"singular Newton Jacobian .*n=1, path 1\)"):
+        march_batch(graph, SolverConfig(lam=0.0, dt=0.125), lap1, times, gms,
+                    np.array([[0.0], [1.0]]))
+
+
 def ragged_ensemble(lap):
     # three grids on [0, 0.25] with 0, 1 and 3 inserted jump times, so the
     # shorter two are padded in the batch; the driving integrals jump there
