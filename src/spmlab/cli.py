@@ -88,20 +88,22 @@ class _Context:
 
 
 def _write_trajectory(path, traj, prov):
-    rows = []
-    for i, t in enumerate(traj.times):
-        for node in range(traj.states.shape[1]):
-            rows.append((t, node, traj.states[i, node], traj.selections[i, node]))
-    write_csv(path, ["time", "node", "state", "selection"], rows, prov)
+    m, n = traj.states.shape
+    cols = [np.repeat(traj.times, n), np.tile(np.arange(n), m),
+            traj.states.ravel(), traj.selections.ravel()]
+    write_csv(path, ["time", "node", "state", "selection"],
+              zip(*(c.tolist() for c in cols)), prov)
 
 
 def _write_martingale(path_obj, out_path, prov):
-    jump_set = {(int(i), int(k)) for i, k in zip(path_obj.jump_indices, path_obj.jump_modes)}
-    rows = []
-    for k in range(path_obj.spec.n_modes):
-        for i, t in enumerate(path_obj.times):
-            rows.append((t, k, path_obj.values[k, i], (i, k) in jump_set))
-    write_csv(out_path, ["time", "mode", "value", "is_jump"], rows, prov)
+    k, m = path_obj.values.shape
+    jumps = np.zeros((k, m), dtype=bool)
+    jumps[path_obj.jump_modes, path_obj.jump_indices] = True
+    cols = [np.tile(path_obj.times, k), np.repeat(np.arange(k), m),
+            path_obj.values.ravel(), jumps.ravel()]
+    # tolist() gives Python scalars, so the booleans print as true/false
+    write_csv(out_path, ["time", "mode", "value", "is_jump"],
+              zip(*(c.tolist() for c in cols)), prov)
 
 
 @_command("simulate-additive")

@@ -2,8 +2,9 @@
 
 Configs are plain JSON validated against the schema shipped in
 ``spmlab/data/experiment.schema.json``; defaults are merged in afterwards and
-a handful of cross-section rules (mode counts, surjectivity gate, the lam = 0
-restriction) are enforced here because they cannot be expressed in the schema.
+a handful of cross-section rules (mode counts, jump-law parameters, and the
+solver's surjectivity and lam = 0 gates) are enforced here because they cannot
+be expressed in the schema.
 Dotted-path overrides (``solver.picard_tol=1e-8``) re-validate the result.
 """
 
@@ -12,12 +13,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import fields
 from importlib import resources
 
 import jsonschema
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .grid import DEFAULT_NODE_CAP, build_laplacian, eigenmode, make_grid
 from .monotone import Linear, PowerLaw, ScaledSignum, StefanPiecewise
 from .noise import (
@@ -29,16 +31,11 @@ from .noise import (
     SmoothedNemytskii,
     TwoPointJumps,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, check_gates
 
-_DEFAULT_SOLVER = {
-    "newton_tol": 1e-10,
-    "newton_max_iter": 50,
-    "picard_tol": 1e-9,
-    "picard_max_iter": 40,
-    "epsilon": 1.0 / 12.0,
-    "window_T0": None,
-}
+# lam, dt and allow_nonsurjective come from the beta and noise sections
+_DEFAULT_SOLVER = {f.name: f.default for f in fields(SolverConfig)
+                   if f.name not in ("lam", "dt", "allow_nonsurjective")}
 _DEFAULT_SWEEP = [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625]
 _DEFAULT_LEVELS = [2, 4, 8, 16]
 
@@ -153,18 +150,10 @@ class ExperimentConfig:
     def _cross_checks(self):
         beta = self.data["beta"]
         n_modes = len(self.data["noise"]["modes"])
-        if beta["variant"] == "scaled_signum" and not beta["allow_nonsurjective"]:
-            raise ConfigError(
-                "beta/variant scaled_signum has a bounded range; "
-                "set beta.allow_nonsurjective to use it anyway"
-            )
-        if beta["lambda"] == 0:
-            graph = self.graph()
-            if graph.lipschitz_slope is None:
-                raise ConfigError(
-                    "beta/lambda = 0 is only valid for globally Lipschitz graphs "
-                    "(linear, or power_law with exponent 1)"
-                )
+        try:
+            check_gates(self.graph(), beta["lambda"], beta["allow_nonsurjective"])
+        except SolverError as err:
+            raise ConfigError(f"config beta: {err}")
         diff = self.data["diffusion"]
         params = diff["params"]
         if diff["variant"] in ("linear_spectral", "smoothed_nemytskii"):

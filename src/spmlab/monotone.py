@@ -10,7 +10,8 @@ the base class derives the resolvent, the Yosida value and the Yosida slope
 from it. Closed forms are used where the variant admits them; the power law
 solves its scalar equation by Newton with bisection as the safety net.
 
-All operations are vectorized: scalars in, float out; arrays in, arrays out.
+All operations are vectorized: scalars in, float out; arrays in, arrays out;
+lam may also be an array that broadcasts against r.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ def _match(r, out):
 
 
 def _check_lam(lam):
-    lam = float(lam)
-    if lam <= 0:
+    lam = np.asarray(lam, dtype=float)
+    if (lam <= 0).any():
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
     return lam
 

@@ -174,14 +174,6 @@ class MartingalePath:
     jump_sizes: np.ndarray
     base_indices: np.ndarray
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
 
 def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
                 seed: Union[int, np.random.Generator]) -> MartingalePath:
@@ -260,13 +252,6 @@ class ConstantOperator:
     def __init__(self, fields):
         self.fields = np.atleast_2d(np.asarray(fields, dtype=float))
 
-    @property
-    def shape(self):
-        return self.fields.shape
-
-    def at(self, t: float) -> np.ndarray:
-        return self.fields
-
     def at_many(self, ts: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.fields, (len(ts),) + self.fields.shape)
 
@@ -285,16 +270,9 @@ class StepOperator:
         if self.fields.ndim != 3 or len(self.breakpoints) != self.fields.shape[0] + 1:
             raise ValueError("need len(breakpoints) == len(fields) + 1, fields (B, K, n)")
 
-    @property
-    def shape(self):
-        return self.fields.shape[1:]
-
     def _locate(self, ts):
         idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
         return np.clip(idx, 0, self.fields.shape[0] - 1)
-
-    def at(self, t: float) -> np.ndarray:
-        return self.fields[self._locate(np.asarray([t]))[0]]
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
         return self.fields[self._locate(np.asarray(ts))]
@@ -325,6 +303,16 @@ class IntegralPath:
         return cls(times=times, values=np.zeros((len(times), n_nodes)), integrand=None)
 
 
+def ito_sums(g_left: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Running sums sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})) of
+    the left-endpoint fields g_left (N, K, n) against the mode values
+    (K, N + 1); the result has shape (N + 1, n) and starts at zero."""
+    incr = np.einsum("jkn,kj->jn", g_left, np.diff(values, axis=1))
+    out = np.zeros((len(g_left) + 1, g_left.shape[2]))
+    np.cumsum(incr, axis=0, out=out[1:])
+    return out
+
+
 def stochastic_integral(G, path: MartingalePath,
                         L: Optional[DirichletLaplacian] = None) -> IntegralPath:
     """Integrate an operator against the path: left endpoints times increments.
@@ -333,19 +321,14 @@ def stochastic_integral(G, path: MartingalePath,
     Exact for piecewise-constant G whose breakpoints lie on the grid.
     """
     op = as_mode_operator(G)
-    lefts = path.times[:-1]
-    g_left = op.at_many(lefts)
+    g_left = op.at_many(path.times[:-1])
     if g_left.shape[1] != path.spec.n_modes:
         raise ValueError(
             f"integrand has {g_left.shape[1]} modes, path has {path.spec.n_modes}"
         )
     if L is not None and g_left.shape[2] != L.n:
         raise ValueError(f"integrand fields have {g_left.shape[2]} nodes, grid has {L.n}")
-    dm = np.diff(path.values, axis=1)
-    incr = np.einsum("jkn,kj->jn", g_left, dm)
-    values = np.zeros((len(path.times), g_left.shape[2]))
-    np.cumsum(incr, axis=0, out=values[1:])
-    return IntegralPath(times=path.times, values=values, integrand=op)
+    return IntegralPath(times=path.times, values=ito_sums(g_left, path.values), integrand=op)
 
 
 def realized_qv(G, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:
@@ -378,10 +361,6 @@ class DiffusionCoefficient:
 
     state_independent = False
 
-    @property
-    def n_modes(self) -> int:
-        raise NotImplementedError
-
     def mode_fields(self, x: np.ndarray, L: DirichletLaplacian) -> np.ndarray:
         """(K, n) array of per-mode fields at state x."""
         return self.mode_fields_batch(np.asarray(x, dtype=float)[None, :], L)[0]
@@ -401,10 +380,6 @@ class ConstantAdditive(DiffusionCoefficient):
     def __post_init__(self):
         self.fields = np.atleast_2d(np.asarray(self.fields, dtype=float))
 
-    @property
-    def n_modes(self):
-        return self.fields.shape[0]
-
     def mode_fields_batch(self, states, L):
         return np.broadcast_to(self.fields, (states.shape[0],) + self.fields.shape)
 
@@ -421,10 +396,6 @@ class LinearSpectral(DiffusionCoefficient):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-
-    @property
-    def n_modes(self):
-        return len(self.coeffs)
 
     def mode_fields_batch(self, states, L):
         smooth = smooth_gamma(states.T, self.gamma, L).T  # (m, n)
@@ -456,10 +427,6 @@ class SmoothedNemytskii(DiffusionCoefficient):
                 f"unknown transform {self.transform!r}, choose from {sorted(_TRANSFORMS)}"
             )
 
-    @property
-    def n_modes(self):
-        return len(self.coeffs)
-
     def _fn(self):
         return _TRANSFORMS[self.transform]
 
@@ -480,10 +447,6 @@ class MollifiedDiffusion(DiffusionCoefficient):
         if self.level < 1:
             raise ValueError("mollifier level must be >= 1")
         self.state_independent = self.base.state_independent
-
-    @property
-    def n_modes(self):
-        return self.base.n_modes
 
     def mode_fields_batch(self, states, L):
         raw = self.base.mode_fields_batch(states, L)  # (m, K, n)

@@ -23,6 +23,8 @@ Jacobians share the band of the stencil and are built in one array
 expression. The line search backtracks per path. A single path and the public
 ``implicit_step`` are the P = 1 case of the same core, and a one-node grid
 takes the same Newton iteration as any other; there is no scalar fallback.
+Each path may carry its own lam, so ``lambda_sweep`` solves its whole list in
+one march. The gates live here (``check_gates``); the config loader calls them.
 
 Multiplicative noise is handled by the fixed-point map Phi: a candidate
 process X yields the frozen coefficient t -> B(X(t-)), whose additive solve is
@@ -36,7 +38,7 @@ the mollified solutions are reported with their Cauchy distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,6 +52,7 @@ from .noise import (
     IntegralPath,
     MartingalePath,
     NoiseSpec,
+    ito_sums,
     lipschitz_constant,
     mollified,
 )
@@ -116,12 +119,13 @@ def contraction_time_limit(k: float, eps: float) -> float:
     return (1.0 - 6.0 * eps) / (1.0 + 6.0 / eps) / k
 
 
-def _drift(graph: MonotoneGraph, lam: float, u: np.ndarray):
-    """Drift value b(u), its clamped slope and the selection, from one
-    resolvent solve; the slopes of b live in [lam, lam + 1/lam]."""
-    if lam > 0:
+def _drift(graph: MonotoneGraph, lam: np.ndarray, u: np.ndarray):
+    """b(u), its slope and the selection for the rows of u from one resolvent solve;
+    lam (P,) is all positive or all zero; b' lies in [lam, lam + 1/lam] by the Yosida clip."""
+    if lam[0] > 0:
+        lam = np.repeat(lam, u.shape[1]).reshape(u.shape)  # full shape: faster than broadcasting
         yos, slope = graph.yosida_and_slope(lam, u)
-        return yos + lam * u, np.clip(slope + lam, lam, lam + 1.0 / lam), yos
+        return yos + lam * u, slope + lam, yos
     value = np.asarray(graph.minimal_section(u))
     return value, np.asarray(graph.section_slope(u)), value
 
@@ -133,7 +137,7 @@ def _dual_norms(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
 def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
     """Solve y + tau*(-Lap) b(y + g_next) = rhs row by row for a stack of P steps.
 
-    tau and tol have shape (P,), rhs and g_next (P, n). Each row runs its own
+    lam, tau and tol have shape (P,), rhs and g_next (P, n). Each row runs its own
     damped Newton iteration in lock step with the others: one banded LU on the
     Jacobian of each row still above its target, then a line search masked
     per row. The Jacobian is not symmetric, hence a general LU; with slopes
@@ -147,7 +151,7 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
     def failure(j, what):
         where = "" if paths is None else f", path {paths[j]}"
         return SolverError(f"implicit step failed: {what} "
-                           f"(tau={tau[j]:.3e}, lam={lam:.3e}, n={n}{where})")
+                           f"(tau={tau[j]:.3e}, lam={lam[j]:.3e}, n={n}{where})")
 
     target = tol * (1.0 + _dual_norms(L, rhs))
     y = rhs.copy()
@@ -176,7 +180,7 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
         for _ in range(30):
             rows = act[pending]
             y_try = y_act[pending] + step * delta[pending]
-            value, s_try, sel_try = _drift(graph, lam, y_try + g_next[rows])
+            value, s_try, sel_try = _drift(graph, lam[rows], y_try + g_next[rows])
             vec_try = y_try + tau[rows, None] * (value @ mat) - rhs[rows]
             res_try = _dual_norms(L, vec_try)
             ok = res_try < res_act[pending]
@@ -207,37 +211,45 @@ def implicit_step(graph: MonotoneGraph, lam: float, L: DirichletLaplacian, tau: 
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    y, sel = _newton_batch(graph, lam, L, np.array([float(tau)]),
+    y, sel = _newton_batch(graph, np.array([float(lam)]), L, np.array([float(tau)]),
                            np.array(rhs, dtype=float, ndmin=2),
                            np.array(g_next, dtype=float, ndmin=2),
                            np.array([float(newton_tol)]), newton_max_iter)
     return y[0], sel[0]
 
 
-def _check_gates(graph: MonotoneGraph, cfg: SolverConfig):
-    if not graph.surjective and not cfg.allow_nonsurjective:
+def check_gates(graph: MonotoneGraph, lam, allow_nonsurjective: bool = False):
+    """Refuse what the theory does not cover: a graph of bounded range unless allowed,
+    lam = 0 unless the graph is globally Lipschitz, lam = 0 mixed with lam > 0."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if not graph.surjective and not allow_nonsurjective:
         raise SolverError(
             "graph range is not all of R; set allow_nonsurjective to run it anyway"
         )
-    if cfg.lam == 0 and graph.lipschitz_slope is None:
+    if not (np.all(lam > 0) or np.all(lam == 0)):
+        raise ValueError(f"lam must be positive on every path or zero on every path, got {lam}")
+    if lam[0] == 0 and graph.lipschitz_slope is None:
         raise SolverError("lam = 0 requires a globally Lipschitz single-valued graph")
 
 
 def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
-                times: Sequence[np.ndarray], gm_values: Sequence[np.ndarray], x0):
+                times: Sequence[np.ndarray], gm_values: Sequence[np.ndarray], x0,
+                lam=None):
     """Backward Euler on y = X - g for P paths at once, in lock step.
 
     times[p] is the grid of path p and gm_values[p] its driving integral on
     that grid, shape (len(times[p]), n); x0 is one datum (n,) or one per path
-    (P, n). Shorter grids are padded with zero-length steps that hold the
+    (P, n), and lam one regularization parameter or one per path (cfg.lam
+    when omitted). Shorter grids are padded with zero-length steps that hold the
     integral at its last value; a padded step is an exact no-op that no
     Newton iteration touches. Each path keeps the per-step tolerance
     newton_tol / (its own step count), which keeps its accumulated
     integral-identity defect at the newton_tol scale. Returns the per-path
     lists (states, selections).
     """
-    _check_gates(graph, cfg)
     n_paths = len(times)
+    lam = np.broadcast_to(np.asarray(cfg.lam if lam is None else lam, dtype=float), (n_paths,))
+    check_gates(graph, lam, cfg.allow_nonsurjective)
     steps = np.array([len(t) - 1 for t in times])
     n_max = int(steps.max())
     taus = np.zeros((n_paths, n_max))
@@ -257,12 +269,12 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     states = np.empty_like(gm)
     selections = np.empty_like(gm)
     states[:, 0] = x0
-    selections[:, 0] = _drift(graph, cfg.lam, states[:, 0])[2]
+    selections[:, 0] = _drift(graph, lam, states[:, 0])[2]
     y = x0 - gm[:, 0]
     step_tol = cfg.newton_tol / np.maximum(1, steps)
     for i in range(n_max):
         act = np.flatnonzero(steps > i)
-        y_new, sel = _newton_batch(graph, cfg.lam, L, taus[act, i], y[act], gm[act, i + 1],
+        y_new, sel = _newton_batch(graph, lam[act], L, taus[act, i], y[act], gm[act, i + 1],
                                    step_tol[act], cfg.newton_max_iter, paths=act)
         x_new = y_new + gm[act, i + 1]
         bad = np.flatnonzero(~np.all(np.isfinite(x_new), axis=1))
@@ -295,26 +307,25 @@ def strong_identity_residual(traj: Trajectory, gm: IntegralPath, x0: np.ndarray,
     cum = np.zeros_like(traj.states)
     np.cumsum(np.diff(traj.times)[:, None] * drift[1:], axis=0, out=cum[1:])
     defect = traj.states - x0[None, :] - gm.values + cum @ L.matrix.T
-    return np.sqrt(np.maximum(hminus1_norm_sq_rows(L, defect), 0.0))
+    return _dual_norms(L, defect)
+
+
+def _spacetime_integral(times: np.ndarray, L: DirichletLaplacian, values: np.ndarray):
+    """Backward Euler quadrature sum_i tau_i * w * sum_nodes values[..., i, :] of
+    fields given at t_1, ..., t_N; leading axes (one per lam) are kept."""
+    return np.sum(np.diff(times) * L.grid.weight * np.sum(values, axis=-1), axis=-1)
 
 
 def trajectory_diagnostics(traj: Trajectory, graph: MonotoneGraph,
                            L: DirichletLaplacian) -> dict:
     """Dual norms plus the space-time integrals of the potential at the
     resolvent point and of the conjugate at the selection."""
-    dtau = np.diff(traj.times)
-    w = L.grid.weight
-    if traj.lam > 0:
-        z = np.asarray(graph.resolvent(traj.lam, traj.states[1:]))
-    else:
-        z = traj.states[1:]
-    pot = float(np.sum(dtau * w * np.sum(np.asarray(graph.potential(z)), axis=1)))
-    conj = float(np.sum(dtau * w * np.sum(
-        np.asarray(graph.conjugate(traj.selections[1:])), axis=1)))
+    z = graph.resolvent(traj.lam, traj.states[1:]) if traj.lam > 0 else traj.states[1:]
     return {
-        "dual_norms": np.sqrt(np.maximum(hminus1_norm_sq_rows(L, traj.states), 0.0)),
-        "potential_integral": pot,
-        "conjugate_integral": conj,
+        "dual_norms": _dual_norms(L, traj.states),
+        "potential_integral": float(_spacetime_integral(traj.times, L, graph.potential(z))),
+        "conjugate_integral": float(_spacetime_integral(
+            traj.times, L, graph.conjugate(traj.selections[1:]))),
     }
 
 
@@ -334,35 +345,25 @@ class LambdaSweepReport:
 
 def lambda_sweep(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
                  x0: np.ndarray, gm: IntegralPath, lambdas: Sequence[float]) -> LambdaSweepReport:
-    """Solve the same pathwise problem for a decreasing list of regularization
-    parameters and report the convergence quantities."""
+    """Solve one pathwise problem for a decreasing list of regularization
+    parameters in one batched march and report the convergence quantities."""
     lams = np.asarray(list(lambdas), dtype=float)
     if len(lams) < 1 or np.any(lams <= 0) or np.any(np.diff(lams) >= 0):
         raise ValueError("lambdas must be a strictly decreasing positive list")
-    w = L.grid.weight
-    dtau = np.diff(gm.times)
-
-    sup_diffs, gaps, pots, conjs = [], [], [], []
-    prev_states = None
-    for lam in lams:
-        traj = additive_path_solve(graph, replace(cfg, lam=float(lam)), L, x0, gm)
-        z = np.asarray(graph.resolvent(lam, traj.states[1:]))
-        gaps.append(float(np.sum(dtau * w * np.sum((traj.states[1:] - z) ** 2, axis=1))))
-        pots.append(float(np.sum(dtau * w * np.sum(np.asarray(graph.potential(z)), axis=1))))
-        conjs.append(float(np.sum(dtau * w * np.sum(
-            np.asarray(graph.conjugate(traj.selections[1:])), axis=1))))
-        if prev_states is not None:
-            diff_sq = hminus1_norm_sq_rows(L, traj.states - prev_states)
-            sup_diffs.append(float(np.sqrt(diff_sq.max())))
-        prev_states = traj.states
+    states, sels = march_batch(graph, cfg, L, [gm.times] * len(lams),
+                               [gm.values] * len(lams), x0, lam=lams)
+    states, sels = np.stack(states), np.stack(sels)
+    z = graph.resolvent(lams[:, None, None], states[:, 1:])
+    diffs = np.diff(states, axis=0)
+    gaps = _spacetime_integral(gm.times, L, (states[:, 1:] - z) ** 2)
 
     return LambdaSweepReport(
         lambdas=lams,
-        sup_diffs=np.asarray(sup_diffs),
-        gap_integrals=np.asarray(gaps),
-        gap_ratios=np.asarray(gaps) / lams,
-        potential_integrals=np.asarray(pots),
-        conjugate_integrals=np.asarray(conjs),
+        sup_diffs=_dual_norms(L, diffs.reshape(-1, L.n)).reshape(diffs.shape[:2]).max(axis=1),
+        gap_integrals=gaps,
+        gap_ratios=gaps / lams,
+        potential_integrals=_spacetime_integral(gm.times, L, graph.potential(z)),
+        conjugate_integrals=_spacetime_integral(gm.times, L, graph.conjugate(sels[:, 1:])),
         initial_norm_sq=float(hminus1_norm_sq_rows(L, np.asarray(x0)[None, :])[0]),
     )
 
@@ -403,7 +404,6 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
     picard_tol; raises NonContractionError after three consecutive
     non-contracting sweeps.
     """
-    _check_gates(graph, cfg)
     if len(paths) == 0:
         raise ValueError("need at least one path")
     x0 = np.asarray(x0, dtype=float)
@@ -442,15 +442,9 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
         for _ in range(cfg.picard_max_iter):
             # one coefficient evaluation for the left limits of every path
             lefts = B.mode_fields_batch(np.concatenate([pv[:-1] for pv in prev]), L)
-            gms, offset = [], 0
-            for pi, p in enumerate(paths):
-                i0, i1 = i0s[pi], i1s[pi]
-                dm = p.values[:, i0 + 1:i1 + 1] - p.values[:, i0:i1]
-                incr = np.einsum("jkn,kj->jn", lefts[offset:offset + i1 - i0], dm)
-                offset += i1 - i0
-                gm = np.zeros((i1 - i0 + 1, L.n))
-                np.cumsum(incr, axis=0, out=gm[1:])
-                gms.append(gm)
+            lefts = np.split(lefts, np.cumsum([len(pv) - 1 for pv in prev])[:-1])
+            gms = [ito_sums(g, p.values[:, i0:i1 + 1])
+                   for g, p, i0, i1 in zip(lefts, paths, i0s, i1s)]
             new_states, new_sels = march_batch(
                 graph, cfg, L, [p.times[i0:i1 + 1] for p, i0, i1 in zip(paths, i0s, i1s)],
                 gms, np.stack(datum))

@@ -6,6 +6,7 @@ import pytest
 from spmlab.cli import main
 from spmlab.config import ExperimentConfig, default_config_dict
 from spmlab.errors import ConfigError
+from spmlab.noise import rng_for, sample_path
 
 
 def deep_update(base: dict, patch: dict) -> dict:
@@ -60,6 +61,21 @@ def test_simulate_additive_martingale_csv(tmp_path):
     header, rows = read_csv(tmp_path / "out" / "martingale.csv")
     assert header == ["time", "mode", "value", "is_jump"]
     assert any(r[3] == "true" for r in rows)
+    exp = ExperimentConfig.from_file(cfg)
+    path = sample_path(exp.noise_spec(), exp.horizon, exp.dt, rng_for(exp.master_seed, 0))
+    n_modes, n_times = path.values.shape
+    # mode-major rows; is_jump is true exactly at the recorded (index, mode) jumps
+    jumps = set(zip(path.jump_indices.tolist(), path.jump_modes.tolist()))
+    assert [(int(r[1]), float(r[0]), float(r[2])) for r in rows] == [
+        (k, path.times[i], path.values[k, i]) for k in range(n_modes) for i in range(n_times)]
+    assert [r[3] for r in rows] == ["true" if (i, k) in jumps else "false"
+                                    for k in range(n_modes) for i in range(n_times)]
+    # time-major rows in the trajectory
+    header, rows = read_csv(tmp_path / "out" / "trajectory.csv")
+    assert header == ["time", "node", "state", "selection"]
+    n_nodes = exp.laplacian().n
+    assert [(float(r[0]), int(r[1])) for r in rows] == [
+        (t, node) for t in path.times for node in range(n_nodes)]
 
 
 def test_lambda_sweep_monotone_column(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,16 @@ def test_lambda_sweep_report(lap):
     assert np.all(np.diff(rep.sup_diffs) < 0)
     assert np.all(rep.gap_ratios <= rep.gap_ratios[0] * (1 + 1e-12))
     assert np.all(rep.gap_integrals >= 0)
+    # the batched sweep agrees with the smallest lam solved on its own
+    alone = trajectory_diagnostics(
+        additive_path_solve(PowerLaw(3.0), replace(cfg, lam=lams[-1]), lap, eigenmode(lap, 0), gm),
+        PowerLaw(3.0), lap)
+    assert rep.potential_integrals[-1] == pytest.approx(alone["potential_integral"], rel=1e-9)
+    assert rep.conjugate_integrals[-1] == pytest.approx(alone["conjugate_integral"], rel=1e-9)
+    # the gate tests the swept lams, not cfg.lam: lam = 0 is refused for
+    # PowerLaw(3) only when it is marched
+    rep0 = lambda_sweep(PowerLaw(3.0), replace(cfg, lam=0.0), lap, eigenmode(lap, 0), gm, lams)
+    np.testing.assert_array_equal(rep0.gap_integrals, rep.gap_integrals)
     with pytest.raises(ValueError):
         lambda_sweep(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), gm, [0.1, 0.2])
 
@@ -501,6 +513,30 @@ def test_march_batch_matches_serial_reference(lap, graph, lam):
         alone, alone_sel = march_batch(graph, cfg, lap, [t], [gm], x0[p])
         np.testing.assert_allclose(alone[0], states[p], rtol=0, atol=1e-9)
         np.testing.assert_allclose(alone_sel[0], sels[p], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("graph", [PowerLaw(3.0), StefanPiecewise(1.0, 3.0, 2.0)],
+                         ids=["pl3", "stefan"])
+def test_march_batch_per_path_lambda_matches_one_at_a_time(lap, graph):
+    times, gms, x0 = ragged_ensemble(lap)
+    cfg = SolverConfig(lam=0.05, dt=1 / 32)
+    lams = np.array([0.2, 0.0125, 0.05])
+    states, sels = march_batch(graph, cfg, lap, times, gms, x0, lam=lams)
+    for p, (t, gm) in enumerate(zip(times, gms)):
+        alone, alone_sel = march_batch(graph, replace(cfg, lam=lams[p]), lap, [t], [gm], x0[p])
+        np.testing.assert_allclose(states[p], alone[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sels[p], alone_sel[0], rtol=0, atol=1e-12)
+    # a Newton failure names the lam of the failing path
+    with pytest.raises(SolverError, match=r"lam=2\.000e-01, n=15, path 0\)"):
+        march_batch(graph, replace(cfg, newton_max_iter=0), lap, times, gms, x0, lam=lams)
+
+
+def test_march_batch_rejects_mixed_lambda(lap):
+    times, gms, x0 = ragged_ensemble(lap)
+    cfg = SolverConfig(lam=0.0, dt=1 / 32)
+    for lams in ([0.1, 0.0, 0.1], [0.0, 0.1, 0.1], [0.1, -0.1, 0.1]):
+        with pytest.raises(ValueError, match="every path"):
+            march_batch(Linear(1.0), cfg, lap, times, gms, x0, lam=lams)
 
 
 def test_march_batch_nan_in_driving_integral_names_time_and_path(lap):
