@@ -10,9 +10,6 @@ seeded pass/fail checks.
 
 from .errors import ConfigError, NonContractionError, SolverError
 from .grid import (
-    DEFAULT_NODE_CAP,
-    DirichletLaplacian,
-    SpatialGrid,
     apply_laplacian,
     build_laplacian,
     eigenmode,
@@ -24,19 +21,14 @@ from .grid import (
     norm_hminus1,
     smooth_gamma,
     solve_laplacian,
-    spectral_apply,
 )
-from .monotone import Linear, MonotoneGraph, PowerLaw, ScaledSignum, StefanPiecewise
+from .monotone import Linear, PowerLaw, ScaledSignum, StefanPiecewise
 from .noise import (
     ConstantAdditive,
     ConstantOperator,
-    DiffusionCoefficient,
     IntegralPath,
     LinearSpectral,
-    MartingalePath,
-    MollifiedDiffusion,
     NoiseMode,
-    NoiseSpec,
     NormalJumps,
     SmoothedNemytskii,
     StepOperator,
@@ -53,15 +45,10 @@ from .noise import (
     stochastic_integral,
 )
 from .solver import (
-    GeneralizedResult,
-    LambdaSweepReport,
-    PicardResult,
     SolverConfig,
-    Trajectory,
     additive_path_solve,
     contraction_time_limit,
     ensemble_mean_sup_sq,
-    ensemble_sup_mean_sq,
     generalized_solve,
     implicit_step,
     ito_residual,
@@ -73,7 +60,6 @@ from .solver import (
     uniform_times,
 )
 from .verify import (
-    VerificationReport,
     check_apriori,
     check_contraction,
     check_doob,

@@ -168,11 +168,8 @@ def _cmd_lambda_sweep(ctx: _Context):
     _, gm = ctx.frozen_integral(ctx.cfg.master_seed)
     report = lambda_sweep(ctx.graph, ctx.scfg, ctx.L, ctx.x0, gm, ctx.cfg.sweep_lambdas())
 
-    rows = []
-    for i, lam in enumerate(report.lambdas):
-        sup_diff = report.sup_diffs[i - 1] if i > 0 else None
-        rows.append((lam, sup_diff, report.gap_integrals[i], report.gap_ratios[i],
-                     report.potential_integrals[i], report.conjugate_integrals[i]))
+    rows = zip(report.lambdas, [None, *report.sup_diffs], report.gap_integrals,
+               report.gap_ratios, report.potential_integrals, report.conjugate_integrals)
     write_csv(ctx.out("sweep.csv"),
               ["lambda", "sup_diff_prev", "gap_integral", "gap_ratio",
                "potential_integral", "conjugate_integral"],
@@ -193,11 +190,7 @@ def _cmd_generalized(ctx: _Context):
     res = generalized_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0,
                             cfg.generalized_levels(), paths)
 
-    rows = []
-    for i, level in enumerate(res.levels):
-        sup_mean = res.sup_mean_distances[i - 1] if i > 0 else None
-        mean_sup = res.mean_sup_distances[i - 1] if i > 0 else None
-        rows.append((level, sup_mean, mean_sup))
+    rows = zip(res.levels, [None, *res.sup_mean_distances], [None, *res.mean_sup_distances])
     write_csv(ctx.out("levels.csv"),
               ["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], rows, ctx.prov)
     lines = [

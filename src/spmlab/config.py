@@ -2,9 +2,11 @@
 
 Configs are plain JSON validated against the schema shipped in
 ``spmlab/data/experiment.schema.json``; defaults are merged in afterwards and
-a handful of cross-section rules (mode counts, jump-law parameters, and the
-solver's surjectivity and lam = 0 gates) are enforced here because they cannot
-be expressed in the schema.
+a handful of cross-section rules (mode counts, and the solver's surjectivity
+and lam = 0 gates) are enforced here because they cannot be expressed in the
+schema. Graphs, jump laws and noise modes are built by their own constructors
+from the config entries that name one of their fields, so the defaults live
+in one place.
 Dotted-path overrides (``solver.picard_tol=1e-8``) re-validate the result.
 """
 
@@ -38,6 +40,9 @@ _DEFAULT_SOLVER = {f.name: f.default for f in fields(SolverConfig)
                    if f.name not in ("lam", "dt", "allow_nonsurjective")}
 _DEFAULT_SWEEP = [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625]
 _DEFAULT_LEVELS = [2, 4, 8, 16]
+_GRAPHS = {"power_law": PowerLaw, "linear": Linear, "scaled_signum": ScaledSignum,
+           "stefan": StefanPiecewise}
+_JUMP_LAWS = {"two_point": TwoPointJumps, "normal": NormalJumps}
 
 
 def _schema() -> dict:
@@ -57,6 +62,16 @@ def _validate_schema(data: dict):
         err = errors[0]
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config {where}: {err.message}")
+
+
+def _construct(cls, params: dict, section: str, **given):
+    """cls built from the params entries that name one of its dataclass fields,
+    as floats, plus the given keywords; other entries are ignored."""
+    try:
+        return cls(**{f.name: float(params[f.name]) for f in fields(cls)
+                      if f.name in params and f.name not in given}, **given)
+    except ValueError as err:
+        raise ConfigError(f"config {section}: {err}")
 
 
 def _build_field(spec: dict, L) -> np.ndarray:
@@ -169,14 +184,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"diffusion/params/modes needs {n_modes} field specs, got {len(fields)}"
                 )
-        for law_holder in self.data["noise"]["modes"]:
-            law = law_holder.get("jump_law")
-            if law is None:
-                continue
-            if law["kind"] == "two_point" and "size" not in law:
-                raise ConfigError("two_point jump law needs a size")
-            if law["kind"] == "normal" and "std" not in law:
-                raise ConfigError("normal jump law needs a std")
 
     # -- builders ------------------------------------------------------------
 
@@ -189,48 +196,24 @@ class ExperimentConfig:
 
     def laplacian(self):
         if self._laplacian is None:
+            grid = self.grid()
             try:
-                self._laplacian = build_laplacian(self.grid(), self.data["grid"]["node_cap"])
+                self._laplacian = build_laplacian(grid, self.data["grid"]["node_cap"])
             except ValueError as err:
                 raise ConfigError(f"config grid: {err}")
         return self._laplacian
 
     def graph(self):
         beta = self.data["beta"]
-        params = beta["params"]
-        try:
-            if beta["variant"] == "power_law":
-                return PowerLaw(exponent=float(params.get("exponent", 3.0)))
-            if beta["variant"] == "linear":
-                return Linear(slope=float(params.get("slope", 1.0)))
-            if beta["variant"] == "scaled_signum":
-                return ScaledSignum(scale=float(params.get("scale", 1.0)))
-            return StefanPiecewise(
-                slope_neg=float(params.get("slope_neg", 1.0)),
-                slope_pos=float(params.get("slope_pos", 1.0)),
-                height=float(params.get("height", 1.0)),
-            )
-        except ValueError as err:
-            raise ConfigError(f"config beta: {err}")
+        return _construct(_GRAPHS[beta["variant"]], beta["params"], "beta")
 
     def noise_spec(self) -> NoiseSpec:
         modes = []
         for m in self.data["noise"]["modes"]:
-            law_cfg = m.get("jump_law")
-            law = None
-            if law_cfg is not None:
-                if law_cfg["kind"] == "two_point":
-                    law = TwoPointJumps(size=float(law_cfg["size"]))
-                else:
-                    law = NormalJumps(std=float(law_cfg["std"]))
-            try:
-                modes.append(NoiseMode(
-                    wiener_vol=float(m.get("wiener_vol", 0.0)),
-                    jump_intensity=float(m.get("jump_intensity", 0.0)),
-                    jump_law=law,
-                ))
-            except ValueError as err:
-                raise ConfigError(f"config noise: {err}")
+            law = m.get("jump_law")
+            if law is not None:
+                law = _construct(_JUMP_LAWS[law["kind"]], law, "noise")
+            modes.append(_construct(NoiseMode, m, "noise", jump_law=law))
         return NoiseSpec(modes=tuple(modes))
 
     def diffusion(self, L):
@@ -252,19 +235,12 @@ class ExperimentConfig:
         return _build_field(self.data["initial"], L)
 
     def solver_config(self) -> SolverConfig:
-        s = self.data["solver"]
+        beta, s = self.data["beta"], self.data["solver"]
+        # the schema's integers may arrive as 50.0, which range() refuses
+        counts = {k: int(s[k]) for k in ("newton_max_iter", "picard_max_iter")}
         try:
-            return SolverConfig(
-                lam=float(self.data["beta"]["lambda"]),
-                dt=float(self.data["noise"]["dt"]),
-                newton_tol=float(s["newton_tol"]),
-                newton_max_iter=int(s["newton_max_iter"]),
-                picard_tol=float(s["picard_tol"]),
-                picard_max_iter=int(s["picard_max_iter"]),
-                epsilon=float(s["epsilon"]),
-                window_T0=None if s["window_T0"] is None else float(s["window_T0"]),
-                allow_nonsurjective=bool(self.data["beta"]["allow_nonsurjective"]),
-            )
+            return SolverConfig(**{**s, **counts}, lam=float(beta["lambda"]), dt=self.dt,
+                                allow_nonsurjective=beta["allow_nonsurjective"])
         except ValueError as err:
             raise ConfigError(f"config solver: {err}")
 

@@ -4,14 +4,17 @@ Each graph is the subdifferential of a convex potential normalized to vanish
 at zero. The workhorses are the resolvent x = (I + lam*beta)^{-1}(r), which is
 everywhere defined, single valued and nonexpansive, and the Yosida regularization
 (r - resolvent) / lam, which is monotone, 1/lam-Lipschitz and always selects a
-value of beta at the resolvent point. Each variant implements one method,
-``_resolvent_and_slope``, which returns the resolvent and its a.e. slope in r;
-the base class derives the resolvent, the Yosida value and the Yosida slope
-from it. Closed forms are used where the variant admits them; the power law
-solves its scalar equation by Newton with bisection as the safety net.
+value of beta at the resolvent point. Each variant implements only array
+forms: ``_resolvent_and_slope``, which returns the resolvent and its a.e.
+slope in r, and ``_minimal_section``, ``_section_slope``, ``_potential`` and
+``_conjugate``. The base class derives the resolvent, the Yosida value and the
+Yosida slope from the first, and it alone holds the calling convention of
+every public evaluation. Closed forms are used where the variant admits them;
+the power law solves its scalar equation by Newton with bisection as the
+safety net.
 
-All operations are vectorized: scalars in, float out; arrays in, arrays out;
-lam may also be an array that broadcasts against r.
+All public evaluations are vectorized: scalars in, float out; arrays in,
+arrays out; lam may also be an array that broadcasts against r.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ def _check_lam(lam):
 
 
 class MonotoneGraph:
-    """Base interface; concrete variants override the closed-form pieces."""
+    """Base interface. Variants implement the array forms ``_resolvent_and_slope``,
+    ``_minimal_section``, ``_section_slope``, ``_potential`` and ``_conjugate``;
+    the public methods convert the input and match a scalar with a float."""
 
     #: False for graphs whose range is not all of R (kept out of full solver
     #: runs unless explicitly allowed).
@@ -69,11 +74,11 @@ class MonotoneGraph:
 
     def minimal_section(self, r):
         """The minimal-norm value of beta(r)."""
-        raise NotImplementedError
+        return _match(r, self._minimal_section(np.asarray(r, dtype=float)))
 
     def section_slope(self, r):
         """A.e. derivative of the minimal section (Jacobians for lam = 0)."""
-        raise NotImplementedError
+        return _match(r, self._section_slope(np.asarray(r, dtype=float)))
 
     def section_interval(self, r):
         """(lo, hi) bounds of the set beta(r); equal for single-valued points."""
@@ -82,11 +87,11 @@ class MonotoneGraph:
 
     def potential(self, r):
         """Convex potential with potential(0) = 0."""
-        raise NotImplementedError
+        return _match(r, self._potential(np.asarray(r, dtype=float)))
 
     def conjugate(self, s):
         """Convex conjugate sup_r (r*s - potential(r)); +inf outside range(beta)."""
-        raise NotImplementedError
+        return _match(s, self._conjugate(np.asarray(s, dtype=float)))
 
 
 def _bisect_increasing(fn, lo, hi, tol=_BISECT_TOL, max_iter=_BISECT_MAX_ITER):
@@ -142,22 +147,18 @@ class PowerLaw(MonotoneGraph):
         s = self._resolvent_abs(lam, np.abs(r))
         return np.sign(r) * s, 1.0 / (1.0 + lam * self.exponent * s ** (self.exponent - 1.0))
 
-    def minimal_section(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, np.abs(r_arr) ** (self.exponent - 1.0) * r_arr)
+    def _minimal_section(self, r):
+        return np.abs(r) ** (self.exponent - 1.0) * r
 
-    def section_slope(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, self.exponent * np.abs(r_arr) ** (self.exponent - 1.0))
+    def _section_slope(self, r):
+        return self.exponent * np.abs(r) ** (self.exponent - 1.0)
 
-    def potential(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, np.abs(r_arr) ** (self.exponent + 1.0) / (self.exponent + 1.0))
+    def _potential(self, r):
+        return np.abs(r) ** (self.exponent + 1.0) / (self.exponent + 1.0)
 
-    def conjugate(self, s):
+    def _conjugate(self, s):
         m = self.exponent
-        s_arr = np.asarray(s, dtype=float)
-        return _match(s, m / (m + 1.0) * np.abs(s_arr) ** ((m + 1.0) / m))
+        return m / (m + 1.0) * np.abs(s) ** ((m + 1.0) / m)
 
 
 @dataclass(frozen=True)
@@ -177,21 +178,17 @@ class Linear(MonotoneGraph):
     def _resolvent_and_slope(self, lam, r):
         return r / (1.0 + lam * self.slope), np.full_like(r, 1.0 / (1.0 + lam * self.slope))
 
-    def minimal_section(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, self.slope * r_arr)
+    def _minimal_section(self, r):
+        return self.slope * r
 
-    def section_slope(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, np.full_like(r_arr, self.slope))
+    def _section_slope(self, r):
+        return np.full_like(r, self.slope)
 
-    def potential(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, 0.5 * self.slope * r_arr * r_arr)
+    def _potential(self, r):
+        return 0.5 * self.slope * r * r
 
-    def conjugate(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        return _match(s, s_arr * s_arr / (2.0 * self.slope))
+    def _conjugate(self, s):
+        return s * s / (2.0 * self.slope)
 
 
 @dataclass(frozen=True)
@@ -214,13 +211,11 @@ class ScaledSignum(MonotoneGraph):
         beyond = np.abs(r) - lam * self.scale
         return np.sign(r) * np.maximum(beyond, 0.0), np.where(beyond > 0.0, 1.0, 0.0)
 
-    def minimal_section(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, self.scale * np.sign(r_arr))
+    def _minimal_section(self, r):
+        return self.scale * np.sign(r)
 
-    def section_slope(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, np.zeros_like(r_arr))
+    def _section_slope(self, r):
+        return np.zeros_like(r)
 
     def section_interval(self, r):
         r_arr = np.asarray(r, dtype=float)
@@ -229,14 +224,11 @@ class ScaledSignum(MonotoneGraph):
         hi = np.where(r_arr == 0.0, self.scale, v)
         return lo, hi
 
-    def potential(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, self.scale * np.abs(r_arr))
+    def _potential(self, r):
+        return self.scale * np.abs(r)
 
-    def conjugate(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        out = np.where(np.abs(s_arr) <= self.scale * (1.0 + 1e-12), 0.0, np.inf)
-        return _match(s, out)
+    def _conjugate(self, s):
+        return np.where(np.abs(s) <= self.scale * (1.0 + 1e-12), 0.0, np.inf)
 
 
 @dataclass(frozen=True)
@@ -260,34 +252,28 @@ class StefanPiecewise(MonotoneGraph):
         value = np.where(r < 0.0, r / neg, np.where(r > top, (r - top) / pos, 0.0))
         return value, np.where(r < 0.0, 1.0 / neg, np.where(r > top, 1.0 / pos, 0.0))
 
-    def minimal_section(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        out = np.where(
-            r_arr < 0.0,
-            self.slope_neg * r_arr,
-            np.where(r_arr > 0.0, self.height + self.slope_pos * r_arr, 0.0),
+    def _minimal_section(self, r):
+        return np.where(
+            r < 0.0,
+            self.slope_neg * r,
+            np.where(r > 0.0, self.height + self.slope_pos * r, 0.0),
         )
-        return _match(r, out)
 
-    def section_slope(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return _match(r, np.where(r_arr < 0.0, self.slope_neg, self.slope_pos))
+    def _section_slope(self, r):
+        return np.where(r < 0.0, self.slope_neg, self.slope_pos)
 
     def section_interval(self, r):
         r_arr = np.asarray(r, dtype=float)
-        v = self.minimal_section(r_arr)
-        v = np.asarray(v, dtype=float)
+        v = self._minimal_section(r_arr)
         hi = np.where(r_arr == 0.0, self.height, v)
         return np.where(r_arr == 0.0, 0.0, v), hi
 
-    def potential(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        neg = 0.5 * self.slope_neg * r_arr * r_arr
-        pos = self.height * r_arr + 0.5 * self.slope_pos * r_arr * r_arr
-        return _match(r, np.where(r_arr < 0.0, neg, pos))
+    def _potential(self, r):
+        neg = 0.5 * self.slope_neg * r * r
+        pos = self.height * r + 0.5 * self.slope_pos * r * r
+        return np.where(r < 0.0, neg, pos)
 
-    def conjugate(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        below = s_arr * s_arr / (2.0 * self.slope_neg)
-        above = (s_arr - self.height) ** 2 / (2.0 * self.slope_pos)
-        return _match(s, np.where(s_arr < 0.0, below, np.where(s_arr > self.height, above, 0.0)))
+    def _conjugate(self, s):
+        below = s * s / (2.0 * self.slope_neg)
+        above = (s - self.height) ** 2 / (2.0 * self.slope_pos)
+        return np.where(s < 0.0, below, np.where(s > self.height, above, 0.0))

@@ -420,9 +420,10 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
     else:
         m0 = max(1, min(n_base, int(round(cfg.window_T0 / dt_eff))))
 
-    states_full = [np.empty((len(p.times), L.n)) for p in paths]
+    # each window is solved in place: its slice of states starts as copies of
+    # its first row, the datum, and every sweep overwrites it with the new iterate
+    states_full = [np.tile(x0, (len(p.times), 1)) for p in paths]
     sel_full = [np.empty((len(p.times), L.n)) for p in paths]
-    datum = [x0.copy() for _ in paths]
 
     windows, window_distances, window_factors = [], [], []
     total_iters = 0
@@ -431,31 +432,33 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
     while b_start < n_base:
         m_cur = min(10 * m0 if widened else m0, n_base - b_start)
         b_end = b_start + m_cur
-        i0s = [p.base_indices[b_start] for p in paths]
-        i1s = [p.base_indices[b_end] for p in paths]
-        local_base = [p.base_indices[b_start:b_end + 1] - i0s[pi]
-                      for pi, p in enumerate(paths)]
-        prev = [np.tile(datum[pi], (i1s[pi] - i0s[pi] + 1, 1)) for pi in range(n_paths)]
+        spans = [slice(p.base_indices[b_start], p.base_indices[b_end] + 1) for p in paths]
+        local_base = [p.base_indices[b_start:b_end + 1] - sp.start
+                      for p, sp in zip(paths, spans)]
+        iterate = [st[sp] for st, sp in zip(states_full, spans)]
+        for it in iterate:
+            it[1:] = it[0]
 
         dists, factors = [], []
         converged_window = False
         for _ in range(cfg.picard_max_iter):
             # one coefficient evaluation for the left limits of every path
-            lefts = B.mode_fields_batch(np.concatenate([pv[:-1] for pv in prev]), L)
-            lefts = np.split(lefts, np.cumsum([len(pv) - 1 for pv in prev])[:-1])
-            gms = [ito_sums(g, p.values[:, i0:i1 + 1])
-                   for g, p, i0, i1 in zip(lefts, paths, i0s, i1s)]
+            lefts = B.mode_fields_batch(np.concatenate([it[:-1] for it in iterate]), L)
+            lefts = np.split(lefts, np.cumsum([len(it) - 1 for it in iterate])[:-1])
+            gms = [ito_sums(g, p.values[:, sp]) for g, p, sp in zip(lefts, paths, spans)]
             new_states, new_sels = march_batch(
-                graph, cfg, L, [p.times[i0:i1 + 1] for p, i0, i1 in zip(paths, i0s, i1s)],
-                gms, np.stack(datum))
+                graph, cfg, L, [p.times[sp] for p, sp in zip(paths, spans)], gms,
+                np.stack([it[0] for it in iterate]))
             sq_sums = base_grid_norms_sq(
-                L, [st - pv for st, pv in zip(new_states, prev)], local_base).sum(axis=0)
+                L, [st - it for st, it in zip(new_states, iterate)], local_base).sum(axis=0)
+            for it, st, sf, sel, sp in zip(iterate, new_states, sel_full, new_sels, spans):
+                it[:] = st
+                sf[sp] = sel
             total_iters += 1
             dist = float(np.max(sq_sums / n_paths))
             if dists and dists[-1] > 0:
                 factors.append(dist / dists[-1])
             dists.append(dist)
-            prev = new_states
             if dist < cfg.picard_tol:
                 converged_window = True
                 break
@@ -471,11 +474,6 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
                 f"{cfg.picard_max_iter} sweeps (last distance {dists[-1]:.3e})"
             )
 
-        for pi in range(n_paths):
-            i0, i1 = i0s[pi], i1s[pi]
-            states_full[pi][i0:i1 + 1] = new_states[pi]
-            sel_full[pi][i0:i1 + 1] = new_sels[pi]
-            datum[pi] = new_states[pi][-1].copy()
         windows.append((float(base_times[b_start]), float(base_times[b_end])))
         window_distances.append(dists)
         window_factors.append(factors)

@@ -6,6 +6,9 @@ or inequality, and renders a pass/fail verdict with a statistical margin:
 * inequality checks pass when estimate <= bound + margin_sigmas * std_error,
 * identity checks pass when |estimate - target| <= margin_sigmas * std_error.
 
+Both rules, and every report, go through one builder, ``_report``; a check
+with a rule of its own passes its verdict to it.
+
 Estimates are plain ensemble averages with standard errors from the same
 ensemble; no variance reduction, so the numbers stay unbiased and auditable.
 Where the two sides are estimated from the same paths, the standard error of
@@ -68,20 +71,20 @@ def _float_slack(reference: float) -> float:
     return 1e-12 * max(1.0, abs(reference))
 
 
-def _inequality_report(name, estimate, bound, std_error, margin, n_paths, runtime, notes=""):
-    passed = estimate <= bound + margin * std_error + _float_slack(bound)
-    return VerificationReport(name=name, kind="inequality", estimate=float(estimate),
+def _report(name, kind, estimate, bound, std_error, margin, n_paths, t0, notes="",
+            passed=None):
+    """The verdict of one check, timed from t0. Unless the check passes its own
+    verdict, an inequality needs estimate <= bound and an identity
+    estimate = bound, each up to margin standard errors and the float slack."""
+    if passed is None and kind == "inequality":
+        passed = estimate <= bound + margin * std_error + _float_slack(bound)
+    elif passed is None:
+        passed = abs(estimate - bound) <= margin * std_error + _float_slack(bound)
+    return VerificationReport(name=name, kind=kind, estimate=float(estimate),
                               std_error=float(std_error), bound_or_target=float(bound),
                               margin_sigmas=float(margin), passed=bool(passed),
-                              n_paths=int(n_paths), runtime_s=float(runtime), notes=notes)
-
-
-def _identity_report(name, estimate, target, std_error, margin, n_paths, runtime, notes=""):
-    passed = abs(estimate - target) <= margin * std_error + _float_slack(target)
-    return VerificationReport(name=name, kind="identity", estimate=float(estimate),
-                              std_error=float(std_error), bound_or_target=float(target),
-                              margin_sigmas=float(margin), passed=bool(passed),
-                              n_paths=int(n_paths), runtime_s=float(runtime), notes=notes)
+                              n_paths=int(n_paths), runtime_s=time.perf_counter() - t0,
+                              notes=notes)
 
 
 def _std_err(samples: np.ndarray) -> float:
@@ -118,11 +121,9 @@ def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed
     sup_sq = path_sup_norms_sq(L, values)
     fin_sq = hminus1_norm_sq_rows(L, np.stack([v[-1] for v in values]))
     diff = sup_sq - 4.0 * fin_sq
-    return _inequality_report(
-        "doob", float(sup_sq.mean()), 4.0 * float(fin_sq.mean()), _std_err(diff),
-        margin_sigmas, n_paths, time.perf_counter() - t0,
-        notes=f"mean_diff={diff.mean():.6g}",
-    )
+    return _report("doob", "inequality", float(sup_sq.mean()), 4.0 * float(fin_sq.mean()),
+                   _std_err(diff), margin_sigmas, n_paths, t0,
+                   notes=f"mean_diff={diff.mean():.6g}")
 
 
 def check_isometry(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed: int,
@@ -133,10 +134,8 @@ def check_isometry(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, 
     fin_sq = hminus1_norm_sq_rows(L, np.stack([
         stochastic_integral(G, p, L).values[-1]
         for p in sample_ensemble(spec, horizon, dt, n_paths, seed)]))
-    return _identity_report(
-        "isometry", float(fin_sq.mean()), target, _std_err(fin_sq),
-        margin_sigmas, n_paths, time.perf_counter() - t0,
-    )
+    return _report("isometry", "identity", float(fin_sq.mean()), target, _std_err(fin_sq),
+                   margin_sigmas, n_paths, t0)
 
 
 def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
@@ -159,10 +158,8 @@ def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     sq = base_grid_norms_sq(L, diffs, [p.base_indices for p in paths])
     mean = sq.mean(axis=0)
     idx = int(np.argmax(mean))
-    return _inequality_report(
-        name, float(mean[idx]), bound, _std_err(sq[:, idx]), margin_sigmas, n_paths,
-        time.perf_counter() - t0, notes=f"argmax_t={idx}",
-    )
+    return _report(name, "inequality", float(mean[idx]), bound, _std_err(sq[:, idx]),
+                   margin_sigmas, n_paths, t0, notes=f"argmax_t={idx}")
 
 
 def _paired_differences(graph, cfg, L, paths, data1, data2):
@@ -204,11 +201,8 @@ def check_apriori(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian
         else:
             ratios.append(float(np.max(series) / ref))
     estimate = max(ratios)
-    return _inequality_report(
-        "apriori_bounds", estimate, margin_factor, 0.0, 0.0, 1,
-        time.perf_counter() - t0,
-        notes=f"potential_ratio={ratios[0]:.4g} gap_ratio={ratios[1]:.4g}",
-    )
+    return _report("apriori_bounds", "inequality", estimate, margin_factor, 0.0, 0.0, 1, t0,
+                   notes=f"potential_ratio={ratios[0]:.4g} gap_ratio={ratios[1]:.4g}")
 
 
 def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
@@ -246,10 +240,9 @@ def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noise
         passed = factor <= bound + margin_sigmas * se
         if below_threshold:
             passed = passed and (factor + margin_sigmas * se < 1.0)
-        reports.append(VerificationReport(
-            name=f"contraction_T0={T0:.6g}", kind="inequality", estimate=factor,
-            std_error=se, bound_or_target=bound, margin_sigmas=margin_sigmas,
-            passed=bool(passed), n_paths=n_paths, runtime_s=time.perf_counter() - t0,
+        reports.append(_report(
+            f"contraction_T0={T0:.6g}", "inequality", factor, bound, se, margin_sigmas,
+            n_paths, t0, passed=passed,
             notes=f"threshold={threshold:.6g} k={k_est:.6g} "
                   f"below_threshold={below_threshold}",
         ))
@@ -271,8 +264,8 @@ def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noi
     y2 = np.asarray(y2, dtype=float)
     denom = float(hminus1_norm_sq_rows(L, (y1 - y2)[None, :])[0])
     if denom <= 0:
-        return _inequality_report("lipschitz_map", 0.0, 0.0, 0.0, 0.0, n_paths,
-                                  time.perf_counter() - t0, notes="identical data")
+        return _report("lipschitz_map", "inequality", 0.0, 0.0, 0.0, 0.0, n_paths, t0,
+                       notes="identical data")
 
     ratios = []
     for run, seed_run in enumerate((seed, seed + 1)):
@@ -283,10 +276,6 @@ def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noi
     spread = abs(ratios[0] - ratios[1])
     scale = max(ratios)
     passed = np.isfinite(ratios).all() and spread <= stability_tol * scale
-    return VerificationReport(
-        name="lipschitz_map", kind="inequality", estimate=float(spread),
-        std_error=0.0, bound_or_target=float(stability_tol * scale),
-        margin_sigmas=0.0, passed=bool(passed), n_paths=n_paths,
-        runtime_s=time.perf_counter() - t0,
-        notes=f"ratio_seed0={ratios[0]:.6g} ratio_seed1={ratios[1]:.6g}",
-    )
+    return _report("lipschitz_map", "inequality", spread, stability_tol * scale, 0.0, 0.0,
+                   n_paths, t0, passed=passed,
+                   notes=f"ratio_seed0={ratios[0]:.6g} ratio_seed1={ratios[1]:.6g}")

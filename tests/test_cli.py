@@ -6,7 +6,8 @@ import pytest
 from spmlab.cli import main
 from spmlab.config import ExperimentConfig, default_config_dict
 from spmlab.errors import ConfigError
-from spmlab.noise import rng_for, sample_path
+from spmlab.monotone import Linear, PowerLaw, StefanPiecewise
+from spmlab.noise import NoiseMode, NormalJumps, rng_for, sample_path
 
 
 def deep_update(base: dict, patch: dict) -> dict:
@@ -146,6 +147,51 @@ def test_config_error_exit_codes(tmp_path):
     wrong_modes = small_run(tmp_path, name="modes.json",
                             diffusion={"params": {"coeffs": [0.4]}})
     assert main(["simulate-additive", "--config", wrong_modes]) == 2
+
+
+def test_grid_error_is_prefixed_once(tmp_path, capsys):
+    argv = ["simulate-additive", "--out", str(tmp_path / "out"),
+            "--set", "grid.dim=2", "--set", "grid.n=[3]"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("config grid:") == 1
+    assert "n must have 2 entries, got 1" in err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("initial.index=99", "eigenmode index 99 out of range for 15 nodes"),
+    ("run.n_paths.x=1", "override path 'run.n_paths.x' crosses a non-object"),
+    ("grid.n=5000", "config grid: grid has 5000 interior nodes, above the dense cap 4096"),
+], ids=["index", "path", "node_cap"])
+def test_config_errors_exit_2_with_message(tmp_path, capsys, setting, message):
+    assert main(["simulate-additive", "--out", str(tmp_path / "out"), "--set", setting]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_jump_law_needs_its_parameter(tmp_path, capsys):
+    for kind, key in (("two_point", "size"), ("normal", "std")):
+        modes = [{"wiener_vol": 0.8, "jump_intensity": 2.0, "jump_law": {"kind": kind}},
+                 {"wiener_vol": 0.5}]
+        cfg = small_run(tmp_path, name=f"{kind}.json", noise={"modes": modes})
+        assert main(["simulate-additive", "--config", cfg]) == 2
+        assert f"jump_law: '{key}' is a required property" in capsys.readouterr().err
+
+
+def test_config_builds_through_the_constructors():
+    cfg = ExperimentConfig.default()
+    # params entries that name no field of the chosen class are ignored
+    linear = cfg.apply_overrides(["beta.variant=linear"])
+    assert linear.data["beta"]["params"] == {"exponent": 3.0}
+    assert linear.graph() == Linear(1.0)
+    assert cfg.apply_overrides(["beta.params.exponent=2"]).graph() == PowerLaw(2.0)
+    stefan = cfg.apply_overrides(["beta.variant=stefan", "beta.params.height=0.5"])
+    assert stefan.graph() == StefanPiecewise(1.0, 1.0, 0.5)
+    with pytest.raises(ConfigError, match="config beta: exponent must be >= 1"):
+        cfg.apply_overrides(["beta.params.exponent=0.5"])
+    assert cfg.noise_spec().modes[1] == NoiseMode(0.5, 1.0, NormalJumps(0.4))
+    scfg = cfg.apply_overrides(["solver.newton_max_iter=7.0"]).solver_config()
+    assert type(scfg.newton_max_iter) is int and scfg.newton_max_iter == 7
+    assert scfg.lam == 0.05 and scfg.dt == 0.0078125 and scfg.window_T0 is None
 
 
 def test_config_cross_checks_direct():

@@ -112,6 +112,21 @@ def test_yosida_and_slope_equals_the_separate_calls(graph):
         assert all(isinstance(v, float) for v in pair)
 
 
+@pytest.mark.parametrize("graph", VARIANTS, ids=VARIANT_IDS)
+def test_public_evaluations_match_the_input(graph):
+    # scalar in, Python float out; array in, array of the input's shape out
+    rng = np.random.default_rng(11)
+    evaluations = [graph.minimal_section, graph.section_slope, graph.potential,
+                   graph.conjugate, lambda r: graph.resolvent(0.1, r),
+                   lambda r: graph.yosida(0.1, r), lambda r: graph.yosida_slope(0.1, r)]
+    for fn in evaluations:
+        for scalar in (0.7, -1, np.float64(0.3), np.array(-0.4)):
+            assert type(fn(scalar)) is float
+        for shape in ((5,), (3, 4)):
+            out = fn(rng.uniform(-2, 2, shape))
+            assert isinstance(out, np.ndarray) and out.shape == shape
+
+
 def kinks(graph, lam):
     # points where the Yosida value has a corner
     if isinstance(graph, ScaledSignum):
@@ -134,9 +149,11 @@ def test_yosida_slope_matches_finite_difference(graph):
         np.testing.assert_allclose(graph.yosida_slope(lam, r), fd, rtol=1e-6, atol=1e-6 / lam)
 
 
-@pytest.mark.parametrize("graph", [Linear(0.7), PowerLaw(1.0)], ids=["lin", "pl1"])
+@pytest.mark.parametrize("graph", [Linear(0.7), PowerLaw(1.0), VARIANTS[4], VARIANTS[3]],
+                         ids=["lin", "pl1", "stefan", "sign"])
 def test_section_slope_matches_finite_difference(graph):
     r = RNG.uniform(-10, 10, 400)
+    r = r[np.abs(r) >= 1e-3]  # the Stefan and signum sections jump at 0
     fd = central_difference(graph.minimal_section, r)
     np.testing.assert_allclose(graph.section_slope(r), fd, rtol=1e-8)
 

@@ -31,7 +31,7 @@ from spmlab import (
     stochastic_integral,
     uniform_times,
 )
-from spmlab.verify import _identity_report, _inequality_report
+from spmlab.verify import _report
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +47,12 @@ def mixed_spec():
 
 
 def test_verdict_rules():
-    good = _inequality_report("x", 1.0, 1.1, 0.0, 3.0, 10, 0.0)
+    good = _report("x", "inequality", 1.0, 1.1, 0.0, 3.0, 10, 0.0)
     assert good.passed and good.verdict == "pass"
-    bad = _inequality_report("x", 1.5, 1.1, 0.01, 3.0, 10, 0.0)
+    bad = _report("x", "inequality", 1.5, 1.1, 0.01, 3.0, 10, 0.0)
     assert not bad.passed and bad.verdict == "fail"
-    assert _identity_report("x", 1.0, 1.02, 0.01, 3.0, 10, 0.0).passed
-    assert not _identity_report("x", 1.0, 1.2, 0.01, 3.0, 10, 0.0).passed
+    assert _report("x", "identity", 1.0, 1.02, 0.01, 3.0, 10, 0.0).passed
+    assert not _report("x", "identity", 1.0, 1.2, 0.01, 3.0, 10, 0.0).passed
 
 
 def test_expected_budget_closed_forms(lap):
@@ -97,8 +97,8 @@ def test_isometry_detects_wrong_target(lap):
     spec = mixed_spec()
     g = eigenmode(lap, 0)[None, :] * np.ones((2, 1))
     rep = check_isometry(spec, g, 1.0, 1 / 64, 1500, 7, lap)
-    broken = _identity_report("broken", rep.estimate, 2.0 * rep.bound_or_target,
-                              rep.std_error, 3.0, rep.n_paths, 0.0)
+    broken = _report("broken", "identity", rep.estimate, 2.0 * rep.bound_or_target,
+                     rep.std_error, 3.0, rep.n_paths, 0.0)
     assert not broken.passed
 
 
