@@ -70,7 +70,7 @@ def _construct(cls, params: dict, section: str, **given):
     try:
         return cls(**{f.name: float(params[f.name]) for f in fields(cls)
                       if f.name in params and f.name not in given}, **given)
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"config {section}: {err}")
 
 
@@ -223,13 +223,14 @@ class ExperimentConfig:
         if diff["variant"] == "constant_additive":
             fields = np.stack([_build_field(fs, L) for fs in params["modes"]])
             return ConstantAdditive(fields=fields)
-        if diff["variant"] == "linear_spectral":
-            return LinearSpectral(coeffs=np.asarray(params["coeffs"], dtype=float), gamma=gamma)
-        return SmoothedNemytskii(
-            coeffs=np.asarray(params["coeffs"], dtype=float),
-            gamma=gamma,
-            transform=params.get("transform", "tanh"),
-        )
+        try:
+            coeffs = np.asarray(params["coeffs"], dtype=float)
+            if diff["variant"] == "linear_spectral":
+                return LinearSpectral(coeffs=coeffs, gamma=gamma)
+            return SmoothedNemytskii(coeffs=coeffs, gamma=gamma,
+                                     transform=params.get("transform", "tanh"))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"config diffusion: {err}")
 
     def initial_field(self, L) -> np.ndarray:
         return _build_field(self.data["initial"], L)

@@ -102,7 +102,8 @@ class DirichletLaplacian:
     Euclidean sense (divide by sqrt(grid.weight) for the L2-orthonormal
     modes). ``band`` is the matrix in LAPACK band layout, ``band[b + i - j, j]
     == matrix[i, j]`` with b = ``half_bandwidth``, zero in the unused corners.
-    Instances are not modified after construction.
+    ``dual_weights`` is grid.weight / eigenvalues, the dual-norm weight of each
+    eigen-coefficient. Instances are not modified after construction.
     """
 
     def __init__(self, grid: SpatialGrid, matrix: np.ndarray,
@@ -115,6 +116,7 @@ class DirichletLaplacian:
         self.band[self.half_bandwidth + i - j, j] = matrix[i, j]
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
+        self.dual_weights = grid.weight / eigenvalues
 
     @property
     def n(self) -> int:
@@ -196,7 +198,7 @@ def hminus1_norm_sq_rows(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] != L.n:
         raise ValueError(f"rows must have {L.n} columns, got {rows.shape[1]}")
     coeff = rows @ L.eigenvectors
-    return L.grid.weight * np.sum(coeff * coeff / L.eigenvalues, axis=1)
+    return (coeff * coeff) @ L.dual_weights
 
 
 def spectral_apply(L: DirichletLaplacian, multipliers: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -9,9 +9,11 @@ forms: ``_resolvent_and_slope``, which returns the resolvent and its a.e.
 slope in r, and ``_minimal_section``, ``_section_slope``, ``_potential`` and
 ``_conjugate``. The base class derives the resolvent, the Yosida value and the
 Yosida slope from the first, and it alone holds the calling convention of
-every public evaluation. Closed forms are used where the variant admits them;
-the power law solves its scalar equation by Newton with bisection as the
-safety net.
+every public evaluation. Closed forms are used where the variant admits them.
+The power law has one for m = 1 and one for m = 3: with c = sqrt(3 lam), the
+identity 4 sinh^3(t) + 3 sinh(t) = sinh(3t) turns s + lam*s^3 = a into
+s = (2/c) sinh(asinh(1.5 c a) / 3). Other exponents solve the scalar equation
+by Newton with bisection as the safety net.
 
 All public evaluations are vectorized: scalars in, float out; arrays in,
 arrays out; lam may also be an array that broadcasts against r.
@@ -70,7 +72,7 @@ class MonotoneGraph:
         r_arr = np.asarray(r, dtype=float)
         x, slope = self._resolvent_and_slope(lam, r_arr)
         return (_match(r, (r_arr - x) / lam),
-                _match(r, np.clip((1.0 - slope) / lam, 0.0, 1.0 / lam)))
+                _match(r, np.minimum(np.maximum((1.0 - slope) / lam, 0.0), 1.0 / lam)))
 
     def minimal_section(self, r):
         """The minimal-norm value of beta(r)."""
@@ -123,11 +125,15 @@ class PowerLaw(MonotoneGraph):
         return 1.0 if self.exponent == 1 else None
 
     def _resolvent_abs(self, lam, a):
-        # solve s + lam*s^m = a for s >= 0; the root sits in [0, a]. The map is
-        # convex and increasing there, so Newton started at the right bracket
-        # endpoint decreases monotonically to the root; bisection remains the
-        # safety net for any entry that fails to settle.
+        # solve s + lam*s^m = a for s >= 0; m = 3 has the closed form of the
+        # module docstring. Otherwise the root sits in [0, a]. The map is convex
+        # and increasing there, so Newton started at the right bracket endpoint
+        # decreases monotonically to the root; bisection remains the safety net
+        # for any entry that fails to settle.
         m = self.exponent
+        if m == 3:
+            c = np.sqrt(3.0 * lam)
+            return (2.0 / c) * np.sinh(np.arcsinh(1.5 * c * a) / 3.0)
         s = a.astype(float, copy=True)
         converged = False
         for _ in range(80):

@@ -121,9 +121,9 @@ def contraction_time_limit(k: float, eps: float) -> float:
 
 def _drift(graph: MonotoneGraph, lam: np.ndarray, u: np.ndarray):
     """b(u), its slope and the selection for the rows of u from one resolvent solve;
-    lam (P,) is all positive or all zero; b' lies in [lam, lam + 1/lam] by the Yosida clip."""
-    if lam[0] > 0:
-        lam = np.repeat(lam, u.shape[1]).reshape(u.shape)  # full shape: faster than broadcasting
+    lam has the shape of u (faster than broadcasting) and is all positive or all
+    zero; b' lies in [lam, lam + 1/lam] by the Yosida clip."""
+    if lam[0, 0] > 0:
         yos, slope = graph.yosida_and_slope(lam, u)
         return yos + lam * u, slope + lam, yos
     value = np.asarray(graph.minimal_section(u))
@@ -154,8 +154,9 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
                            f"(tau={tau[j]:.3e}, lam={lam[j]:.3e}, n={n}{where})")
 
     target = tol * (1.0 + _dual_norms(L, rhs))
+    lam_full = np.repeat(lam, n).reshape(-1, n)  # once per call, for every _drift
     y = rhs.copy()
-    value, slope, sel = _drift(graph, lam, y + g_next)
+    value, slope, sel = _drift(graph, lam_full, y + g_next)
     res_vec = y + tau[:, None] * (value @ mat) - rhs
     res = _dual_norms(L, res_vec)
     live = np.ones(len(tau), dtype=bool)
@@ -164,34 +165,38 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
         if act.size == 0:
             break
         k = act.size
+        # every row active: index with a slice, which copies no rows
+        rows = slice(None) if k == len(tau) else act
         # Jacobians I + tau*(-Lap)*diag(slope) in gbsv band layout, Fortran
         # order per row: diagonal on row 2b, rows 0..b-1 left for the fill-in
         ab = np.zeros((k, n, 3 * b + 1)).transpose(0, 2, 1)
-        ab[:, b:] = (tau[act, None] * slope[act])[:, None, :] * L.band
+        ab[:, b:] = (tau[rows, None] * slope[rows])[:, None, :] * L.band
         ab[:, 2 * b] += 1.0
-        delta = -res_vec[act]  # contiguous rows, so gbsv solves each in place
+        delta = -res_vec[rows]  # contiguous rows, so gbsv solves each in place
         for r in range(k):
             info = _gbsv(b, b, ab[r], delta[r], overwrite_ab=1, overwrite_b=1)[3]
             if info != 0:
                 raise failure(act[r], f"singular Newton Jacobian (gbsv info={info})")
-        y_act, res_act = y[act], res[act]
-        pending = np.arange(k)
+        # line search per row; rows that accept leave the pending set, so y,
+        # res and the others still hold the pending rows' current iterate
+        pending = act
         step = 1.0
         for _ in range(30):
-            rows = act[pending]
-            y_try = y_act[pending] + step * delta[pending]
-            value, s_try, sel_try = _drift(graph, lam[rows], y_try + g_next[rows])
+            y_try = y[rows] + step * delta
+            value, s_try, sel_try = _drift(graph, lam_full[rows], y_try + g_next[rows])
             vec_try = y_try + tau[rows, None] * (value @ mat) - rhs[rows]
             res_try = _dual_norms(L, vec_try)
-            ok = res_try < res_act[pending]
-            done = rows[ok]
-            y[done], res_vec[done], res[done] = y_try[ok], vec_try[ok], res_try[ok]
-            slope[done], sel[done] = s_try[ok], sel_try[ok]
-            pending = pending[~ok]
+            ok = res_try < res[rows]
+            # when every pending row accepts, write back without a gather
+            done, take = (rows, slice(None)) if ok.all() else (pending[ok], ok)
+            y[done], res_vec[done], res[done] = y_try[take], vec_try[take], res_try[take]
+            slope[done], sel[done] = s_try[take], sel_try[take]
+            pending, delta = pending[~ok], delta[~ok]
             if pending.size == 0:
                 break
+            rows = pending
             step *= 0.5
-        live[act[pending]] = False
+        live[pending] = False
 
     failed = np.flatnonzero(res > target)
     if failed.size:
@@ -269,7 +274,7 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     states = np.empty_like(gm)
     selections = np.empty_like(gm)
     states[:, 0] = x0
-    selections[:, 0] = _drift(graph, lam, states[:, 0])[2]
+    selections[:, 0] = _drift(graph, np.repeat(lam, L.n).reshape(n_paths, L.n), states[:, 0])[2]
     y = x0 - gm[:, 0]
     step_tol = cfg.newton_tol / np.maximum(1, steps)
     for i in range(n_max):

@@ -158,14 +158,23 @@ def test_grid_error_is_prefixed_once(tmp_path, capsys):
     assert "n must have 2 entries, got 1" in err
 
 
-@pytest.mark.parametrize("setting, message", [
-    ("initial.index=99", "eigenmode index 99 out of range for 15 nodes"),
-    ("run.n_paths.x=1", "override path 'run.n_paths.x' crosses a non-object"),
-    ("grid.n=5000", "config grid: grid has 5000 interior nodes, above the dense cap 4096"),
-], ids=["index", "path", "node_cap"])
-def test_config_errors_exit_2_with_message(tmp_path, capsys, setting, message):
-    assert main(["simulate-additive", "--out", str(tmp_path / "out"), "--set", setting]) == 2
-    assert message in capsys.readouterr().err
+@pytest.mark.parametrize("settings, message", [
+    (["initial.index=99"], "eigenmode index 99 out of range for 15 nodes"),
+    (["run.n_paths.x=1"], "override path 'run.n_paths.x' crosses a non-object"),
+    (["grid.n=5000"], "config grid: grid has 5000 interior nodes, above the dense cap 4096"),
+    # constructor errors: ValueError or TypeError from the class itself
+    (["diffusion.variant=smoothed_nemytskii", "diffusion.params.transform=foo"],
+     "config diffusion: unknown transform 'foo'"),
+    (['diffusion.params.coeffs=[1,"a"]'], "config diffusion: could not convert string to float"),
+    (["beta.params.exponent=[1]"], "config beta: float() argument must be"),
+], ids=["index", "path", "node_cap", "transform", "coeffs", "exponent"])
+def test_config_errors_exit_2_with_message(tmp_path, capsys, settings, message):
+    argv = ["simulate-additive", "--out", str(tmp_path / "out")]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 def test_jump_law_needs_its_parameter(tmp_path, capsys):

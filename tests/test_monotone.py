@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spmlab import Linear, PowerLaw, ScaledSignum, StefanPiecewise
+from spmlab.monotone import _BISECT_TOL, _bisect_increasing
 
 RNG = np.random.default_rng(4321)
 
@@ -38,6 +39,22 @@ def test_resolvent_frozen_values():
     oracle_soft = bisect_oracle(lambda x: x + 0.5 * np.sign(x) - 0.25 if x != 0 else -0.25,
                                 -1.0, 1.0)
     assert abs(oracle_soft) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0 / 128, 0.05, 1.0, 10.0])
+def test_cubic_resolvent_closed_form(lam):
+    # PowerLaw(3) solves s + lam*s^3 = a in closed form; check it against the
+    # equation and against vectorized bisection, which shares no code with it
+    graph = PowerLaw(3.0)
+    a = np.concatenate([[0.0], 10.0 ** np.random.default_rng(17).uniform(-12, 4, 2000)])
+    s = graph._resolvent_abs(lam, a)
+    assert s[0] == 0.0
+    assert np.all(np.abs(s + lam * s**3 - a)[1:] <= 1e-14 * a[1:])
+    oracle = _bisect_increasing(lambda t: t + lam * t**3 - a, np.zeros_like(a), a)
+    assert np.all(np.abs(s - oracle) <= _BISECT_TOL + 1e-14 * s)
+    x, slope = graph._resolvent_and_slope(lam, np.concatenate([a, -a]))
+    np.testing.assert_array_equal(x, np.concatenate([s, -s]))
+    np.testing.assert_allclose(slope, 1.0 / (1.0 + 3.0 * lam * x**2), rtol=1e-15, atol=0)
 
 
 def test_stefan_resolvent_branches():

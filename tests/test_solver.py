@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spmlab.solver as solver
 from spmlab import (
     ConstantAdditive,
     ConstantOperator,
@@ -580,3 +581,29 @@ def test_one_node_fallback_solves_only_the_failing_paths(lap1):
             y = scalar_step_oracle(graph, lam, lap1.matrix[0, 0], tau, g[i + 1],
                                    states[p][i, 0] - g[i])
             assert states[p][i + 1, 0] == pytest.approx(y + g[i + 1], abs=1e-9)
+
+
+@pytest.mark.parametrize("n_paths, expected", [(1, {"band_lus": 96, "drifts": 129}),
+                                               (8, {"band_lus": 778, "drifts": 135})])
+def test_newton_work_is_pinned(lap, monkeypatch, n_paths, expected):
+    # band LUs and drift evaluations of a fixed march, as counted before the
+    # Newton iterate was streamlined; the same algorithm does the same work
+    counts = dict.fromkeys(expected, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_gbsv", counted("band_lus", solver._gbsv))
+    monkeypatch.setattr(solver, "_drift", counted("drifts", solver._drift))
+    # closed-form sine modes, so nothing depends on the eigenvector signs of LAPACK
+    x = np.arange(1, lap.n + 1) / (lap.n + 1)
+    fields = np.stack([0.4 * np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)])
+    gms = [stochastic_integral(fields, sample_path(two_mode_spec(), 0.25, 1 / 128,
+                                                   rng_for(31, p)), lap)
+           for p in range(n_paths)]
+    march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 128), lap,
+                [g.times for g in gms], [g.values for g in gms], np.sin(np.pi * x))
+    assert counts == expected
