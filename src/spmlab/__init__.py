@@ -1,11 +1,11 @@
 """Desk-scale laboratory for jump-driven stochastic porous media equations.
 
-Core pieces: a dense Dirichlet Laplacian with its dual-norm geometry, maximal
-monotone graphs with resolvents and Yosida regularization, a finite-mode jump
-martingale model with exact-grid stochastic integration, pathwise implicit
-solvers (additive, fixed-point multiplicative, mollified generalized), and a
-Monte Carlo verification harness that turns the governing estimates into
-seeded pass/fail checks.
+Core pieces: a dense Dirichlet Laplacian with closed-form, canonically ordered
+eigenpairs and its dual-norm geometry, maximal monotone graphs with resolvents
+and Yosida regularization, a finite-mode jump martingale model with exact-grid
+stochastic integration, pathwise implicit solvers (additive, fixed-point
+multiplicative, mollified generalized), and a Monte Carlo verification harness
+that turns the governing estimates into seeded pass/fail checks.
 """
 
 from .errors import ConfigError, NonContractionError, SolverError

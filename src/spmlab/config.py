@@ -2,11 +2,11 @@
 
 Configs are plain JSON validated against the schema shipped in
 ``spmlab/data/experiment.schema.json``; defaults are merged in afterwards and
-a handful of cross-section rules (mode counts, and the solver's surjectivity
-and lam = 0 gates) are enforced here because they cannot be expressed in the
-schema. Graphs, jump laws and noise modes are built by their own constructors
-from the config entries that name one of their fields, so the defaults live
-in one place.
+a handful of cross-section rules (mode counts, the solver's surjectivity and
+lam = 0 gates, and its sweep and level orders) are enforced here because they
+cannot be expressed in the schema. Graphs, jump laws and noise modes are built
+by their own constructors from the config entries that name one of their
+fields, so the defaults live in one place.
 Dotted-path overrides (``solver.picard_tol=1e-8``) re-validate the result.
 """
 
@@ -33,7 +33,7 @@ from .noise import (
     SmoothedNemytskii,
     TwoPointJumps,
 )
-from .solver import SolverConfig, check_gates
+from .solver import SolverConfig, check_gates, check_lambdas, check_levels
 
 # lam, dt and allow_nonsurjective come from the beta and noise sections
 _DEFAULT_SOLVER = {f.name: f.default for f in fields(SolverConfig)
@@ -165,10 +165,14 @@ class ExperimentConfig:
     def _cross_checks(self):
         beta = self.data["beta"]
         n_modes = len(self.data["noise"]["modes"])
-        try:
-            check_gates(self.graph(), beta["lambda"], beta["allow_nonsurjective"])
-        except SolverError as err:
-            raise ConfigError(f"config beta: {err}")
+        gates = (self.graph(), beta["lambda"], beta["allow_nonsurjective"])
+        rules = (("beta", check_gates, gates), ("sweep", check_lambdas, (self.sweep_lambdas(),)),
+                 ("generalized", check_levels, (self.generalized_levels(),)))
+        for section, rule, args in rules:
+            try:
+                rule(*args)
+            except (SolverError, ValueError) as err:
+                raise ConfigError(f"config {section}: {err}")
         diff = self.data["diffusion"]
         params = diff["params"]
         if diff["variant"] in ("linear_spectral", "smoothed_nemytskii"):

@@ -7,8 +7,9 @@ as flat float arrays. Two inner products are used throughout:
 * the dual product  <f, g>_{-1} = <(-Lap)^{-1} f, g>_2,
 
 where ``-Lap`` is the standard second-difference Laplacian with homogeneous
-Dirichlet boundary conditions. The operator is assembled densely and
-eigendecomposed once per grid (desk-scale sizes only, see ``DEFAULT_NODE_CAP``).
+Dirichlet boundary conditions. The operator is assembled densely once per grid
+(desk-scale sizes only, see ``DEFAULT_NODE_CAP``) with its eigenpairs in closed
+form, tensor sine modes ordered and signed canonically (``build_laplacian``).
 Dual norms (``hminus1_norm_sq_rows``), the lift (-Lap)^{-1}, fractional
 smoothing (-Lap)^{-gamma} and the heat-kernel mollifier go through that
 eigenbasis as exact spectral multipliers (``spectral_apply``). The mollifier
@@ -16,18 +17,17 @@ multiplier exp(-mu/n^2) lies in (0, 1], so smoothing is a strict contraction
 of the dual norm and converges to the identity as the level n grows.
 ``solve_laplacian``, ``inner_hminus1`` and ``norm_hminus1`` solve with the
 matrix directly and cache nothing; they are the reference the eigenbasis is
-tested against. The stencil is also kept in LAPACK band layout, (2b + 1, n)
-with entry (i, j) at ``band[b + i - j, j]`` for half-bandwidth b (1 in 1D, the
-node count of the last axis in 2D); the implicit solvers build their Newton
-Jacobians from it.
+tested against. The implicit solvers build their Newton Jacobians from the
+stencil in LAPACK band layout (``DirichletLaplacian.band``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve
+from scipy.linalg import solve
 
 DEFAULT_NODE_CAP = 4096
 
@@ -67,17 +67,11 @@ class SpatialGrid:
     @property
     def weight(self) -> float:
         """Quadrature weight of one interior cell, prod of mesh widths."""
-        out = 1.0
-        for hh in self.h:
-            out *= hh
-        return out
+        return math.prod(self.h)
 
     @property
     def n_total(self) -> int:
-        out = 1
-        for n in self.n_per_axis:
-            out *= n
-        return out
+        return math.prod(self.n_per_axis)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,14 +88,16 @@ def make_grid(dim: int, n, length=1.0) -> SpatialGrid:
 
 
 class DirichletLaplacian:
-    """Dense -Lap on interior nodes with cached eigenpairs.
+    """Dense -Lap on interior nodes with its closed-form eigenpairs.
 
     ``matrix`` is the symmetric positive definite matrix of -Lap, so
-    ``matrix @ u`` discretizes -Lap(u). ``eigenvalues`` are ascending and
-    strictly positive; ``eigenvectors`` columns are orthonormal in the plain
-    Euclidean sense (divide by sqrt(grid.weight) for the L2-orthonormal
-    modes). ``band`` is the matrix in LAPACK band layout, ``band[b + i - j, j]
-    == matrix[i, j]`` with b = ``half_bandwidth``, zero in the unused corners.
+    ``matrix @ u`` discretizes -Lap(u). ``eigenvalues`` are ascending, ties by
+    mode index, and strictly positive; ``eigenvectors`` columns are orthonormal
+    in the plain Euclidean sense and positive at node 0 (divide by
+    sqrt(grid.weight) for the L2-orthonormal modes). ``band`` is the matrix in
+    LAPACK band layout, (2b + 1, n) with ``band[b + i - j, j] == matrix[i, j]``
+    for b = ``half_bandwidth`` (1 in 1D, the node count of the last axis in 2D),
+    zero in the unused corners.
     ``dual_weights`` is grid.weight / eigenvalues, the dual-norm weight of each
     eigen-coefficient. Instances are not modified after construction.
     """
@@ -126,36 +122,34 @@ class DirichletLaplacian:
         return f"DirichletLaplacian(grid={self.grid}, n={self.n})"
 
 
-def _second_difference(n: int, h: float) -> np.ndarray:
-    a = np.zeros((n, n))
-    np.fill_diagonal(a, 2.0)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = -1.0
-    a[idx + 1, idx] = -1.0
-    return a / (h * h)
+def _axis(n: int, h: float):
+    """(-1, 2, -1)/h^2 on n nodes, its eigenvalues (4/h^2) sin^2(j pi / 2(n+1)), j = 1..n,
+    and orthonormal eigenvectors sqrt(2/(n+1)) sin(i j pi / (n+1)), positive at i = 1."""
+    j = np.arange(1, n + 1)
+    mat = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / (h * h)
+    vals = 4.0 / (h * h) * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+    return mat, vals, np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
 
 
 def build_laplacian(grid: SpatialGrid, node_cap: int = DEFAULT_NODE_CAP) -> DirichletLaplacian:
-    """Assemble -Lap on the grid and eigendecompose it densely.
-
-    Raises ValueError when the grid exceeds ``node_cap`` interior nodes; the
-    dense eigensolve is intentional and capped to keep construction cheap.
-    """
+    """-Lap on the grid, nodes x-major: matrix and eigenvalues are Kronecker sums of
+    the axis ones, eigenvectors Kronecker products. Raises ValueError above
+    ``node_cap`` interior nodes, which bounds the n^2 floats of matrix and basis."""
     if grid.n_total > node_cap:
         raise ValueError(
             f"grid has {grid.n_total} interior nodes, above the dense cap {node_cap}"
         )
-    h = grid.h
-    if grid.dim == 1:
-        mat = _second_difference(grid.n_per_axis[0], h[0])
-    else:
-        ax = _second_difference(grid.n_per_axis[0], h[0])
-        ay = _second_difference(grid.n_per_axis[1], h[1])
-        mat = np.kron(ax, np.eye(grid.n_per_axis[1])) + np.kron(np.eye(grid.n_per_axis[0]), ay)
-    vals, vecs = eigh(mat)
-    if vals[0] <= 0:
-        raise ValueError(f"discrete Laplacian lost positivity: min eigenvalue {vals[0]}")
-    return DirichletLaplacian(grid, mat, vals, vecs)
+    mat, vals, vecs = np.zeros((1, 1)), np.zeros(1), np.ones((1, 1))
+    for n, h in zip(grid.n_per_axis, grid.h):
+        a, mu, v = _axis(n, h)
+        mat = np.kron(mat, np.eye(n)) + np.kron(np.eye(len(vals)), a)
+        vals, vecs = (vals[:, None] + mu).ravel(), np.kron(vecs, v)
+    # equal eigenvalues can differ in the last bits (mu_j + mu_{n+1-j} = 4/h^2), so a
+    # value within 1e-12 of the largest above its sorted predecessor ties with it
+    s = np.sort(vals)
+    tie = np.searchsorted(s[np.diff(s, prepend=-np.inf) > 1e-12 * s[-1]], vals, side="right")
+    order = np.lexsort((*np.indices(grid.shape).reshape(grid.dim, -1)[::-1], tie))
+    return DirichletLaplacian(grid, mat, vals[order], vecs[:, order])
 
 
 def _check_field(f, n, name="field"):
@@ -167,8 +161,7 @@ def _check_field(f, n, name="field"):
 
 def apply_laplacian(L: DirichletLaplacian, u) -> np.ndarray:
     """Apply Lap (negative definite): returns -(matrix @ u)."""
-    u = _check_field(u, L.n, "u")
-    return -(L.matrix @ u)
+    return -(L.matrix @ _check_field(u, L.n, "u"))
 
 
 def solve_laplacian(L: DirichletLaplacian, f) -> np.ndarray:
@@ -202,24 +195,17 @@ def hminus1_norm_sq_rows(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
 
 
 def spectral_apply(L: DirichletLaplacian, multipliers: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply the diagonal spectral operator sum_j w_j <f, phi_j>_2 phi_j.
-
-    Accepts a single field (n,) or a stack of columns (n, m).
-    """
-    f = np.asarray(f, dtype=float)
-    coeff = L.eigenvectors.T @ f
-    if f.ndim == 1:
-        return L.eigenvectors @ (multipliers * coeff)
-    return L.eigenvectors @ (multipliers[:, None] * coeff)
+    """Apply the diagonal spectral operator sum_j w_j <f, phi_j>_2 phi_j to a single
+    field (n,) or to a stack of columns (n, m)."""
+    return L.eigenvectors @ (multipliers * (L.eigenvectors.T @ f).T).T
 
 
 def smooth_gamma(f, gamma: float, L: DirichletLaplacian) -> np.ndarray:
     """Fractional smoothing (-Lap)^{-gamma}; gamma = 0 is the identity."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    f = np.asarray(f, dtype=float)
     if gamma == 0:
-        return f.copy()
+        return np.array(f, dtype=float)
     return spectral_apply(L, L.eigenvalues ** (-gamma), f)
 
 

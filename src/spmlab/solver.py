@@ -237,6 +237,22 @@ def check_gates(graph: MonotoneGraph, lam, allow_nonsurjective: bool = False):
         raise SolverError("lam = 0 requires a globally Lipschitz single-valued graph")
 
 
+def check_lambdas(lambdas) -> np.ndarray:
+    """The sweep's lambdas as floats, refused unless positive and strictly decreasing."""
+    lams = np.asarray(list(lambdas), dtype=float)
+    if len(lams) < 1 or np.any(lams <= 0) or np.any(np.diff(lams) >= 0):
+        raise ValueError("lambdas must be a strictly decreasing positive list")
+    return lams
+
+
+def check_levels(levels) -> list[int]:
+    """The mollifier levels as ints, refused unless positive and strictly increasing."""
+    levels = [int(n) for n in levels]
+    if len(levels) < 1 or any(n < 1 for n in levels) or any(np.diff(levels) <= 0):
+        raise ValueError("levels must be a strictly increasing list of positive ints")
+    return levels
+
+
 def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
                 times: Sequence[np.ndarray], gm_values: Sequence[np.ndarray], x0,
                 lam=None):
@@ -352,9 +368,7 @@ def lambda_sweep(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
                  x0: np.ndarray, gm: IntegralPath, lambdas: Sequence[float]) -> LambdaSweepReport:
     """Solve one pathwise problem for a decreasing list of regularization
     parameters in one batched march and report the convergence quantities."""
-    lams = np.asarray(list(lambdas), dtype=float)
-    if len(lams) < 1 or np.any(lams <= 0) or np.any(np.diff(lams) >= 0):
-        raise ValueError("lambdas must be a strictly decreasing positive list")
+    lams = check_lambdas(lambdas)
     states, sels = march_batch(graph, cfg, L, [gm.times] * len(lams),
                                [gm.values] * len(lams), x0, lam=lams)
     states, sels = np.stack(states), np.stack(sels)
@@ -558,9 +572,7 @@ def generalized_solve(graph: MonotoneGraph, B_rough: DiffusionCoefficient, spec:
     the mean-of-sup metrics; a failure to decrease is flagged, not raised.
     The finest-level ensemble is the generalized solution.
     """
-    levels = [int(n) for n in levels]
-    if len(levels) < 1 or any(n < 1 for n in levels) or any(np.diff(levels) <= 0):
-        raise ValueError("levels must be a strictly increasing list of positive ints")
+    levels = check_levels(levels)
     results = [picard_solve(graph, mollified(B_rough, n), spec, cfg, L, x0, paths)
                for n in levels]
     sup_mean, mean_sup = [], []

@@ -167,7 +167,13 @@ def test_grid_error_is_prefixed_once(tmp_path, capsys):
      "config diffusion: unknown transform 'foo'"),
     (['diffusion.params.coeffs=[1,"a"]'], "config diffusion: could not convert string to float"),
     (["beta.params.exponent=[1]"], "config beta: float() argument must be"),
-], ids=["index", "path", "node_cap", "transform", "coeffs", "exponent"])
+    # orders the schema cannot express, refused by the solver's own rule at load time
+    (["sweep.lambdas=[0.1,0.2]"],
+     "config sweep: lambdas must be a strictly decreasing positive list"),
+    (["generalized.levels=[4,2]"],
+     "config generalized: levels must be a strictly increasing list of positive ints"),
+], ids=["index", "path", "node_cap", "transform", "coeffs", "exponent", "sweep_order",
+        "levels_order"])
 def test_config_errors_exit_2_with_message(tmp_path, capsys, settings, message):
     argv = ["simulate-additive", "--out", str(tmp_path / "out")]
     for setting in settings:

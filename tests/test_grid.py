@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from spmlab import (
     apply_laplacian,
@@ -48,21 +49,58 @@ def test_band_layout_rebuilds_the_matrix(dim, n, b):
     np.testing.assert_array_equal(L.band[~inside], 0.0)
 
 
+def assert_true_eigenpairs(L):
+    # oracle apart from the closed form: a dense eigensolve of the assembled
+    # matrix, the eigen-equation residual and the orthonormality of the basis
+    V, lam = L.eigenvectors, L.eigenvalues
+    np.testing.assert_allclose(lam, eigh(L.matrix, eigvals_only=True), rtol=0,
+                               atol=1e-13 * lam.max())
+    assert np.linalg.norm(L.matrix @ V - V * lam) <= 1e-13 * np.linalg.norm(L.matrix)
+    np.testing.assert_allclose(V.T @ V, np.eye(L.n), rtol=0, atol=1e-13)
+
+
 def test_1d_eigenvalues_closed_form():
     # oracle: tridiagonal (-1, 2, -1)/h^2 has eigenvalues (2/h^2)(1 - cos(j pi h))
-    n = 3
-    L = build_laplacian(make_grid(1, n, 1.0))
-    h = 1.0 / (n + 1)
-    expected = np.sort([2.0 / h**2 * (1 - np.cos(j * np.pi / (n + 1))) for j in range(1, n + 1)])
-    np.testing.assert_allclose(L.eigenvalues, expected, rtol=1e-12)
+    for n in (1, 3, 15):
+        L = build_laplacian(make_grid(1, n, 1.0))
+        h = 1.0 / (n + 1)
+        expected = np.sort([2.0 / h**2 * (1 - np.cos(j * np.pi / (n + 1)))
+                            for j in range(1, n + 1)])
+        np.testing.assert_allclose(L.eigenvalues, expected, rtol=1e-12)
+        assert_true_eigenpairs(L)
 
 
 def test_2d_eigenvalues_tensor_sum_oracle():
-    L2 = build_laplacian(make_grid(2, (2, 3), (1.0, 2.0)))
-    lx = build_laplacian(make_grid(1, 2, 1.0)).eigenvalues
-    ly = build_laplacian(make_grid(1, 3, 2.0)).eigenvalues
-    expected = np.sort([a + b for a in lx for b in ly])
-    np.testing.assert_allclose(L2.eigenvalues, expected, rtol=1e-12)
+    for n, length in (((2, 3), (1.0, 2.0)), ((6, 6), (1.0, 1.0)), ((5, 7), (1.0, 1.0)),
+                      ((8, 8), (1.0, 1.0))):
+        L2 = build_laplacian(make_grid(2, n, length))
+        lx = build_laplacian(make_grid(1, n[0], length[0])).eigenvalues
+        ly = build_laplacian(make_grid(1, n[1], length[1])).eigenvalues
+        expected = np.sort([a + b for a in lx for b in ly])
+        np.testing.assert_allclose(L2.eigenvalues, expected, rtol=1e-12)
+        assert_true_eigenpairs(L2)
+
+
+@pytest.mark.parametrize("n,repeated", [((8, 8), 31), ((5, 7), 0)], ids=["8x8", "5x7"])
+def test_canonical_sine_basis(n, repeated):
+    # mode k is the tensor sine mode (i, j) of the k-th smallest eigenvalue, equal
+    # eigenvalues ordered by (i, j), and every mode is positive at node 0
+    g = make_grid(2, n, 1.0)
+    L = build_laplacian(g)
+    theta = [np.arange(1, m + 1) * np.pi / (m + 1) for m in n]
+    mu = [4.0 / hh**2 * np.sin(t / 2) ** 2 for t, hh in zip(theta, g.h)]
+    pairs = [(i, j) for i in range(n[0]) for j in range(n[1])]
+    values = np.array([mu[0][i] + mu[1][j] for i, j in pairs])
+    key = np.round(values / values.max(), 10)
+    order = sorted(range(len(pairs)), key=lambda k: (key[k], pairs[k]))
+    assert np.sum(np.diff(key[order]) == 0) == repeated
+    assert np.all(L.eigenvectors[0] > 0)
+    scale = 2.0 / np.sqrt((n[0] + 1) * (n[1] + 1) * g.weight)
+    for k, m in enumerate(order):
+        i, j = pairs[m]
+        sine = np.outer(np.sin((i + 1) * theta[0]), np.sin((j + 1) * theta[1])).ravel()
+        np.testing.assert_allclose(eigenmode(L, k), scale * sine, rtol=0, atol=1e-12)
+        assert L.eigenvalues[k] == pytest.approx(values[m], rel=1e-14)
 
 
 def test_eigenvectors_orthonormal_weighted(lap15):
@@ -189,6 +227,7 @@ def test_2x2_eigenvalues_are_pair_sums():
     expected = np.sort([a + b for a in one_d for b in one_d])
     assert len(L2.eigenvalues) == 4
     np.testing.assert_allclose(L2.eigenvalues, expected, rtol=1e-12)
+    assert_true_eigenpairs(L2)
 
 
 def test_eigenmode_index_validation(lap15):

@@ -375,6 +375,22 @@ def test_two_dimensional_solve_and_picard():
     assert res.converged
 
 
+def test_picard_is_odd_in_the_datum():
+    # PowerLaw(3) is odd and LinearSpectral linear, so -x0 on the same paths gives
+    # -X: flipping the sign of an eigenmode datum flips the solution and nothing else
+    lap6 = build_laplacian(make_grid(2, 6, 1.0))
+    cfg = SolverConfig(lam=0.05, dt=1 / 64)
+    B = LinearSpectral(coeffs=[0.6, 0.4], gamma=1.0)
+    spec = two_mode_spec()
+    paths = [sample_path(spec, 0.25, 1 / 64, rng_for(9, i)) for i in range(4)]
+    plus, minus = (picard_solve(PowerLaw(3.0), B, spec, cfg, lap6, sign * eigenmode(lap6, 0),
+                                paths) for sign in (1.0, -1.0))
+    assert plus.iterations == minus.iterations
+    for a, b in zip(plus.trajectories, minus.trajectories):
+        np.testing.assert_allclose(b.states, -a.states, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(b.selections, -a.selections, rtol=0, atol=1e-14)
+
+
 def test_implicit_step_residual_contract_stefan(lap):
     # kinked slopes exercise the damped Newton path; the post-condition is a
     # dual-norm residual below newton_tol * (1 + |rhs|)
