@@ -303,32 +303,50 @@ class IntegralPath:
         return cls(times=times, values=np.zeros((len(times), n_nodes)), integrand=None)
 
 
-def ito_sums(g_left: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Running sums sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})) of
-    the left-endpoint fields g_left (N, K, n) against the mode values
-    (K, N + 1); the result has shape (N + 1, n) and starts at zero."""
-    incr = np.einsum("jkn,kj->jn", g_left, np.diff(values, axis=1))
-    out = np.zeros((len(g_left) + 1, g_left.shape[2]))
-    np.cumsum(incr, axis=0, out=out[1:])
-    return out
+def ito_sums(g_left: np.ndarray, values: Sequence[np.ndarray]) -> list:
+    """Running sums sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})) of P
+    paths at once: values[p] holds path p's mode values (K, N_p + 1), and g_left
+    every path's left-endpoint fields stacked in path order, (sum_p N_p, K, n).
+    One einsum makes all increments and one cumsum runs along a zero-padded
+    (P, N_max + 1, n) stack; returns the per-path sums (N_p + 1, n), from zero."""
+    lengths = np.array([v.shape[1] - 1 for v in values])
+    dm = np.diff(np.concatenate(values, axis=1), axis=1)
+    # drop the differences across the seam between consecutive paths
+    dm = np.delete(dm, np.cumsum(lengths + 1)[:-1] - 1, axis=1)
+    incr = np.zeros((len(values), int(lengths.max()), g_left.shape[2]))
+    incr[np.arange(incr.shape[1]) < lengths[:, None]] = np.einsum("jkn,kj->jn", g_left, dm)
+    out = np.zeros((len(values), incr.shape[1] + 1, incr.shape[2]))
+    np.cumsum(incr, axis=1, out=out[:, 1:])
+    return [out[p, :m + 1] for p, m in enumerate(lengths)]
+
+
+def stochastic_integrals(G, paths: Sequence[MartingalePath],
+                         L: Optional[DirichletLaplacian] = None) -> list:
+    """Integrate one operator against every path: left endpoints times increments,
+
+    (G . M)(t_i) = sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})),
+
+    with G evaluated once on all paths' left endpoints (a broadcast view for a
+    constant operator) and one Ito sum for the ensemble. Exact for
+    piecewise-constant G whose breakpoints lie on the grids.
+    """
+    op = as_mode_operator(G)
+    g_left = op.at_many(np.concatenate([p.times[:-1] for p in paths]))
+    for path in paths:
+        if g_left.shape[1] != path.spec.n_modes:
+            raise ValueError(
+                f"integrand has {g_left.shape[1]} modes, path has {path.spec.n_modes}"
+            )
+    if L is not None and g_left.shape[2] != L.n:
+        raise ValueError(f"integrand fields have {g_left.shape[2]} nodes, grid has {L.n}")
+    sums = ito_sums(g_left, [p.values for p in paths])
+    return [IntegralPath(times=p.times, values=v, integrand=op) for p, v in zip(paths, sums)]
 
 
 def stochastic_integral(G, path: MartingalePath,
                         L: Optional[DirichletLaplacian] = None) -> IntegralPath:
-    """Integrate an operator against the path: left endpoints times increments.
-
-    (G . M)(t_i) = sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})).
-    Exact for piecewise-constant G whose breakpoints lie on the grid.
-    """
-    op = as_mode_operator(G)
-    g_left = op.at_many(path.times[:-1])
-    if g_left.shape[1] != path.spec.n_modes:
-        raise ValueError(
-            f"integrand has {g_left.shape[1]} modes, path has {path.spec.n_modes}"
-        )
-    if L is not None and g_left.shape[2] != L.n:
-        raise ValueError(f"integrand fields have {g_left.shape[2]} nodes, grid has {L.n}")
-    return IntegralPath(times=path.times, values=ito_sums(g_left, path.values), integrand=op)
+    """The one-path case of ``stochastic_integrals``."""
+    return stochastic_integrals(G, [path], L)[0]
 
 
 def realized_qv(G, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:

@@ -32,7 +32,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], provenance:
         fh.write(provenance + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt_value(v) for v in row) + "\n")
+            fh.write(",".join(map(fmt_value, row)) + "\n")
 
 
 def write_summary(path, lines: Sequence[str], provenance: str):

@@ -18,11 +18,15 @@ ensemble advance in lock step as one (P, n) state. Every jump grid is its own,
 so shorter grids are padded with zero-length steps that hold the driving
 integral at its last value; a padded step is an exact no-op. Per Newton
 iterate there is one resolvent solve (value, slope and selection together)
-and one banded LU (LAPACK ``?gbsv``) per path still above its target; the
-Jacobians share the band of the stencil and are built in one array
-expression. The line search backtracks per path. A single path and the public
-``implicit_step`` are the P = 1 case of the same core, and a one-node grid
-takes the same Newton iteration as any other; there is no scalar fallback.
+and a single LAPACK ``?gbsv`` call that solves the Newton systems of all
+paths still above their target: the Jacobians share the band of the stencil,
+are built in one array expression, and their stack is the band of one
+block-diagonal matrix. That single solve is exact, since the blocks share no
+entry and elimination never mixes them, so every path gets the arithmetic of
+a banded LU of its own. The march's padded grids and driving integrals come
+from one index gather. The line search backtracks per path. A single path and the public ``implicit_step``
+are the P = 1 case of the same core, and a one-node grid takes the same
+Newton iteration as any other; there is no scalar fallback.
 Each path may carry its own lam, so ``lambda_sweep`` solves its whole list in
 one march. The gates live here (``check_gates``); the config loader calls them.
 
@@ -134,19 +138,44 @@ def _dual_norms(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(hminus1_norm_sq_rows(L, rows))
 
 
+def _solve_jacobians(L: DirichletLaplacian, tau: np.ndarray, slope: np.ndarray,
+                     rhs: np.ndarray):
+    """Solve (I + tau_r*(-Lap)*diag(slope_r)) x_r = rhs_r for the k rows of rhs,
+    which is overwritten, with one LAPACK ?gbsv call; returns (x, info).
+
+    The Jacobians go into the gbsv band layout (diagonal on row 2b, rows 0..b-1
+    left for the fill-in) of a C-ordered (k, n, 3b+1) buffer, which is the
+    Fortran-ordered band of the (k n) x (k n) block-diagonal matrix of all k
+    of them: the corners of L.band outside the matrix are zero. Elimination
+    multiplies those off-block zeros by zero multipliers and partial pivoting
+    never picks them, so each block gets the arithmetic of a call of its own.
+    info > 0 is the 1-based column of the first zero pivot.
+    """
+    k, n, b = len(rhs), L.n, L.half_bandwidth
+    buf = np.zeros((k, n, 3 * b + 1))
+    ab = buf.transpose(0, 2, 1)
+    ab[:, b:] = (tau[:, None] * slope)[:, None, :] * L.band
+    ab[:, 2 * b] += 1.0
+    _, _, x, info = _gbsv(b, b, buf.reshape(k * n, 3 * b + 1).T, rhs.reshape(k * n),
+                          overwrite_ab=1, overwrite_b=1)
+    return x.reshape(k, n), info
+
+
 def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
     """Solve y + tau*(-Lap) b(y + g_next) = rhs row by row for a stack of P steps.
 
     lam, tau and tol have shape (P,), rhs and g_next (P, n). Each row runs its own
-    damped Newton iteration in lock step with the others: one banded LU on the
-    Jacobian of each row still above its target, then a line search masked
-    per row. The Jacobian is not symmetric, hence a general LU; with slopes
-    >= 0 (zero ones included, at lam = 0) it is column diagonally dominant, so
-    the LU's partial pivoting swaps no rows. Rows with a non-finite residual
-    are left untouched for the caller's guard. Returns (y, selection).
+    damped Newton iteration in lock step with the others: one block-diagonal
+    band solve (``_solve_jacobians``, a single LAPACK call) for the Jacobians
+    of all rows still above their target, which is exact because the blocks
+    share no entry, then a line search masked per row. The Jacobian is not
+    symmetric, hence a general LU; with slopes >= 0 (zero ones included, at
+    lam = 0) it is column diagonally dominant, so the LU's partial pivoting
+    swaps no rows. Rows with a non-finite residual are left untouched for the
+    caller's guard. Returns (y, selection).
     """
     mat = L.matrix
-    n, b = L.n, L.half_bandwidth
+    n = L.n
 
     def failure(j, what):
         where = "" if paths is None else f", path {paths[j]}"
@@ -164,19 +193,13 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
         act = np.flatnonzero(live & (res > target))
         if act.size == 0:
             break
-        k = act.size
         # every row active: index with a slice, which copies no rows
-        rows = slice(None) if k == len(tau) else act
-        # Jacobians I + tau*(-Lap)*diag(slope) in gbsv band layout, Fortran
-        # order per row: diagonal on row 2b, rows 0..b-1 left for the fill-in
-        ab = np.zeros((k, n, 3 * b + 1)).transpose(0, 2, 1)
-        ab[:, b:] = (tau[rows, None] * slope[rows])[:, None, :] * L.band
-        ab[:, 2 * b] += 1.0
-        delta = -res_vec[rows]  # contiguous rows, so gbsv solves each in place
-        for r in range(k):
-            info = _gbsv(b, b, ab[r], delta[r], overwrite_ab=1, overwrite_b=1)[3]
-            if info != 0:
-                raise failure(act[r], f"singular Newton Jacobian (gbsv info={info})")
+        rows = slice(None) if act.size == len(tau) else act
+        delta, info = _solve_jacobians(L, tau[rows], slope[rows], -res_vec[rows])
+        if info != 0:
+            # info is the first zero pivot's 1-based column; its block names the path
+            r = (info - 1) // n
+            raise failure(act[r], f"singular Newton Jacobian (gbsv info={info - r * n})")
         # line search per row; rows that accept leave the pending set, so y,
         # res and the others still hold the pending rows' current iterate
         pending = act
@@ -272,19 +295,18 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     lam = np.broadcast_to(np.asarray(cfg.lam if lam is None else lam, dtype=float), (n_paths,))
     check_gates(graph, lam, cfg.allow_nonsurjective)
     steps = np.array([len(t) - 1 for t in times])
+    for m, vals in zip(steps.tolist(), gm_values):
+        if np.shape(vals) != (m + 1, L.n):
+            raise ValueError(f"gm values must have shape {(m + 1, L.n)}, got {np.shape(vals)}")
     n_max = int(steps.max())
-    taus = np.zeros((n_paths, n_max))
-    gm = np.empty((n_paths, n_max + 1, L.n))
-    for p in range(n_paths):
-        m = steps[p]
-        vals = np.asarray(gm_values[p], dtype=float)
-        if vals.shape != (m + 1, L.n):
-            raise ValueError(f"gm values must have shape {(m + 1, L.n)}, got {vals.shape}")
-        taus[p, :m] = np.diff(np.asarray(times[p], dtype=float))
-        if np.any(taus[p, :m] <= 0):
-            raise ValueError("time grids must be strictly increasing")
-        gm[p, :m + 1] = vals
-        gm[p, m + 1:] = vals[-1]
+    # padded step i of path p reads its grid point min(i, steps[p]), one gather
+    # into the concatenated grids and values; a padded step has tau = 0
+    first = np.cumsum(steps + 1) - (steps + 1)
+    at = first[:, None] + np.minimum(np.arange(n_max + 1), steps[:, None])
+    taus = np.diff(np.concatenate(times, dtype=float)[at], axis=1)
+    if np.any(taus[np.arange(n_max) < steps[:, None]] <= 0):
+        raise ValueError("time grids must be strictly increasing")
+    gm = np.concatenate(gm_values, dtype=float)[at]
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, L.n))
 
     states = np.empty_like(gm)
@@ -404,12 +426,11 @@ class PicardResult:
 
 
 def _window_plan_checks(paths: Sequence[MartingalePath]):
-    base = paths[0].times[paths[0].base_indices]
-    for p in paths[1:]:
-        other = p.times[p.base_indices]
-        if len(other) != len(base) or not np.allclose(other, base, rtol=0, atol=1e-12):
-            raise ValueError("all paths must share the same uniform base grid")
-    return base
+    bases = [p.times[p.base_indices] for p in paths]
+    if (any(len(b) != len(bases[0]) for b in bases)
+            or not np.allclose(np.stack(bases), bases[0], rtol=0, atol=1e-12)):
+        raise ValueError("all paths must share the same uniform base grid")
+    return bases[0]
 
 
 def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
@@ -463,8 +484,7 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
         for _ in range(cfg.picard_max_iter):
             # one coefficient evaluation for the left limits of every path
             lefts = B.mode_fields_batch(np.concatenate([it[:-1] for it in iterate]), L)
-            lefts = np.split(lefts, np.cumsum([len(it) - 1 for it in iterate])[:-1])
-            gms = [ito_sums(g, p.values[:, sp]) for g, p, sp in zip(lefts, paths, spans)]
+            gms = ito_sums(lefts, [p.values[:, sp] for p, sp in zip(paths, spans)])
             new_states, new_sels = march_batch(
                 graph, cfg, L, [p.times[sp] for p, sp in zip(paths, spans)], gms,
                 np.stack([it[0] for it in iterate]))

@@ -34,7 +34,7 @@ from .noise import (
     as_mode_operator,
     lipschitz_constant,
     sample_ensemble,
-    stochastic_integral,
+    stochastic_integrals,
 )
 from .solver import (
     SolverConfig,
@@ -116,8 +116,8 @@ def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed
                L: DirichletLaplacian, margin_sigmas: float = 3.0) -> VerificationReport:
     """E sup_t |G.M(t)|^2 against 4 E |G.M(T)|^2, paired over one ensemble."""
     t0 = time.perf_counter()
-    values = [stochastic_integral(G, p, L).values
-              for p in sample_ensemble(spec, horizon, dt, n_paths, seed)]
+    paths = sample_ensemble(spec, horizon, dt, n_paths, seed)
+    values = [ig.values for ig in stochastic_integrals(G, paths, L)]
     sup_sq = path_sup_norms_sq(L, values)
     fin_sq = hminus1_norm_sq_rows(L, np.stack([v[-1] for v in values]))
     diff = sup_sq - 4.0 * fin_sq
@@ -131,9 +131,9 @@ def check_isometry(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, 
     """E |G.M(T)|^2 against the exact integrand budget."""
     t0 = time.perf_counter()
     target = expected_quadratic_budget(G, spec, horizon, L)
-    fin_sq = hminus1_norm_sq_rows(L, np.stack([
-        stochastic_integral(G, p, L).values[-1]
-        for p in sample_ensemble(spec, horizon, dt, n_paths, seed)]))
+    paths = sample_ensemble(spec, horizon, dt, n_paths, seed)
+    fin_sq = hminus1_norm_sq_rows(
+        L, np.stack([ig.values[-1] for ig in stochastic_integrals(G, paths, L)]))
     return _report("isometry", "identity", float(fin_sq.mean()), target, _std_err(fin_sq),
                    margin_sigmas, n_paths, t0)
 
@@ -166,7 +166,7 @@ def _paired_differences(graph, cfg, L, paths, data1, data2):
     """X1 - X2 per path, both data solved on each path's grid in one batched march."""
     (x1, op1), (x2, op2) = data1, data2
     times = [p.times for p in paths]
-    gms = [stochastic_integral(op, p, L).values for op in (op1, op2) for p in paths]
+    gms = [ig.values for op in (op1, op2) for ig in stochastic_integrals(op, paths, L)]
     x0 = np.concatenate([np.tile(x1, (len(paths), 1)), np.tile(x2, (len(paths), 1))])
     states, _ = march_batch(graph, cfg, L, times + times, gms, x0)
     return [a - b for a, b in zip(states[:len(paths)], states[len(paths):])]

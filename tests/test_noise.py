@@ -28,6 +28,7 @@ from spmlab import (
     solve_laplacian,
     stochastic_integral,
 )
+from spmlab.noise import MartingalePath, stochastic_integrals
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +174,66 @@ def test_step_operator_left_limits(lap):
     expected = np.where((t <= 0.5)[:, None], np.outer(m, g1),
                         np.outer(m[k], g1) + np.outer(m - m[k], g2))
     np.testing.assert_allclose(gm.values, expected, atol=1e-12)
+
+
+def ragged_paths(spec):
+    # three paths on [0, 1/2] with 0, 1 and 3 jump times inserted into the
+    # base grid, so their grids have 5, 6 and 8 points
+    base = np.linspace(0.0, 0.5, 5)
+    rng = np.random.default_rng(23)
+    paths = []
+    for jumps in ([], [0.3], [0.05, 0.2, 0.45]):
+        times = np.unique(np.concatenate([base, jumps]))
+        values = np.zeros((spec.n_modes, len(times)))
+        np.cumsum(rng.standard_normal((spec.n_modes, len(times) - 1)), axis=1,
+                  out=values[:, 1:])
+        idx = np.searchsorted(times, jumps).astype(int)
+        paths.append(MartingalePath(
+            spec=spec, times=times, values=values, jump_indices=idx,
+            jump_modes=np.zeros(len(idx), dtype=int),
+            jump_sizes=values[0, idx] - values[0, idx - 1],
+            base_indices=np.searchsorted(times, base)))
+    return paths
+
+
+def ito_reference(op, path, n):
+    # sum_j sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})), one term at a time
+    out = np.zeros((len(path.times), n))
+    for j in range(1, len(path.times)):
+        g = op.at_many(path.times[j - 1:j])[0]
+        incr = np.zeros(n)
+        for k in range(path.spec.n_modes):
+            incr = incr + g[k] * (path.values[k, j] - path.values[k, j - 1])
+        out[j] = out[j - 1] + incr if j > 1 else incr
+    return out
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_stochastic_integrals_match_explicit_sums(lap, n_modes):
+    spec = make_noise_spec([NoiseMode(wiener_vol=1.0)] * n_modes)
+    paths = ragged_paths(spec)
+    assert [len(p.jump_indices) for p in paths] == [0, 1, 3]
+    assert [len(p.times) for p in paths] == [5, 6, 8]
+    rng = np.random.default_rng(29)
+    constant = ConstantOperator(rng.standard_normal((n_modes, lap.n)))
+    # two pieces that switch at a jump time of the last path
+    step = StepOperator([0.0, 0.2, 0.5], rng.standard_normal((2, n_modes, lap.n)))
+    for op in (constant, step):
+        integrals = stochastic_integrals(op, paths, lap)
+        for path, ig in zip(paths, integrals):
+            assert ig.integrand is op and ig.times is path.times
+            np.testing.assert_array_equal(ig.values, ito_reference(op, path, lap.n))
+            np.testing.assert_array_equal(stochastic_integral(op, path, lap).values, ig.values)
+
+
+def test_stochastic_integrals_mode_and_node_errors(lap):
+    paths = ragged_paths(make_noise_spec([NoiseMode(wiener_vol=1.0)] * 2))
+    with pytest.raises(ValueError, match="integrand has 3 modes, path has 2"):
+        stochastic_integrals(np.ones((3, lap.n)), paths, lap)
+    with pytest.raises(ValueError, match="integrand fields have 4 nodes, grid has 15"):
+        stochastic_integrals(np.ones((2, 4)), paths, lap)
+    with pytest.raises(ValueError, match="integrand has 1 modes, path has 2"):
+        stochastic_integral(np.ones((1, lap.n)), paths[1], lap)
 
 
 def test_realized_qv_cases(lap):

@@ -478,6 +478,50 @@ def test_singular_newton_jacobian_raises_with_step_details(lap1):
     with pytest.raises(SolverError, match=r"singular Newton Jacobian .*n=1, path 1\)"):
         march_batch(graph, SolverConfig(lam=0.0, dt=0.125), lap1, times, gms,
                     np.array([[0.0], [1.0]]))
+    # all three paths are pending in one stacked band solve and only the
+    # middle one steps by tau = 1/8; it is named with its own pivot column
+    times = [np.array([0.0, 0.1]), np.array([0.0, 0.125]), np.array([0.0, 0.1])]
+    with pytest.raises(SolverError, match=r"singular Newton Jacobian \(gbsv info=1\) "
+                                          r"\(tau=1\.250e-01, .*n=1, path 1\)"):
+        march_batch(graph, SolverConfig(lam=0.0, dt=0.1), lap1, times,
+                    [np.zeros((2, 1))] * 3, np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1), (1, 15), (2, (6, 6)), (2, (5, 7)), (2, (7, 5))],
+                         ids=["1d1", "1d15", "2d6x6", "2d5x7", "2d7x5"])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_stacked_band_solve_matches_per_row_solves(dim, n, k):
+    L = build_laplacian(make_grid(dim, n, 1.0))
+    b = L.half_bandwidth
+    rng = np.random.default_rng(11 + k)
+    tau = rng.uniform(1e-3, 0.1, k)
+    slope = rng.uniform(0.05, 20.0, (k, L.n))
+    slope[:, ::3] = 0.0
+    rhs = rng.standard_normal((k, L.n))
+    x, info = solver._solve_jacobians(L, tau, slope, rhs.copy())
+    assert info == 0
+    for r in range(k):
+        ab = np.zeros((L.n, 3 * b + 1)).T
+        ab[b:] = tau[r] * slope[r] * L.band
+        ab[2 * b] += 1.0
+        alone = solver._gbsv(b, b, ab, rhs[r].copy(), overwrite_ab=1, overwrite_b=1)
+        assert alone[3] == 0
+        np.testing.assert_array_equal(x[r], alone[2])
+
+
+def test_singular_block_names_its_pending_path(lap, monkeypatch):
+    # a stand-in gbsv reports a zero pivot in column 3 of the third block; path 0
+    # starts at its solution, so the pending paths are 1, 2, 3 and path 3 is named
+    def singular_gbsv(kl, ku, ab, b, **kwargs):
+        return ab, None, b, 2 * lap.n + 3
+
+    monkeypatch.setattr(solver, "_gbsv", singular_gbsv)
+    times, gms, x0 = ragged_ensemble(lap)
+    times, gms = [times[0]] + times, [np.zeros_like(gms[0])] + gms
+    x0 = np.concatenate([np.zeros((1, lap.n)), x0])
+    with pytest.raises(SolverError, match=r"singular Newton Jacobian \(gbsv info=3\) "
+                                          r".*n=15, path 3\)"):
+        march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, times, gms, x0)
 
 
 def ragged_ensemble(lap):
@@ -556,6 +600,33 @@ def test_march_batch_rejects_mixed_lambda(lap):
             march_batch(Linear(1.0), cfg, lap, times, gms, x0, lam=lams)
 
 
+def test_march_batch_rejects_bad_grids(lap):
+    times, gms, x0 = ragged_ensemble(lap)
+    cfg = SolverConfig(lam=0.05, dt=1 / 32)
+    bad = [gms[0], gms[1][:-1], gms[2]]
+    with pytest.raises(ValueError, match=r"gm values must have shape \(10, 15\), got \(9, 15\)"):
+        march_batch(PowerLaw(3.0), cfg, lap, times, bad, x0)
+    # a repeated time on the longest grid; the others are padded with
+    # zero-length steps, which are not refused
+    bad = [times[0], times[1], times[2].copy()]
+    bad[2][4] = bad[2][3]
+    with pytest.raises(ValueError, match="time grids must be strictly increasing"):
+        march_batch(PowerLaw(3.0), cfg, lap, bad, gms, x0)
+
+
+def test_picard_rejects_paths_off_the_shared_base_grid(lap):
+    spec = two_mode_spec()
+    cfg = SolverConfig(lam=0.05, dt=1 / 32)
+    B = LinearSpectral(coeffs=[0.5, 0.3], gamma=1.0)
+    path = sample_path(spec, 0.25, 1 / 32, rng_for(3, 0))
+    # a base grid of another length is refused before any stacking, and one
+    # of the same length (9 points) with other times by the comparison
+    for other in (sample_path(spec, 0.5, 1 / 32, rng_for(3, 1)),
+                  sample_path(spec, 0.5, 1 / 16, rng_for(3, 1))):
+        with pytest.raises(ValueError, match="all paths must share the same uniform base grid"):
+            picard_solve(PowerLaw(3.0), B, spec, cfg, lap, eigenmode(lap, 0), [path, other])
+
+
 def test_march_batch_nan_in_driving_integral_names_time_and_path(lap):
     times, gms, x0 = ragged_ensemble(lap)
     gms[2][5, 3] = np.nan
@@ -599,12 +670,15 @@ def test_one_node_fallback_solves_only_the_failing_paths(lap1):
             assert states[p][i + 1, 0] == pytest.approx(y + g[i + 1], abs=1e-9)
 
 
-@pytest.mark.parametrize("n_paths, expected", [(1, {"band_lus": 96, "drifts": 129}),
-                                               (8, {"band_lus": 778, "drifts": 135})])
+@pytest.mark.parametrize("n_paths, expected",
+                         [(1, {"band_lus": 96, "lapack_calls": 96, "drifts": 129}),
+                          (8, {"band_lus": 778, "lapack_calls": 101, "drifts": 135})])
 def test_newton_work_is_pinned(lap, monkeypatch, n_paths, expected):
-    # band LUs and drift evaluations of a fixed march, as counted before the
-    # Newton iterate was streamlined; the same algorithm does the same work
+    # band LUs (Jacobian rows factored) and drift evaluations of a fixed march,
+    # as counted before the Newton iterate was streamlined; the same algorithm
+    # does the same work. All rows of one Newton iterate share one LAPACK call
     counts = dict.fromkeys(expected, 0)
+    gbsv = solver._gbsv
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -612,7 +686,11 @@ def test_newton_work_is_pinned(lap, monkeypatch, n_paths, expected):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(solver, "_gbsv", counted("band_lus", solver._gbsv))
+    def counted_gbsv(kl, ku, ab, b, **kwargs):
+        counts["band_lus"] += len(b) // lap.n
+        return gbsv(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(solver, "_gbsv", counted("lapack_calls", counted_gbsv))
     monkeypatch.setattr(solver, "_drift", counted("drifts", solver._drift))
     # closed-form sine modes, so nothing depends on the eigenvector signs of LAPACK
     x = np.arange(1, lap.n + 1) / (lap.n + 1)
