@@ -35,7 +35,6 @@ from .noise import (
 from .reporting import fmt_value, provenance_line, report_table, write_csv, write_summary
 from .solver import (
     additive_path_solve,
-    base_grid_norms_sq,
     contraction_time_limit,
     generalized_solve,
     lambda_sweep,
@@ -132,8 +131,8 @@ def _cmd_simulate_additive(ctx: _Context):
 @_command("simulate-multiplicative")
 def _cmd_simulate_multiplicative(ctx: _Context):
     cfg, prov = ctx.cfg, ctx.prov
-    paths = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
-    res = picard_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0, paths)
+    ens = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
+    res = picard_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0, ens)
 
     rows = []
     for w, ((t0, t1), dists, factors) in enumerate(
@@ -145,8 +144,7 @@ def _cmd_simulate_multiplicative(ctx: _Context):
               ["window", "t_start", "t_end", "iteration", "distance_sq", "factor"],
               rows, prov)
 
-    sq = base_grid_norms_sq(ctx.L, [traj.states for traj in res.trajectories],
-                            [p.base_indices for p in paths])
+    sq = hminus1_norm_sq_rows(ctx.L, ens.at_base(res.states))
     write_csv(ctx.out("ensemble_norms.csv"), ["time", "mean_sq_dual_norm"],
               list(zip(res.base_times, sq.mean(axis=0))), prov)
     _write_trajectory(ctx.out("trajectory0.csv"), res.trajectories[0], prov)
@@ -186,9 +184,9 @@ def _cmd_lambda_sweep(ctx: _Context):
 @_command("generalized")
 def _cmd_generalized(ctx: _Context):
     cfg = ctx.cfg
-    paths = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
+    ens = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
     res = generalized_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0,
-                            cfg.generalized_levels(), paths)
+                            cfg.generalized_levels(), ens)
 
     rows = zip(res.levels, [None, *res.sup_mean_distances], [None, *res.mean_sup_distances])
     write_csv(ctx.out("levels.csv"),

@@ -186,12 +186,13 @@ def norm_hminus1(f, L: DirichletLaplacian) -> float:
 
 
 def hminus1_norm_sq_rows(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
-    """Squared dual norms of many fields at once; rows has shape (m, n)."""
+    """Squared dual norms of many fields at once; rows has shape (m, n) or, for
+    a stack such as a held ensemble, (..., n), and the result drops the last axis."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != L.n:
-        raise ValueError(f"rows must have {L.n} columns, got {rows.shape[1]}")
-    coeff = rows @ L.eigenvectors
-    return (coeff * coeff) @ L.dual_weights
+    if rows.shape[-1] != L.n:
+        raise ValueError(f"rows must have {L.n} columns, got {rows.shape[-1]}")
+    coeff = rows.reshape(-1, L.n) @ L.eigenvectors
+    return ((coeff * coeff) @ L.dual_weights).reshape(rows.shape[:-1])
 
 
 def spectral_apply(L: DirichletLaplacian, multipliers: np.ndarray, f: np.ndarray) -> np.ndarray:

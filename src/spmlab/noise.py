@@ -18,6 +18,13 @@ finite sum with no time-discretization error. Sampling is deterministic per
 (``ConstantOperator``) or piecewise constant in time (``StepOperator``); a
 plain (K, n) array stands for a constant one.
 
+An ensemble of P paths has one layout from sampling to the march, the held
+layout built by ``hold_ensemble``: the grids are one (P, N+1) array, N the
+most steps of any path, each row held at its path's final time after its last
+step, so held steps have length zero; mode values (P, N+1, K) and driving
+integrals, states and selections (P, N+1, n) are held at their last row. A sup
+over a path is a max along axis 1, its final value row -1.
+
 Diffusion coefficients map a stack of state fields to one field per mode and
 state (``mode_fields_batch``, the one method each variant implements); the
 built-in variants are a state-independent family, a spectrally smoothed linear
@@ -237,10 +244,58 @@ def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
     )
 
 
+@dataclass(frozen=True)
+class HeldEnsemble:
+    """P paths in the held layout: ``times`` (P, N+1), mode ``values``
+    (P, N+1, K) and the shared base grid's ``base_indices`` (P, n_base+1)."""
+
+    times: np.ndarray
+    values: np.ndarray
+    base_indices: np.ndarray
+
+    def at_base(self, held: np.ndarray) -> np.ndarray:
+        """The base-grid rows of a held (P, N+1, ...) array, (P, n_base+1, ...)."""
+        return held[np.arange(len(held))[:, None], self.base_indices]
+
+
+def held_steps(times: np.ndarray) -> np.ndarray:
+    """Step count of each held grid (P, N+1): its points before the final time."""
+    return np.count_nonzero(times < times[:, -1:], axis=1)
+
+
+def hold_tails(steps: np.ndarray, *arrays: np.ndarray) -> None:
+    """Hold each (P, N+1, ...) array at row steps[p] after it, in place."""
+    tail = np.arange(arrays[0].shape[1]) > steps[:, None]
+    p = np.nonzero(tail)[0]
+    for a in arrays:
+        a[tail] = a[p, steps[p]]
+
+
+def hold_ensemble(paths) -> HeldEnsemble:
+    """The held layout of a list of paths on one base grid, from one index
+    gather: held row i of path p is its grid point min(i, N_p). A held
+    ensemble is returned as it is."""
+    if isinstance(paths, HeldEnsemble):
+        return paths
+    if len(paths) == 0:
+        raise ValueError("need at least one path")
+    bases = [p.times[p.base_indices] for p in paths]
+    if (any(len(b) != len(bases[0]) for b in bases)
+            or not np.allclose(np.stack(bases), bases[0], rtol=0, atol=1e-12)):
+        raise ValueError("all paths must share the same uniform base grid")
+    steps = np.array([len(p.times) - 1 for p in paths])
+    at = (np.cumsum(steps + 1) - (steps + 1))[:, None] + np.minimum(
+        np.arange(steps.max() + 1), steps[:, None])
+    return HeldEnsemble(times=np.concatenate([p.times for p in paths])[at],
+                        values=np.concatenate([p.values.T for p in paths])[at],
+                        base_indices=np.stack([p.base_indices for p in paths]))
+
+
 def sample_ensemble(spec: NoiseSpec, horizon: float, base_dt: float, n_paths: int,
-                    master_seed: int) -> list:
+                    master_seed: int) -> HeldEnsemble:
     """Paths 0, ..., n_paths - 1 under one master seed, each from its own stream."""
-    return [sample_path(spec, horizon, base_dt, rng_for(master_seed, i)) for i in range(n_paths)]
+    return hold_ensemble([sample_path(spec, horizon, base_dt, rng_for(master_seed, i))
+                          for i in range(n_paths)])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +308,7 @@ class ConstantOperator:
         self.fields = np.atleast_2d(np.asarray(fields, dtype=float))
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.fields, (len(ts),) + self.fields.shape)
+        return np.broadcast_to(self.fields, np.shape(ts) + self.fields.shape)
 
 
 class StepOperator:
@@ -303,50 +358,42 @@ class IntegralPath:
         return cls(times=times, values=np.zeros((len(times), n_nodes)), integrand=None)
 
 
-def ito_sums(g_left: np.ndarray, values: Sequence[np.ndarray]) -> list:
+def ito_sums(g_left: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Running sums sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})) of P
-    paths at once: values[p] holds path p's mode values (K, N_p + 1), and g_left
-    every path's left-endpoint fields stacked in path order, (sum_p N_p, K, n).
-    One einsum makes all increments and one cumsum runs along a zero-padded
-    (P, N_max + 1, n) stack; returns the per-path sums (N_p + 1, n), from zero."""
-    lengths = np.array([v.shape[1] - 1 for v in values])
-    dm = np.diff(np.concatenate(values, axis=1), axis=1)
-    # drop the differences across the seam between consecutive paths
-    dm = np.delete(dm, np.cumsum(lengths + 1)[:-1] - 1, axis=1)
-    incr = np.zeros((len(values), int(lengths.max()), g_left.shape[2]))
-    incr[np.arange(incr.shape[1]) < lengths[:, None]] = np.einsum("jkn,kj->jn", g_left, dm)
-    out = np.zeros((len(values), incr.shape[1] + 1, incr.shape[2]))
+    paths at once, held (P, N+1, n) from zero: values holds the mode values
+    (P, N+1, K) and g_left the left-endpoint fields (P, N, K, n). A held step
+    has no increment, so the sums are held too. One einsum makes all increments
+    and one cumsum runs along the steps."""
+    incr = np.einsum("pjkn,pjk->pjn", g_left, np.diff(values, axis=1))
+    out = np.zeros((incr.shape[0], incr.shape[1] + 1, incr.shape[2]))
     np.cumsum(incr, axis=1, out=out[:, 1:])
-    return [out[p, :m + 1] for p, m in enumerate(lengths)]
+    return out
 
 
-def stochastic_integrals(G, paths: Sequence[MartingalePath],
-                         L: Optional[DirichletLaplacian] = None) -> list:
-    """Integrate one operator against every path: left endpoints times increments,
+def stochastic_integrals(G, paths, L: Optional[DirichletLaplacian] = None) -> np.ndarray:
+    """Integrate one operator against every path of an ensemble (held, or a
+    list of paths), held (P, N+1, n): left endpoints times increments,
 
     (G . M)(t_i) = sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})),
 
-    with G evaluated once on all paths' left endpoints (a broadcast view for a
+    with G evaluated once on all held left endpoints (a broadcast view for a
     constant operator) and one Ito sum for the ensemble. Exact for
     piecewise-constant G whose breakpoints lie on the grids.
     """
-    op = as_mode_operator(G)
-    g_left = op.at_many(np.concatenate([p.times[:-1] for p in paths]))
-    for path in paths:
-        if g_left.shape[1] != path.spec.n_modes:
-            raise ValueError(
-                f"integrand has {g_left.shape[1]} modes, path has {path.spec.n_modes}"
-            )
-    if L is not None and g_left.shape[2] != L.n:
-        raise ValueError(f"integrand fields have {g_left.shape[2]} nodes, grid has {L.n}")
-    sums = ito_sums(g_left, [p.values for p in paths])
-    return [IntegralPath(times=p.times, values=v, integrand=op) for p, v in zip(paths, sums)]
+    ens = hold_ensemble(paths)
+    g_left = as_mode_operator(G).at_many(ens.times[:, :-1])
+    if g_left.shape[-2] != ens.values.shape[2]:
+        raise ValueError(f"integrand has {g_left.shape[-2]} modes, path has {ens.values.shape[2]}")
+    if L is not None and g_left.shape[-1] != L.n:
+        raise ValueError(f"integrand fields have {g_left.shape[-1]} nodes, grid has {L.n}")
+    return ito_sums(g_left, ens.values)
 
 
 def stochastic_integral(G, path: MartingalePath,
                         L: Optional[DirichletLaplacian] = None) -> IntegralPath:
-    """The one-path case of ``stochastic_integrals``."""
-    return stochastic_integrals(G, [path], L)[0]
+    """The one-path case of ``stochastic_integrals``, keeping its integrand."""
+    op = as_mode_operator(G)
+    return IntegralPath(path.times, stochastic_integrals(op, [path], L)[0], op)
 
 
 def realized_qv(G, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:
@@ -357,11 +404,9 @@ def realized_qv(G, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:
     A jump at times[i] sees the integrand at the left endpoint times[i - 1].
     """
     g_left = as_mode_operator(G).at_many(path.times[:-1])
-    n_steps, n_modes, _ = g_left.shape
     vols_sq = np.array([m.wiener_vol**2 for m in path.spec.modes])
 
-    norms = hminus1_norm_sq_rows(L, g_left.reshape(n_steps * n_modes, -1))
-    norms = norms.reshape(n_steps, n_modes)
+    norms = hminus1_norm_sq_rows(L, g_left)  # (n_steps, n_modes)
     incr = (norms @ vols_sq) * np.diff(path.times)
     steps = path.jump_indices - 1
     np.add.at(incr, steps, path.jump_sizes**2 * norms[steps, path.jump_modes])

@@ -38,12 +38,10 @@ from .noise import (
 )
 from .solver import (
     SolverConfig,
-    base_grid_norms_sq,
     contraction_time_limit,
     ensemble_mean_sup_sq,
     lambda_sweep,
     march_batch,
-    path_sup_norms_sq,
     picard_solve,
 )
 
@@ -116,10 +114,9 @@ def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed
                L: DirichletLaplacian, margin_sigmas: float = 3.0) -> VerificationReport:
     """E sup_t |G.M(t)|^2 against 4 E |G.M(T)|^2, paired over one ensemble."""
     t0 = time.perf_counter()
-    paths = sample_ensemble(spec, horizon, dt, n_paths, seed)
-    values = [ig.values for ig in stochastic_integrals(G, paths, L)]
-    sup_sq = path_sup_norms_sq(L, values)
-    fin_sq = hminus1_norm_sq_rows(L, np.stack([v[-1] for v in values]))
+    values = stochastic_integrals(G, sample_ensemble(spec, horizon, dt, n_paths, seed), L)
+    sup_sq = hminus1_norm_sq_rows(L, values).max(axis=1)
+    fin_sq = hminus1_norm_sq_rows(L, values[:, -1])
     diff = sup_sq - 4.0 * fin_sq
     return _report("doob", "inequality", float(sup_sq.mean()), 4.0 * float(fin_sq.mean()),
                    _std_err(diff), margin_sigmas, n_paths, t0,
@@ -131,9 +128,8 @@ def check_isometry(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, 
     """E |G.M(T)|^2 against the exact integrand budget."""
     t0 = time.perf_counter()
     target = expected_quadratic_budget(G, spec, horizon, L)
-    paths = sample_ensemble(spec, horizon, dt, n_paths, seed)
-    fin_sq = hminus1_norm_sq_rows(
-        L, np.stack([ig.values[-1] for ig in stochastic_integrals(G, paths, L)]))
+    ens = sample_ensemble(spec, horizon, dt, n_paths, seed)
+    fin_sq = hminus1_norm_sq_rows(L, stochastic_integrals(G, ens, L)[:, -1])
     return _report("isometry", "identity", float(fin_sq.mean()), target, _std_err(fin_sq),
                    margin_sigmas, n_paths, t0)
 
@@ -153,23 +149,21 @@ def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     bound = float(hminus1_norm_sq_rows(L, (x1 - x2)[None, :])[0])
     bound += expected_quadratic_budget(diff_op, spec, horizon, L)
 
-    paths = sample_ensemble(spec, horizon, cfg.dt, n_paths, seed)
-    diffs = _paired_differences(graph, cfg, L, paths, (x1, op1), (x2, op2))
-    sq = base_grid_norms_sq(L, diffs, [p.base_indices for p in paths])
+    ens = sample_ensemble(spec, horizon, cfg.dt, n_paths, seed)
+    diffs = _paired_differences(graph, cfg, L, ens, (x1, op1), (x2, op2))
+    sq = hminus1_norm_sq_rows(L, ens.at_base(diffs))
     mean = sq.mean(axis=0)
     idx = int(np.argmax(mean))
     return _report(name, "inequality", float(mean[idx]), bound, _std_err(sq[:, idx]),
                    margin_sigmas, n_paths, t0, notes=f"argmax_t={idx}")
 
 
-def _paired_differences(graph, cfg, L, paths, data1, data2):
-    """X1 - X2 per path, both data solved on each path's grid in one batched march."""
-    (x1, op1), (x2, op2) = data1, data2
-    times = [p.times for p in paths]
-    gms = [ig.values for op in (op1, op2) for ig in stochastic_integrals(op, paths, L)]
-    x0 = np.concatenate([np.tile(x1, (len(paths), 1)), np.tile(x2, (len(paths), 1))])
-    states, _ = march_batch(graph, cfg, L, times + times, gms, x0)
-    return [a - b for a, b in zip(states[:len(paths)], states[len(paths):])]
+def _paired_differences(graph, cfg, L, ens, data1, data2):
+    """Held X1 - X2, both data solved on each path's grid in one batched march."""
+    gms = np.concatenate([stochastic_integrals(op, ens, L) for _, op in (data1, data2)])
+    x0 = np.repeat(np.stack([data1[0], data2[0]]), len(ens.times), axis=0)
+    states, _ = march_batch(graph, cfg, L, np.tile(ens.times, (2, 1)), gms, x0)
+    return np.subtract(*np.split(states, 2))
 
 
 def _difference_operator(op1, op2):
@@ -230,9 +224,9 @@ def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noise
     reports = []
     for T0 in T0_list:
         t0 = time.perf_counter()
-        paths = sample_ensemble(spec, T0, cfg.dt, n_paths, seed)
-        sup_sq = path_sup_norms_sq(
-            L, _paired_differences(graph, cfg, L, paths, (x0, op1), (x0, op2)))
+        ens = sample_ensemble(spec, T0, cfg.dt, n_paths, seed)
+        sup_sq = hminus1_norm_sq_rows(
+            L, _paired_differences(graph, cfg, L, ens, (x0, op1), (x0, op2))).max(axis=1)
         factor = float(sup_sq.mean()) / denom
         se = _std_err(sup_sq) / denom
         bound = k_est * T0 * modulus_coeff
@@ -269,10 +263,10 @@ def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noi
 
     ratios = []
     for run, seed_run in enumerate((seed, seed + 1)):
-        paths = sample_ensemble(spec, horizon, cfg.dt, n_paths, seed_run)
-        r1 = picard_solve(graph, B, spec, cfg, L, y1, paths)
-        r2 = picard_solve(graph, B, spec, cfg, L, y2, paths)
-        ratios.append(ensemble_mean_sup_sq(r1.trajectories, r2.trajectories, L) / denom)
+        ens = sample_ensemble(spec, horizon, cfg.dt, n_paths, seed_run)
+        r1 = picard_solve(graph, B, spec, cfg, L, y1, ens)
+        r2 = picard_solve(graph, B, spec, cfg, L, y2, ens)
+        ratios.append(ensemble_mean_sup_sq(r1.states, r2.states, L) / denom)
     spread = abs(ratios[0] - ratios[1])
     scale = max(ratios)
     passed = np.isfinite(ratios).all() and spread <= stability_tol * scale

@@ -14,3 +14,20 @@ def test_readme_library_sketch_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     printed = float(capsys.readouterr().out)
     assert np.isfinite(printed) and printed > 0.0
+
+
+def test_readme_module_names_resolve():
+    # every backticked `module.name` that names an spmlab module must exist
+    # there, so a rename cannot leave the README stale
+    import importlib
+    import pkgutil
+
+    import spmlab
+
+    modules = {m.name for m in pkgutil.iter_modules(spmlab.__path__)}
+    refs = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", README.read_text())
+            if mod in modules]
+    assert len(refs) >= 3
+    missing = [f"{mod}.{name}" for mod, name in refs
+               if not hasattr(importlib.import_module(f"spmlab.{mod}"), name)]
+    assert missing == []

@@ -220,10 +220,16 @@ def test_stochastic_integrals_match_explicit_sums(lap, n_modes):
     step = StepOperator([0.0, 0.2, 0.5], rng.standard_normal((2, n_modes, lap.n)))
     for op in (constant, step):
         integrals = stochastic_integrals(op, paths, lap)
-        for path, ig in zip(paths, integrals):
+        assert integrals.shape == (3, 8, lap.n)
+        for path, values in zip(paths, integrals):
+            m = len(path.times)
+            np.testing.assert_array_equal(values[:m], ito_reference(op, path, lap.n))
+            # every row after the path's last step holds its last row, bit for bit
+            np.testing.assert_array_equal(values[m:], np.broadcast_to(values[m - 1],
+                                                                      values[m:].shape))
+            ig = stochastic_integral(op, path, lap)
             assert ig.integrand is op and ig.times is path.times
-            np.testing.assert_array_equal(ig.values, ito_reference(op, path, lap.n))
-            np.testing.assert_array_equal(stochastic_integral(op, path, lap).values, ig.values)
+            np.testing.assert_array_equal(ig.values, values[:m])
 
 
 def test_stochastic_integrals_mode_and_node_errors(lap):

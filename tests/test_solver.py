@@ -248,6 +248,24 @@ def test_picard_constant_coefficient_two_sweeps(lap):
         gm = stochastic_integral(B.fields, p, lap)
         direct = additive_path_solve(Linear(1.0), cfg, lap, eigenmode(lap, 0), gm)
         np.testing.assert_allclose(traj.states, direct.states, atol=1e-12)
+    # four windows on grids of unequal lengths: each window is gathered from the
+    # held ensemble and written back through the same indices; the windowed
+    # march stops Newton at other per-step targets, hence the looser nonlinear atol
+    assert [len(p.times) for p in paths] == [11, 10, 9, 10]
+    for graph, lam, atol in ((Linear(1.0), 0.0, 1e-12), (PowerLaw(3.0), 0.05, 1e-8)):
+        wcfg = replace(cfg, lam=lam, window_T0=1 / 16)
+        res = picard_solve(graph, B, spec, wcfg, lap, eigenmode(lap, 0), paths)
+        assert len(res.windows) == 4 and res.iterations == 8
+        for p, (traj, path) in enumerate(zip(res.trajectories, paths)):
+            gm = stochastic_integral(B.fields, path, lap)
+            direct = additive_path_solve(graph, wcfg, lap, eigenmode(lap, 0), gm)
+            np.testing.assert_array_equal(traj.times, path.times)
+            np.testing.assert_allclose(traj.states, direct.states, rtol=0, atol=atol)
+            np.testing.assert_allclose(traj.selections, direct.selections, rtol=0, atol=atol)
+            # the held states and selections repeat the last row after the last step
+            for rows in (res.states[p, len(path.times) - 1:],
+                         res.selections[p, len(path.times) - 1:]):
+                np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
 
 def test_picard_linear_spectral_contracts(lap):
@@ -299,7 +317,7 @@ def test_generalized_smooth_consistency_and_single_level(lap):
     # exact ensemble bound: distance <= horizon * sum_k v_k |(molly - id) g_k|^2
     floor = 0.25 * float(spec.variance_rates @ hminus1_norm_sq_rows(
         lap, np.stack([mollify(g[k], 16, lap) - g[k] for k in range(2)])))
-    gap = ensemble_mean_sup_sq(res.limit.trajectories, direct.trajectories, lap)
+    gap = ensemble_mean_sup_sq(res.limit.states, direct.states, lap)
     assert gap <= 4.0 * floor + 1e-12
     single = generalized_solve(Linear(1.0), B, spec, cfg, lap, x0, [4], paths)
     assert single.cauchy_ok and len(single.sup_mean_distances) == 0
@@ -521,7 +539,15 @@ def test_singular_block_names_its_pending_path(lap, monkeypatch):
     x0 = np.concatenate([np.zeros((1, lap.n)), x0])
     with pytest.raises(SolverError, match=r"singular Newton Jacobian \(gbsv info=3\) "
                                           r".*n=15, path 3\)"):
-        march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, times, gms, x0)
+        march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, held(times),
+                    held(gms), x0)
+
+
+def held(rows):
+    # per-path arrays (N_p + 1, ...) in the held layout (P, N_max + 1, ...):
+    # each path repeats its last row after its last step
+    n = max(len(r) for r in rows)
+    return np.stack([np.concatenate([r, np.repeat(r[-1:], n - len(r), axis=0)]) for r in rows])
 
 
 def ragged_ensemble(lap):
@@ -549,10 +575,14 @@ def ragged_ensemble(lap):
 def test_march_batch_matches_serial_reference(lap, graph, lam):
     times, gms, x0 = ragged_ensemble(lap)
     cfg = SolverConfig(lam=lam, dt=1 / 32)
-    states, sels = march_batch(graph, cfg, lap, times, gms, x0)
+    states, sels = march_batch(graph, cfg, lap, held(times), held(gms), x0)
+    assert states.shape == sels.shape == (3, 12, lap.n)
     for p, (t, gm) in enumerate(zip(times, gms)):
-        assert states[p].shape == sels[p].shape == (len(t), lap.n)
         n_steps = len(t) - 1
+        # every row after the path's last step holds its last row, bit for bit
+        for held_rows in (states[p, n_steps:], sels[p, n_steps:]):
+            np.testing.assert_array_equal(held_rows, np.broadcast_to(held_rows[0],
+                                                                     held_rows.shape))
         y = x0[p] - gm[0]
         np.testing.assert_array_equal(states[p][0], x0[p])
         for i in range(n_steps):
@@ -567,13 +597,13 @@ def test_march_batch_matches_serial_reference(lap, graph, lam):
             target = cfg.newton_tol / n_steps * (1 + norm_hminus1(rhs, lap))
             assert norm_hminus1(resid, lap) <= target
             y = y_next
-        ref_sel = (graph.yosida(lam, states[p]) if lam > 0
-                   else graph.minimal_section(states[p]))
-        np.testing.assert_allclose(sels[p], ref_sel, rtol=0, atol=1e-9)
+        ref_sel = (graph.yosida(lam, states[p, :len(t)]) if lam > 0
+                   else graph.minimal_section(states[p, :len(t)]))
+        np.testing.assert_allclose(sels[p, :len(t)], ref_sel, rtol=0, atol=1e-9)
         # one path alone agrees with the same path inside the batch
         alone, alone_sel = march_batch(graph, cfg, lap, [t], [gm], x0[p])
-        np.testing.assert_allclose(alone[0], states[p], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(alone_sel[0], sels[p], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(alone[0], states[p, :len(t)], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(alone_sel[0], sels[p, :len(t)], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("graph", [PowerLaw(3.0), StefanPiecewise(1.0, 3.0, 2.0)],
@@ -582,14 +612,15 @@ def test_march_batch_per_path_lambda_matches_one_at_a_time(lap, graph):
     times, gms, x0 = ragged_ensemble(lap)
     cfg = SolverConfig(lam=0.05, dt=1 / 32)
     lams = np.array([0.2, 0.0125, 0.05])
-    states, sels = march_batch(graph, cfg, lap, times, gms, x0, lam=lams)
+    states, sels = march_batch(graph, cfg, lap, held(times), held(gms), x0, lam=lams)
     for p, (t, gm) in enumerate(zip(times, gms)):
         alone, alone_sel = march_batch(graph, replace(cfg, lam=lams[p]), lap, [t], [gm], x0[p])
-        np.testing.assert_allclose(states[p], alone[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(sels[p], alone_sel[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(states[p, :len(t)], alone[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sels[p, :len(t)], alone_sel[0], rtol=0, atol=1e-12)
     # a Newton failure names the lam of the failing path
     with pytest.raises(SolverError, match=r"lam=2\.000e-01, n=15, path 0\)"):
-        march_batch(graph, replace(cfg, newton_max_iter=0), lap, times, gms, x0, lam=lams)
+        march_batch(graph, replace(cfg, newton_max_iter=0), lap, held(times), held(gms), x0,
+                    lam=lams)
 
 
 def test_march_batch_rejects_mixed_lambda(lap):
@@ -597,21 +628,26 @@ def test_march_batch_rejects_mixed_lambda(lap):
     cfg = SolverConfig(lam=0.0, dt=1 / 32)
     for lams in ([0.1, 0.0, 0.1], [0.0, 0.1, 0.1], [0.1, -0.1, 0.1]):
         with pytest.raises(ValueError, match="every path"):
-            march_batch(Linear(1.0), cfg, lap, times, gms, x0, lam=lams)
+            march_batch(Linear(1.0), cfg, lap, held(times), held(gms), x0, lam=lams)
 
 
 def test_march_batch_rejects_bad_grids(lap):
     times, gms, x0 = ragged_ensemble(lap)
     cfg = SolverConfig(lam=0.05, dt=1 / 32)
-    bad = [gms[0], gms[1][:-1], gms[2]]
-    with pytest.raises(ValueError, match=r"gm values must have shape \(10, 15\), got \(9, 15\)"):
-        march_batch(PowerLaw(3.0), cfg, lap, times, bad, x0)
-    # a repeated time on the longest grid; the others are padded with
-    # zero-length steps, which are not refused
-    bad = [times[0], times[1], times[2].copy()]
-    bad[2][4] = bad[2][3]
-    with pytest.raises(ValueError, match="time grids must be strictly increasing"):
-        march_batch(PowerLaw(3.0), cfg, lap, bad, gms, x0)
+    with pytest.raises(ValueError, match=r"gm values must have shape \(3, 12, 15\), "
+                                         r"got \(3, 11, 15\)"):
+        march_batch(PowerLaw(3.0), cfg, lap, held(times), held(gms)[:, :-1], x0)
+    # a repeated or a decreasing time on the longest grid; the others are held
+    # with zero-length steps, which are not refused
+    for t4 in (times[2][3], times[2][2]):
+        bad = [times[0], times[1], times[2].copy()]
+        bad[2][4] = t4
+        with pytest.raises(ValueError, match="time grids must be strictly increasing"):
+            march_batch(PowerLaw(3.0), cfg, lap, held(bad), held(gms), x0)
+    # a grid that ends in a repeated final time reads as held
+    states, _ = march_batch(PowerLaw(3.0), cfg, lap, [np.append(times[0], times[0][-1])],
+                            [np.concatenate([gms[0], gms[0][-1:]])], x0[0])
+    np.testing.assert_array_equal(states[0, -1], states[0, -2])
 
 
 def test_picard_rejects_paths_off_the_shared_base_grid(lap):
@@ -631,7 +667,8 @@ def test_march_batch_nan_in_driving_integral_names_time_and_path(lap):
     times, gms, x0 = ragged_ensemble(lap)
     gms[2][5, 3] = np.nan
     with pytest.raises(SolverError, match=rf"non-finite state at t={times[2][5]:.6g} on path 2"):
-        march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, times, gms, x0)
+        march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, held(times),
+                    held(gms), x0)
 
 
 def one_node_ragged_ensemble():
@@ -650,7 +687,7 @@ def test_newton_failure_raises_with_step_details(lap, lap1):
     cfg = SolverConfig(lam=0.05, dt=1 / 32, newton_max_iter=0)
     for L, (times, gms, x0) in ((lap, ragged_ensemble(lap)), (lap1, one_node_ragged_ensemble())):
         with pytest.raises(SolverError, match=rf"residual .*n={L.n}, path 0\)"):
-            march_batch(PowerLaw(3.0), cfg, L, times, gms, x0)
+            march_batch(PowerLaw(3.0), cfg, L, held(times), held(gms), x0)
 
 
 def test_one_node_fallback_solves_only_the_failing_paths(lap1):
@@ -659,7 +696,8 @@ def test_one_node_fallback_solves_only_the_failing_paths(lap1):
     # target, is never iterated and stays exactly zero
     graph, lam = PowerLaw(3.0), 0.2
     times, gms, x0 = one_node_ragged_ensemble()
-    states, _ = march_batch(graph, SolverConfig(lam=lam, dt=0.05), lap1, times, gms, x0)
+    states, _ = march_batch(graph, SolverConfig(lam=lam, dt=0.05), lap1, held(times), held(gms),
+                            x0)
     np.testing.assert_array_equal(states[2], 0.0)
     for p in (0, 1):
         g = gms[p][:, 0]
@@ -699,5 +737,5 @@ def test_newton_work_is_pinned(lap, monkeypatch, n_paths, expected):
                                                    rng_for(31, p)), lap)
            for p in range(n_paths)]
     march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 128), lap,
-                [g.times for g in gms], [g.values for g in gms], np.sin(np.pi * x))
+                held([g.times for g in gms]), held([g.values for g in gms]), np.sin(np.pi * x))
     assert counts == expected
