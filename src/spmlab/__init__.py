@@ -10,7 +10,6 @@ that turns the governing estimates into seeded pass/fail checks.
 
 from .errors import ConfigError, NonContractionError, SolverError
 from .grid import (
-    apply_laplacian,
     build_laplacian,
     eigenmode,
     hminus1_norm_sq_rows,
@@ -33,9 +32,6 @@ from .noise import (
     SmoothedNemytskii,
     StepOperator,
     TwoPointJumps,
-    angle_bracket,
-    growth_constant,
-    hs_norm_q,
     lipschitz_constant,
     make_noise_spec,
     mollified,

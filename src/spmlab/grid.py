@@ -159,11 +159,6 @@ def _check_field(f, n, name="field"):
     return f
 
 
-def apply_laplacian(L: DirichletLaplacian, u) -> np.ndarray:
-    """Apply Lap (negative definite): returns -(matrix @ u)."""
-    return -(L.matrix @ _check_field(u, L.n, "u"))
-
-
 def solve_laplacian(L: DirichletLaplacian, f) -> np.ndarray:
     """Solve -Lap u = f directly with the matrix (uncached test reference)."""
     f = _check_field(f, L.n, "f")

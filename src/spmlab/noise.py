@@ -152,13 +152,6 @@ def make_noise_spec(modes: Sequence[NoiseMode]) -> NoiseSpec:
     return NoiseSpec(modes=tuple(modes))
 
 
-def angle_bracket(spec: NoiseSpec, t: float) -> float:
-    """Scalar bracket <M>(t) = t * TrQ."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return float(t) * spec.trace
-
-
 # ---------------------------------------------------------------------------
 # sampled paths
 
@@ -522,13 +515,6 @@ def mollified(B: DiffusionCoefficient, level: int) -> MollifiedDiffusion:
     return MollifiedDiffusion(base=B, level=level)
 
 
-def hs_norm_q(B: DiffusionCoefficient, x, spec: NoiseSpec, L: DirichletLaplacian) -> float:
-    """Hilbert-Schmidt norm of B(x) composed with Q^{1/2} in the dual norm."""
-    fields = B.mode_fields(np.asarray(x, dtype=float), L)
-    norms = hminus1_norm_sq_rows(L, fields)
-    return float(np.sqrt(np.maximum(spec.variance_rates @ norms, 0.0)))
-
-
 def lipschitz_constant(B: DiffusionCoefficient, spec: NoiseSpec, L: DirichletLaplacian,
                        n_pairs: int = 48, scale: float = 1.0, seed: int = 0) -> float:
     """Measured squared-Lipschitz constant sup |B(x)-B(y)|_Q^2 / |x-y|_{-1}^2."""
@@ -542,15 +528,3 @@ def lipschitz_constant(B: DiffusionCoefficient, spec: NoiseSpec, L: DirichletLap
     dx_sq = sq[:n_pairs]
     num = sq[n_pairs:].reshape(n_pairs, -1) @ spec.variance_rates
     return float(np.max(num[dx_sq > 0] / dx_sq[dx_sq > 0], initial=0.0))
-
-
-def growth_constant(B: DiffusionCoefficient, spec: NoiseSpec, L: DirichletLaplacian,
-                    n_samples: int = 48, scale: float = 1.0, seed: int = 0) -> float:
-    """Measured constant k with |B(x)|_Q^2 <= k (1 + |x|_{-1}^2) on random states
-    and at x = 0."""
-    states = np.zeros((n_samples + 1, L.n))
-    states[1:] = scale * np.random.default_rng(seed).standard_normal((n_samples, L.n))
-    fields = B.mode_fields_batch(states, L)
-    sq = hminus1_norm_sq_rows(L, np.concatenate([states, fields.reshape(-1, L.n)]))
-    hs_sq = np.maximum(sq[n_samples + 1:].reshape(n_samples + 1, -1) @ spec.variance_rates, 0.0)
-    return float(np.max(hs_sq / (1.0 + sq[:n_samples + 1])))

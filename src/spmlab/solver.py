@@ -14,19 +14,27 @@ discretization error pollutes the drift solve. Grids contain every jump time,
 hence integrands frozen at sub-interval left endpoints are genuine left limits.
 
 All marching goes through one batched core, ``march_batch``: the P paths of an
-ensemble advance in lock step as one (P, n) state. Every jump grid is its own,
-so the march takes and returns the held layout of ``noise``: a held step has
-length zero and holds the driving integral, so it is an exact no-op. Per Newton
-iterate there is one resolvent solve (value, slope and selection together)
-and a single LAPACK ``?gbsv`` call that solves the Newton systems of all
-paths still above their target: the Jacobians share the band of the stencil,
-are built in one array expression, and their stack is the band of one
-block-diagonal matrix. That single solve is exact, since the blocks share no
-entry and elimination never mixes them, so every path gets the arithmetic of
-a banded LU of its own. The line search backtracks per path. A single path
-and the public ``implicit_step`` are the P = 1 case of the same core, and a
-one-node grid takes the same Newton iteration as any other; there is no
-scalar fallback.
+ensemble advance in lock step, in the held layout of ``noise``, where a held
+step has length zero and is an exact no-op. The march walks the grid in
+windows of W steps and solves each window all at once (Gander 2015): backward
+Euler over steps 1..W is one system F_i = y_i + tau_i (-Lap) b(y_i + g_i) -
+y_{i-1} = 0, whose Jacobian in step-major order is a band with kl = n and
+ku = b, the stencil's half-width: I + tau_i (-Lap) diag(b'_i) on the diagonal
+and -I n rows below it. W is the most steps whose band buffer,
+8 (2n + b + 1) n P W bytes, fits in 256 KiB, or 1 when that is fewer than 8:
+one 1D path at n = 15 gets W = 68, ensembles of 16 paths at n = 15 and 2D
+grids from 7x7 up get W = 1. A window of one step uses the band kl = ku = b
+and accepts a line-search trial when its residual falls, which is the
+step-by-step arithmetic bit for bit. A window that misses its targets, stalls
+or hits a zero pivot is marched again step by step, which raises the error of
+the step that fails. Per Newton iterate there is one resolvent solve (value,
+slope and selection together) and one LAPACK ``?gbsv`` call for all windows
+still above target: their Jacobians, built in one array expression, are the
+band of one block-diagonal matrix with no -I across a path seam. That solve
+is exact, since elimination never mixes the blocks, so every path gets the
+arithmetic of a banded LU of its own. The line search takes one step length
+per window. ``implicit_step`` is the one-path, one-step case, and a one-node
+grid takes the same Newton iteration as any other.
 Each path may carry its own lam, so ``lambda_sweep`` solves its whole list in
 one march. The gates live here (``check_gates``); the config loader calls them.
 
@@ -66,6 +74,10 @@ from .noise import (
 )
 
 _gbsv = get_lapack_funcs("gbsv", (np.empty(1),))
+# windows of steps are solved at once while their band buffer fits in this many
+# bytes; fewer than _MIN_WINDOW steps cost more per step than single steps
+_WINDOW_BYTES = 256 * 1024
+_MIN_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,7 @@ def _drift(graph: MonotoneGraph, lam: np.ndarray, u: np.ndarray):
     """b(u), its slope and the selection for the rows of u from one resolvent solve;
     lam has the shape of u (faster than broadcasting) and is all positive or all
     zero; b' lies in [lam, lam + 1/lam] by the Yosida clip."""
-    if lam[0, 0] > 0:
+    if lam.flat[0] > 0:
         yos, slope = graph.yosida_and_slope(lam, u)
         return yos + lam * u, slope + lam, yos
     value = np.asarray(graph.minimal_section(u))
@@ -144,77 +156,97 @@ def _dual_norms(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
 
 def _solve_jacobians(L: DirichletLaplacian, tau: np.ndarray, slope: np.ndarray,
                      rhs: np.ndarray):
-    """Solve (I + tau_r*(-Lap)*diag(slope_r)) x_r = rhs_r for the k rows of rhs,
-    which is overwritten, with one LAPACK ?gbsv call; returns (x, info).
+    """Solve the Newton systems of k windows of w steps with one LAPACK ?gbsv call;
+    rhs (k, w, n), or (k, n) for w = 1, is overwritten; returns (x, info).
 
-    The Jacobians go into the gbsv band layout (diagonal on row 2b, rows 0..b-1
-    left for the fill-in) of a C-ordered (k, n, 3b+1) buffer, which is the
-    Fortran-ordered band of the (k n) x (k n) block-diagonal matrix of all k
-    of them: the corners of L.band outside the matrix are zero. Elimination
-    multiplies those off-block zeros by zero multipliers and partial pivoting
-    never picks them, so each block gets the arithmetic of a call of its own.
-    info > 0 is the 1-based column of the first zero pivot.
+    A window's Jacobian is I + tau_i*(-Lap)*diag(slope_i) on the diagonal and -I
+    n rows below it, a band with kl = n and ku = b (kl = ku = b when w = 1). The
+    bands go into the gbsv layout (diagonal on row kl + b, rows 0..kl-1 for the
+    fill-in) of a C-ordered (k, w, n, 2kl+b+1) buffer: the Fortran-ordered band
+    of the block-diagonal matrix of all k windows, since the corners of L.band
+    are zero and no -I crosses a window seam. Elimination multiplies those zeros
+    by zero multipliers and pivoting never picks them, so each window gets the
+    arithmetic of a call of its own. info > 0 is the 1-based column of the
+    first zero pivot.
     """
-    k, n, b = len(rhs), L.n, L.half_bandwidth
-    buf = np.zeros((k, n, 3 * b + 1))
+    n, b = L.n, L.half_bandwidth
+    w = rhs.shape[1] if rhs.ndim == 3 else 1
+    kl = n if w > 1 else b
+    m = rhs.size // n  # steps of all windows
+    buf = np.zeros((m, n, 2 * kl + b + 1))
     ab = buf.transpose(0, 2, 1)
-    ab[:, b:] = (tau[:, None] * slope)[:, None, :] * L.band
-    ab[:, 2 * b] += 1.0
-    _, _, x, info = _gbsv(b, b, buf.reshape(k * n, 3 * b + 1).T, rhs.reshape(k * n),
+    ab[:, kl:kl + 2 * b + 1] = (tau.reshape(m, 1) * slope.reshape(m, n))[:, None, :] * L.band
+    ab[:, kl + b] += 1.0
+    if w > 1:
+        buf.reshape(-1, w, n, buf.shape[2])[:, :-1, :, -1] = -1.0
+    _, _, x, info = _gbsv(kl, b, buf.reshape(m * n, -1).T, rhs.reshape(m * n),
                           overwrite_ab=1, overwrite_b=1)
-    return x.reshape(k, n), info
+    return x.reshape(rhs.shape), info
 
 
-def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
-    """Solve y + tau*(-Lap) b(y + g_next) = rhs row by row for a stack of P steps.
+def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, paths=None):
+    """Solve the backward Euler steps y_i + tau_i*(-Lap) b(y_i + g_i) = y_{i-1},
+    i = 1..w, of k windows at once, each from its start y_0.
 
-    lam, tau and tol have shape (P,), rhs and g_next (P, n). Each row runs its own
-    damped Newton iteration in lock step with the others: one block-diagonal
-    band solve (``_solve_jacobians``, a single LAPACK call) for the Jacobians
-    of all rows still above their target, which is exact because the blocks
-    share no entry, then a line search masked per row. The Jacobian is not
-    symmetric, hence a general LU; with slopes >= 0 (zero ones included, at
-    lam = 0) it is column diagonally dominant, so the LU's partial pivoting
-    swaps no rows. Rows with a non-finite residual are left untouched for the
-    caller's guard. Returns (y, selection).
+    lam and tol have shape (k,), tau (k, w), y0 (k, n) and g (k, w, n). Each
+    window runs its own damped Newton iteration, from a guess that holds its
+    start, in lock step with the others: one band solve (``_solve_jacobians``)
+    for all windows with a step above its target tol * (1 + |y_{i-1}|), y_{i-1}
+    at the current iterate, then a line search with one step length per
+    window. One step accepts a trial when its residual falls, a longer window
+    when sum_i (res_i / target_i)^2 falls. With slopes >= 0 the Jacobian is
+    column diagonally dominant. Windows with a non-finite residual never enter
+    the solve, which would spread it to every window. Returns (y, selection),
+    each (k, w, n).
     """
     mat = L.matrix
-    n = L.n
+    k, w, n = g.shape
 
-    def failure(j, what):
+    def failure(j, i, what):
         where = "" if paths is None else f", path {paths[j]}"
         return SolverError(f"implicit step failed: {what} "
-                           f"(tau={tau[j]:.3e}, lam={lam[j]:.3e}, n={n}{where})")
+                           f"(tau={tau[j, i]:.3e}, lam={lam[j]:.3e}, n={n}{where})")
 
-    target = tol * (1.0 + _dual_norms(L, rhs))
-    lam_full = np.repeat(lam, n).reshape(-1, n)  # once per call, for every _drift
-    y = rhs.copy()
-    value, slope, sel = _drift(graph, lam_full, y + g_next)
-    res_vec = y + tau[:, None] * (value @ mat) - rhs
+    def residual(y, start, tau, value):
+        # y_i + tau_i*(-Lap) b(y_i + g_i) - y_{i-1}, with y_0 = start
+        prev = start[:, None] if w == 1 else np.concatenate((start[:, None], y[:, :-1]), axis=1)
+        return y + tau[:, :, None] * (value.reshape(-1, n) @ mat).reshape(value.shape) - prev
+
+    lam_full = np.repeat(lam, w * n).reshape(k, w, n)  # once per call, for every _drift
+    y = np.repeat(y0[:, None], w, axis=1)  # the guess holds the start
+    value, slope, sel = _drift(graph, lam_full, y + g)
+    res_vec = residual(y, y0, tau, value)
     res = _dual_norms(L, res_vec)
-    live = np.ones(len(tau), dtype=bool)
+    target = tol[:, None] * (1.0 + _dual_norms(L, y))  # tol * (1 + |y_{i-1}|) at the guess
+    # a trial is accepted only with a finite residual, so a window with a
+    # non-finite one is left out of every solve from the start
+    live = np.logical_and.reduce(np.isfinite(res), axis=1)
     for _ in range(max_iter):
-        act = np.flatnonzero(live & (res > target))
+        act = np.flatnonzero(live & np.logical_or.reduce(res > target, axis=1))
         if act.size == 0:
             break
-        # every row active: index with a slice, which copies no rows
-        rows = slice(None) if act.size == len(tau) else act
+        # every window active: index with a slice, which copies no rows
+        rows = slice(None) if act.size == k else act
         delta, info = _solve_jacobians(L, tau[rows], slope[rows], -res_vec[rows])
         if info != 0:
             # info is the first zero pivot's 1-based column; its block names the path
-            r = (info - 1) // n
-            raise failure(act[r], f"singular Newton Jacobian (gbsv info={info - r * n})")
-        # line search per row; rows that accept leave the pending set, so y,
-        # res and the others still hold the pending rows' current iterate
+            r, c = divmod(info - 1, w * n)
+            raise failure(act[r], c // n, f"singular Newton Jacobian (gbsv info={c % n + 1})")
+        # line search per window; windows that accept leave the pending set, so
+        # y, res and the others still hold the pending windows' current iterate
         pending = act
         step = 1.0
         for _ in range(30):
             y_try = y[rows] + step * delta
-            value, s_try, sel_try = _drift(graph, lam_full[rows], y_try + g_next[rows])
-            vec_try = y_try + tau[rows, None] * (value @ mat) - rhs[rows]
+            value, s_try, sel_try = _drift(graph, lam_full[rows], y_try + g[rows])
+            vec_try = residual(y_try, y0[rows], tau[rows], value)
             res_try = _dual_norms(L, vec_try)
-            ok = res_try < res[rows]
-            # when every pending row accepts, write back without a gather
+            if w == 1:
+                ok = res_try[:, 0] < res[rows, 0]
+            else:
+                merit = np.sum((np.stack((res_try, res[rows])) / target[rows]) ** 2, axis=2)
+                ok = merit[0] < merit[1]
+            # when every pending window accepts, write back without a gather
             done, take = (rows, slice(None)) if ok.all() else (pending[ok], ok)
             y[done], res_vec[done], res[done] = y_try[take], vec_try[take], res_try[take]
             slope[done], sel[done] = s_try[take], sel_try[take]
@@ -224,11 +256,15 @@ def _newton_batch(graph, lam, L, tau, rhs, g_next, tol, max_iter, paths=None):
             rows = pending
             step *= 0.5
         live[pending] = False
+        if w > 1:  # the targets follow y_{i-1}; a single step's start is fixed
+            prev = np.concatenate((y0[:, None], y[:, :-1]), axis=1)
+            target = tol[:, None] * (1.0 + _dual_norms(L, prev))
 
-    failed = np.flatnonzero(res > target)
+    failed = np.flatnonzero(np.logical_or.reduce(res > target, axis=1))
     if failed.size:
         j = failed[0]
-        raise failure(j, f"residual {res[j]:.3e} above target {target[j]:.3e}")
+        i = np.argmax(res[j] > target[j])
+        raise failure(j, i, f"residual {res[j, i]:.3e} above target {target[j, i]:.3e}")
     return y, sel
 
 
@@ -239,15 +275,15 @@ def implicit_step(graph: MonotoneGraph, lam: float, L: DirichletLaplacian, tau: 
 
     Returns (y, selection) with the dual-norm residual below
     newton_tol * (1 + |rhs|); raises SolverError when damped Newton misses
-    that target. This is the one-row case of the batched core.
+    that target. This is the one-row, one-step case of the batched core.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    y, sel = _newton_batch(graph, np.array([float(lam)]), L, np.array([float(tau)]),
+    y, sel = _newton_batch(graph, np.array([float(lam)]), L, np.array([[float(tau)]]),
                            np.array(rhs, dtype=float, ndmin=2),
-                           np.array(g_next, dtype=float, ndmin=2),
+                           np.array(g_next, dtype=float, ndmin=3),
                            np.array([float(newton_tol)]), newton_max_iter)
-    return y[0], sel[0]
+    return y[0, 0], sel[0, 0]
 
 
 def check_gates(graph: MonotoneGraph, lam, allow_nonsurjective: bool = False):
@@ -280,6 +316,13 @@ def check_levels(levels) -> list[int]:
     return levels
 
 
+def _window_length(L: DirichletLaplacian, n_paths: int) -> int:
+    """Steps per window: the most whose band buffer fits in _WINDOW_BYTES, or 1
+    when that is fewer than _MIN_WINDOW."""
+    w = _WINDOW_BYTES // (8 * (2 * L.n + L.half_bandwidth + 1) * L.n * n_paths)
+    return w if w >= _MIN_WINDOW else 1
+
+
 def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
                 times: np.ndarray, gm: np.ndarray, x0, lam=None):
     """Backward Euler on y = X - g for P paths at once, in lock step.
@@ -290,8 +333,10 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     x0 is one datum (n,) or one per path (P, n), and lam one regularization
     parameter or one per path (cfg.lam when omitted). Each path keeps the
     per-step tolerance newton_tol / (its own step count), which keeps its
-    accumulated integral-identity defect at the newton_tol scale. Returns the
-    held (states, selections), each (P, N+1, n).
+    accumulated integral-identity defect at the newton_tol scale. The steps
+    are solved in windows of ``_window_length`` steps, all at once, and a
+    window that fails is marched step by step. Returns the held
+    (states, selections), each (P, N+1, n).
     """
     times = np.asarray(times, dtype=float)
     gm = np.asarray(gm, dtype=float)
@@ -311,18 +356,35 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     selections[:, 0] = _drift(graph, np.repeat(lam, L.n).reshape(n_paths, L.n), states[:, 0])[2]
     y = x0 - gm[:, 0]
     step_tol = cfg.newton_tol / np.maximum(1, steps)
-    for i in range(int(steps.max())):
+
+    def advance(i, w):
+        # steps i+1..i+w of every path not yet done, as one stack of windows
         act = np.flatnonzero(steps > i)
-        y_new, sel = _newton_batch(graph, lam[act], L, taus[act, i], y[act], gm[act, i + 1],
+        g = gm[act, i + 1:i + w + 1]
+        y_new, sel = _newton_batch(graph, lam[act], L, taus[act, i:i + w], y[act], g,
                                    step_tol[act], cfg.newton_max_iter, paths=act)
-        x_new = y_new + gm[act, i + 1]
-        bad = np.flatnonzero(~np.all(np.isfinite(x_new), axis=1))
+        x_new = y_new + g
+        bad = np.argwhere(~np.all(np.isfinite(x_new), axis=2).T)  # (step, window), earliest first
         if bad.size:
-            p = act[bad[0]]
-            raise SolverError(f"non-finite state at t={times[p, i + 1]:.6g} on path {p}")
-        y[act] = y_new
-        states[act, i + 1] = x_new
-        selections[act, i + 1] = sel
+            j, r = bad[0]
+            p = act[r]
+            raise SolverError(f"non-finite state at t={times[p, i + j + 1]:.6g} on path {p}")
+        y[act] = y_new[:, -1]
+        states[act, i + 1:i + w + 1] = x_new
+        selections[act, i + 1:i + w + 1] = sel
+
+    n_steps, window = int(steps.max()), _window_length(L, n_paths)
+    for i in range(0, n_steps, window):
+        w = min(window, n_steps - i)
+        try:
+            advance(i, w)
+        except SolverError:
+            # a window that misses, stalls or hits a zero pivot is marched step by
+            # step, which raises the error of the step that fails
+            if w == 1:
+                raise
+            for j in range(i, i + w):
+                advance(j, 1)
     hold_tails(steps, states, selections)
     return states, selections
 

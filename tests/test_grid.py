@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import eigh
 
 from spmlab import (
-    apply_laplacian,
     build_laplacian,
     eigenmode,
     hminus1_norm_sq_rows,
@@ -15,6 +14,7 @@ from spmlab import (
     smooth_gamma,
     solve_laplacian,
 )
+from testkit import apply_laplacian
 
 RNG = np.random.default_rng(1234)
 

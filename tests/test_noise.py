@@ -10,12 +10,9 @@ from spmlab import (
     SmoothedNemytskii,
     StepOperator,
     TwoPointJumps,
-    angle_bracket,
     build_laplacian,
     eigenmode,
-    growth_constant,
     hminus1_norm_sq_rows,
-    hs_norm_q,
     lipschitz_constant,
     make_grid,
     make_noise_spec,
@@ -29,6 +26,7 @@ from spmlab import (
     stochastic_integral,
 )
 from spmlab.noise import MartingalePath, stochastic_integrals
+from testkit import angle_bracket, growth_constant, hs_norm_q
 
 
 @pytest.fixture(scope="module")

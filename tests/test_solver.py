@@ -708,13 +708,19 @@ def test_one_node_fallback_solves_only_the_failing_paths(lap1):
             assert states[p][i + 1, 0] == pytest.approx(y + g[i + 1], abs=1e-9)
 
 
-@pytest.mark.parametrize("n_paths, expected",
-                         [(1, {"band_lus": 96, "lapack_calls": 96, "drifts": 129}),
-                          (8, {"band_lus": 778, "lapack_calls": 101, "drifts": 135})])
-def test_newton_work_is_pinned(lap, monkeypatch, n_paths, expected):
+@pytest.mark.parametrize("n_paths, step_by_step, expected", [
+    pytest.param(1, True, {"band_lus": 96, "lapack_calls": 96, "drifts": 129}, id="1-expected0"),
+    pytest.param(8, True, {"band_lus": 778, "lapack_calls": 101, "drifts": 135}, id="8-expected1"),
+    pytest.param(1, False, {"band_lus": 160, "lapack_calls": 5, "drifts": 7}, id="1-window"),
+    pytest.param(8, False, {"band_lus": 1038, "lapack_calls": 20, "drifts": 26}, id="8-window")])
+def test_newton_work_is_pinned(lap, monkeypatch, n_paths, step_by_step, expected):
     # band LUs (Jacobian rows factored) and drift evaluations of a fixed march,
     # as counted before the Newton iterate was streamlined; the same algorithm
-    # does the same work. All rows of one Newton iterate share one LAPACK call
+    # does the same work. All rows of one Newton iterate share one LAPACK call.
+    # Step by step forces W = 1; at the default cap one path marches in one
+    # window of all its steps and 8 paths in windows of 8 steps
+    if step_by_step:
+        monkeypatch.setattr(solver, "_WINDOW_BYTES", 0)
     counts = dict.fromkeys(expected, 0)
     gbsv = solver._gbsv
 
@@ -739,3 +745,117 @@ def test_newton_work_is_pinned(lap, monkeypatch, n_paths, expected):
     march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 128), lap,
                 held([g.times for g in gms]), held([g.values for g in gms]), np.sin(np.pi * x))
     assert counts == expected
+
+
+def one_long_path(lap):
+    # one path of the two-mode noise over [0, 2] at dt = 1/128, with closed-form
+    # sine-mode coefficients; at n = 15 it marches in windows of 68 steps
+    x = np.arange(1, lap.n + 1) / (lap.n + 1)
+    fields = np.stack([0.4 * np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)])
+    gm = stochastic_integral(fields, sample_path(two_mode_spec(), 2.0, 1 / 128, rng_for(31, 0)),
+                             lap)
+    return [gm.times], [gm.values], np.sin(np.pi * x)[None, :]
+
+
+def recording_gbsv(monkeypatch, record):
+    # a pass-through stand-in for the LAPACK call that hands its arguments to record
+    gbsv = solver._gbsv
+
+    def wrapper(kl, ku, ab, b, **kwargs):
+        record(kl, ku, ab, b)
+        return gbsv(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(solver, "_gbsv", wrapper)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1), (1, 15), (2, (5, 7))], ids=["1d1", "1d15", "2d5x7"])
+def test_window_band_solve_matches_dense_solve(dim, n):
+    # three windows of four steps; the middle one ends after two steps, whose
+    # held steps have tau = 0. Each window gets the arithmetic of a call of its own
+    L = build_laplacian(make_grid(dim, n, 1.0))
+    k, w = 3, 4
+    rng = np.random.default_rng(13)
+    tau = rng.uniform(1e-3, 0.1, (k, w))
+    tau[1, 2:] = 0.0
+    slope = rng.uniform(0.05, 20.0, (k, w, L.n))
+    slope[..., ::3] = 0.0
+    rhs = rng.standard_normal((k, w, L.n))
+    x, info = solver._solve_jacobians(L, tau, slope, rhs.copy())
+    assert info == 0
+    for r in range(k):
+        jac = np.kron(np.eye(w, k=-1), -np.eye(L.n))
+        for i in range(w):
+            block = slice(i * L.n, (i + 1) * L.n)
+            jac[block, block] = np.eye(L.n) + tau[r, i] * L.matrix * slope[r, i]
+        np.testing.assert_allclose(x[r].ravel(), np.linalg.solve(jac, rhs[r].ravel()),
+                                   rtol=1e-10, atol=1e-12)
+        alone, info = solver._solve_jacobians(L, tau[r:r + 1], slope[r:r + 1], rhs[r:r + 1].copy())
+        assert info == 0
+        np.testing.assert_array_equal(x[r], alone[0])
+
+
+@pytest.mark.parametrize("graph,lam", [(PowerLaw(3.0), 0.05),
+                                       (StefanPiecewise(1.0, 3.0, 2.0), 0.1),
+                                       (Linear(1.0), 0.0)], ids=["pl3", "stefan", "lin"])
+@pytest.mark.parametrize("ensemble", [one_long_path, ragged_ensemble], ids=["long", "ragged"])
+def test_window_matches_step_by_step(lap, monkeypatch, graph, lam, ensemble):
+    # every Newton step is a window solve (kl = n) and none falls back; the states
+    # agree with the march at W = 1, and every step meets its own target
+    times, gms, x0 = ensemble(lap)
+    times, gms = held(times), held(gms)
+    cfg = SolverConfig(lam=lam, dt=1 / 128)
+    kls = set()
+    recording_gbsv(monkeypatch, lambda kl, ku, ab, b: kls.add(kl))
+    states, sels = march_batch(graph, cfg, lap, times, gms, x0)
+    assert kls == {lap.n}
+    monkeypatch.setattr(solver, "_WINDOW_BYTES", 0)
+    stepped, stepped_sels = march_batch(graph, cfg, lap, times, gms, x0)
+    assert kls == {lap.n, lap.half_bandwidth}
+    np.testing.assert_allclose(states, stepped, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sels, stepped_sels, rtol=0, atol=1e-9)
+    for p, t in enumerate(times):
+        n_steps = np.count_nonzero(t < t[-1])
+        for i in range(n_steps):
+            x, rhs = states[p, i + 1], states[p, i] - gms[p, i]
+            drift = sels[p, i + 1] + lam * x
+            resid = (x - gms[p, i + 1]) + (t[i + 1] - t[i]) * (lap.matrix @ drift) - rhs
+            target = cfg.newton_tol / n_steps * (1 + norm_hminus1(rhs, lap))
+            assert norm_hminus1(resid, lap) <= target
+
+
+def test_window_keeps_non_finite_paths_out_of_the_solve(lap, monkeypatch):
+    # NaN driving integrals on path 2 at step 5 and on path 0 at step 8, both in
+    # the one window of the ensemble: no LAPACK call sees a non-finite entry,
+    # and the error names the earliest time and its path
+    times, gms, x0 = ragged_ensemble(lap)
+    assert solver._window_length(lap, 3) > len(times[2]) - 1
+    gms[2][5, 3] = np.nan
+    gms[0][8, 1] = np.nan
+
+    def finite(kl, ku, ab, b):
+        assert np.all(np.isfinite(ab)) and np.all(np.isfinite(b))
+
+    recording_gbsv(monkeypatch, finite)
+    with pytest.raises(SolverError, match=rf"non-finite state at t={times[2][5]:.6g} on path 2$"):
+        march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, held(times),
+                    held(gms), x0)
+
+
+def test_failed_window_is_marched_step_by_step(lap, monkeypatch):
+    # a stand-in gbsv reports a zero pivot for every window solve (kl > ku) and
+    # solves single steps; each window then falls back to W = 1 and the march
+    # equals the step-by-step march bit for bit
+    times, gms, x0 = one_long_path(lap)
+    times, gms = held(times), held(gms)
+    cfg = SolverConfig(lam=0.05, dt=1 / 128)
+    gbsv = solver._gbsv
+
+    def no_windows(kl, ku, ab, b, **kwargs):
+        return (ab, None, b, 1) if kl > ku else gbsv(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(solver, "_gbsv", no_windows)
+    fallen = march_batch(PowerLaw(3.0), cfg, lap, times, gms, x0)
+    monkeypatch.setattr(solver, "_WINDOW_BYTES", 0)
+    stepped = march_batch(PowerLaw(3.0), cfg, lap, times, gms, x0)
+    for a, b in zip(fallen, stepped):
+        np.testing.assert_array_equal(a, b)
