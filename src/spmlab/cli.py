@@ -54,11 +54,11 @@ from .verify import (
 _COMMANDS = {}
 
 
-def _command(name):
-    """Register a command: it takes a _Context and returns (summary lines,
-    exit code, stdout-only suffixes for the first lines)."""
+def _command(name, help_text):
+    """Register a command and its help text: it takes a _Context and returns
+    (summary lines, exit code, stdout-only suffixes for the first lines)."""
     def wrap(fn):
-        _COMMANDS[name] = fn
+        _COMMANDS[name] = (fn, help_text)
         return fn
     return wrap
 
@@ -105,7 +105,7 @@ def _write_martingale(path_obj, out_path, prov):
               zip(*(c.tolist() for c in cols)), prov)
 
 
-@_command("simulate-additive")
+@_command("simulate-additive", "single-path solve with the coefficient frozen at the datum")
 def _cmd_simulate_additive(ctx: _Context):
     L, x0 = ctx.L, ctx.x0
     path, gm = ctx.frozen_integral(ctx.cfg.master_seed)
@@ -128,7 +128,7 @@ def _cmd_simulate_additive(ctx: _Context):
     return lines, 0, ()
 
 
-@_command("simulate-multiplicative")
+@_command("simulate-multiplicative", "ensemble fixed-point solve with state-dependent noise")
 def _cmd_simulate_multiplicative(ctx: _Context):
     cfg, prov = ctx.cfg, ctx.prov
     ens = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
@@ -161,7 +161,25 @@ def _cmd_simulate_multiplicative(ctx: _Context):
     return lines, 0, ()
 
 
-@_command("lambda-sweep")
+@_command("generalized", "mollified solves of a rough coefficient with Cauchy distances")
+def _cmd_generalized(ctx: _Context):
+    cfg = ctx.cfg
+    ens = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
+    res = generalized_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0,
+                            cfg.generalized_levels(), ens)
+
+    rows = zip(res.levels, [None, *res.sup_mean_distances], [None, *res.mean_sup_distances])
+    write_csv(ctx.out("levels.csv"),
+              ["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], rows, ctx.prov)
+    lines = [
+        "command: generalized",
+        f"levels: {' '.join(str(n) for n in res.levels)}",
+        f"cauchy_ok: {fmt_value(res.cauchy_ok)}",
+    ]
+    return lines, 0 if res.cauchy_ok else 1, ()
+
+
+@_command("lambda-sweep", "regularization sweep on one fixed path")
 def _cmd_lambda_sweep(ctx: _Context):
     _, gm = ctx.frozen_integral(ctx.cfg.master_seed)
     report = lambda_sweep(ctx.graph, ctx.scfg, ctx.L, ctx.x0, gm, ctx.cfg.sweep_lambdas())
@@ -181,40 +199,7 @@ def _cmd_lambda_sweep(ctx: _Context):
     return lines, 0, ()
 
 
-@_command("generalized")
-def _cmd_generalized(ctx: _Context):
-    cfg = ctx.cfg
-    ens = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
-    res = generalized_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0,
-                            cfg.generalized_levels(), ens)
-
-    rows = zip(res.levels, [None, *res.sup_mean_distances], [None, *res.mean_sup_distances])
-    write_csv(ctx.out("levels.csv"),
-              ["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], rows, ctx.prov)
-    lines = [
-        "command: generalized",
-        f"levels: {' '.join(str(n) for n in res.levels)}",
-        f"cauchy_ok: {fmt_value(res.cauchy_ok)}",
-    ]
-    return lines, 0 if res.cauchy_ok else 1, ()
-
-
-@_command("mollify-demo")
-def _cmd_mollify_demo(ctx: _Context):
-    L, levels = ctx.L, (1, 2, 4, 8, 16, 32)
-    rough = np.random.default_rng(ctx.cfg.master_seed).standard_normal(L.n)
-    smoothed = np.stack([mollify(rough, level, L) for level in levels])
-    norms = np.sqrt(hminus1_norm_sq_rows(L, np.concatenate([rough[None, :], smoothed - rough,
-                                                            smoothed])))
-    defects, ratios = norms[1:len(levels) + 1], norms[len(levels) + 1:] / norms[0]
-    ok = bool(np.all(ratios <= 1.0 + 1e-12) and np.all(np.diff(defects) <= 0.0))
-    write_csv(ctx.out("mollify.csv"), ["level", "defect_dual_norm", "norm_ratio"],
-              list(zip(levels, defects, ratios)), ctx.prov)
-    lines = ["command: mollify-demo", f"contraction_and_decrease: {fmt_value(ok)}"]
-    return lines, 0 if ok else 1, ()
-
-
-@_command("verify-all")
+@_command("verify-all", "run every statistical check and report pass/fail")
 def _cmd_verify_all(ctx: _Context):
     cfg, L, graph, spec, scfg = ctx.cfg, ctx.L, ctx.graph, ctx.spec, ctx.scfg
     x0, B = ctx.x0, ctx.B
@@ -259,20 +244,28 @@ def _cmd_verify_all(ctx: _Context):
     return lines, 0 if n_failed == 0 else 1, [f" runtime={r.runtime_s:.2f}s" for r in reports]
 
 
+@_command("mollify-demo", "mollifier contraction and convergence table")
+def _cmd_mollify_demo(ctx: _Context):
+    L, levels = ctx.L, (1, 2, 4, 8, 16, 32)
+    rough = np.random.default_rng(ctx.cfg.master_seed).standard_normal(L.n)
+    smoothed = np.stack([mollify(rough, level, L) for level in levels])
+    norms = np.sqrt(hminus1_norm_sq_rows(L, np.concatenate([rough[None, :], smoothed - rough,
+                                                            smoothed])))
+    defects, ratios = norms[1:len(levels) + 1], norms[len(levels) + 1:] / norms[0]
+    ok = bool(np.all(ratios <= 1.0 + 1e-12) and np.all(np.diff(defects) <= 0.0))
+    write_csv(ctx.out("mollify.csv"), ["level", "defect_dual_norm", "norm_ratio"],
+              list(zip(levels, defects, ratios)), ctx.prov)
+    lines = ["command: mollify-demo", f"contraction_and_decrease: {fmt_value(ok)}"]
+    return lines, 0 if ok else 1, ()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spmlab",
         description="Batch experiments for a jump-driven nonlinear diffusion solver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate-additive", "single-path solve with the coefficient frozen at the datum"),
-        ("simulate-multiplicative", "ensemble fixed-point solve with state-dependent noise"),
-        ("generalized", "mollified solves of a rough coefficient with Cauchy distances"),
-        ("lambda-sweep", "regularization sweep on one fixed path"),
-        ("verify-all", "run every statistical check and report pass/fail"),
-        ("mollify-demo", "mollifier contraction and convergence table"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="path to a JSON config (bundled default if omitted)")
         sp.add_argument("--set", dest="overrides", action="append", default=[],
@@ -300,13 +293,8 @@ def load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
-        ctx = _Context(cfg)
-        lines, code, suffixes = _COMMANDS[args.command](ctx)
+        ctx = _Context(load_config(args))
+        lines, code, suffixes = _COMMANDS[args.command][0](ctx)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

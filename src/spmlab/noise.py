@@ -14,9 +14,13 @@ Paths are sampled on a uniform base grid with every jump time inserted
 exactly, so integrands evaluated at the left endpoint of each sub-interval are
 genuine left limits and the integral of a piecewise-constant operator is a
 finite sum with no time-discretization error. Sampling is deterministic per
-(master seed, path index). Integrands are operator objects, constant
-(``ConstantOperator``) or piecewise constant in time (``StepOperator``); a
-plain (K, n) array stands for a constant one.
+(master seed, path index).
+
+Every integrand is a ``StepOperator``: ``fields[i]`` (K, n) holds on
+[b_i, b_{i+1}), the first piece also before b_0 and the last one after the
+final breakpoint. Evaluation, differences and the exact budget in ``verify``
+all read it that way. A constant integrand (``ConstantOperator``) is the
+one-piece step over (-inf, inf), and a plain (K, n) array stands for one.
 
 An ensemble of P paths has one layout from sampling to the march, the held
 layout built by ``hold_ensemble``: the grids are one (P, N+1) array, N the
@@ -28,8 +32,8 @@ over a path is a max along axis 1, its final value row -1.
 Diffusion coefficients map a stack of state fields to one field per mode and
 state (``mode_fields_batch``, the one method each variant implements); the
 built-in variants are a state-independent family, a spectrally smoothed linear
-family and a smoothed superposition (Nemytskii) family. Their Lipschitz and
-growth constants in the dual norm are measured empirically on random fields.
+family and a smoothed superposition (Nemytskii) family. Their squared-Lipschitz
+constant in the dual norm is measured on random fields (``lipschitz_constant``).
 """
 
 from __future__ import annotations
@@ -294,22 +298,12 @@ def sample_ensemble(spec: NoiseSpec, horizon: float, base_dt: float, n_paths: in
 # ---------------------------------------------------------------------------
 # operator-valued integrands
 
-class ConstantOperator:
-    """Time-independent integrand: one field per mode, shape (K, n)."""
-
-    def __init__(self, fields):
-        self.fields = np.atleast_2d(np.asarray(fields, dtype=float))
-
-    def at_many(self, ts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.fields, np.shape(ts) + self.fields.shape)
-
-
 class StepOperator:
-    """Right-continuous piecewise-constant integrand.
-
-    ``fields[i]`` is the value on [breakpoints[i], breakpoints[i+1]); since the
-    path grid contains every jump time, evaluation at sub-interval left
-    endpoints yields the required left limits.
+    """Piecewise-constant integrand: ``fields`` (B, K, n) over strictly
+    increasing ``breakpoints`` b_0 < ... < b_B, piece i on [b_i, b_{i+1}), the
+    first piece also before b_0 and the last after b_B. Since the path grid
+    contains every jump time, evaluation at sub-interval left endpoints yields
+    the required left limits.
     """
 
     def __init__(self, breakpoints, fields):
@@ -317,20 +311,34 @@ class StepOperator:
         self.fields = np.asarray(fields, dtype=float)
         if self.fields.ndim != 3 or len(self.breakpoints) != self.fields.shape[0] + 1:
             raise ValueError("need len(breakpoints) == len(fields) + 1, fields (B, K, n)")
-
-    def _locate(self, ts):
-        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
-        return np.clip(idx, 0, self.fields.shape[0] - 1)
+        if not np.all(np.diff(self.breakpoints) > 0):
+            raise ValueError(f"breakpoints must be strictly increasing, got {self.breakpoints}")
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
-        return self.fields[self._locate(np.asarray(ts))]
+        """The fields at times ts, shape ts.shape + (K, n); one piece gives a
+        broadcast view with zero strides, not a copy."""
+        ts = np.asarray(ts)
+        if len(self.fields) == 1:
+            return np.broadcast_to(self.fields[0], ts.shape + self.fields.shape[1:])
+        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
+        return self.fields[np.clip(idx, 0, len(self.fields) - 1)]
+
+    def __sub__(self, other: "StepOperator") -> "StepOperator":
+        """Pointwise difference, one piece per piece of the union of breakpoints."""
+        edges = np.union1d(self.breakpoints, other.breakpoints)
+        return StepOperator(edges, self.at_many(edges[:-1]) - other.at_many(edges[:-1]))
 
 
-ModeOperator = Union[ConstantOperator, StepOperator]
+class ConstantOperator(StepOperator):
+    """Time-independent integrand: one field per mode, shape (K, n), as the
+    one-piece step over (-inf, inf)."""
+
+    def __init__(self, fields):
+        super().__init__([-np.inf, np.inf], np.atleast_2d(fields)[None])
 
 
-def as_mode_operator(G) -> ModeOperator:
-    return G if hasattr(G, "at_many") else ConstantOperator(G)
+def as_mode_operator(G) -> StepOperator:
+    return G if isinstance(G, StepOperator) else ConstantOperator(G)
 
 
 @dataclass
@@ -343,7 +351,7 @@ class IntegralPath:
 
     times: np.ndarray
     values: np.ndarray
-    integrand: Optional[ModeOperator] = None
+    integrand: Optional[StepOperator] = None
 
     @classmethod
     def zeros(cls, times, n_nodes: int) -> "IntegralPath":

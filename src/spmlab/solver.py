@@ -157,7 +157,7 @@ def _dual_norms(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
 def _solve_jacobians(L: DirichletLaplacian, tau: np.ndarray, slope: np.ndarray,
                      rhs: np.ndarray):
     """Solve the Newton systems of k windows of w steps with one LAPACK ?gbsv call;
-    rhs (k, w, n), or (k, n) for w = 1, is overwritten; returns (x, info).
+    rhs (k, w, n) is overwritten; returns (x, info).
 
     A window's Jacobian is I + tau_i*(-Lap)*diag(slope_i) on the diagonal and -I
     n rows below it, a band with kl = n and ku = b (kl = ku = b when w = 1). The
@@ -170,7 +170,7 @@ def _solve_jacobians(L: DirichletLaplacian, tau: np.ndarray, slope: np.ndarray,
     first zero pivot.
     """
     n, b = L.n, L.half_bandwidth
-    w = rhs.shape[1] if rhs.ndim == 3 else 1
+    w = rhs.shape[1]
     kl = n if w > 1 else b
     m = rhs.size // n  # steps of all windows
     buf = np.zeros((m, n, 2 * kl + b + 1))

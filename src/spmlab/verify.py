@@ -3,8 +3,8 @@
 Every check draws a seeded ensemble, estimates the two sides of one identity
 or inequality, and renders a pass/fail verdict with a statistical margin:
 
-* inequality checks pass when estimate <= bound + margin_sigmas * std_error,
-* identity checks pass when |estimate - target| <= margin_sigmas * std_error.
+* inequality checks pass when estimate <= bound + MARGIN_SIGMAS * std_error,
+* identity checks pass when |estimate - target| <= MARGIN_SIGMAS * std_error.
 
 Both rules, and every report, go through one builder, ``_report``; a check
 with a rule of its own passes its verdict to it.
@@ -30,7 +30,6 @@ from .noise import (
     ConstantOperator,
     DiffusionCoefficient,
     NoiseSpec,
-    StepOperator,
     as_mode_operator,
     lipschitz_constant,
     sample_ensemble,
@@ -44,6 +43,11 @@ from .solver import (
     march_batch,
     picard_solve,
 )
+
+# the verdict knobs, fixed for every check
+MARGIN_SIGMAS = 3.0      # standard errors of slack in the statistical checks
+APRIORI_FACTOR = 2.0     # allowed growth of the a priori quantities along a sweep
+LIPSCHITZ_MAP_TOL = 0.25  # allowed relative spread of the lipschitz_map ratios
 
 
 @dataclass
@@ -93,25 +97,16 @@ def _std_err(samples: np.ndarray) -> float:
 
 def expected_quadratic_budget(G, spec: NoiseSpec, horizon: float,
                               L: DirichletLaplacian) -> float:
-    """Exact value of int_0^T |G(s)|_{Q_M}^2 d<M>(s) = sum_k v_k int |G_k|^2 dt
-    for constant and piecewise-constant integrands."""
+    """Exact value of int_0^T |G(s)|_{Q_M}^2 d<M>(s) = sum_k v_k int_0^T |G_k|^2 dt:
+    each piece's length in [0, T], the first piece from 0 and the last to T."""
     op = as_mode_operator(G)
-    rates = spec.variance_rates
-    if isinstance(op, ConstantOperator):
-        return horizon * float(rates @ hminus1_norm_sq_rows(L, op.fields))
-    if isinstance(op, StepOperator):
-        total = 0.0
-        for i in range(op.fields.shape[0]):
-            lo = max(0.0, float(op.breakpoints[i]))
-            hi = min(horizon, float(op.breakpoints[i + 1]))
-            if hi > lo:
-                total += (hi - lo) * float(rates @ hminus1_norm_sq_rows(L, op.fields[i]))
-        return total
-    raise ValueError("exact budget needs a constant or piecewise-constant integrand")
+    edges = np.clip(op.breakpoints, 0.0, horizon)
+    edges[[0, -1]] = 0.0, horizon
+    return float(np.diff(edges) @ (hminus1_norm_sq_rows(L, op.fields) @ spec.variance_rates))
 
 
 def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed: int,
-               L: DirichletLaplacian, margin_sigmas: float = 3.0) -> VerificationReport:
+               L: DirichletLaplacian) -> VerificationReport:
     """E sup_t |G.M(t)|^2 against 4 E |G.M(T)|^2, paired over one ensemble."""
     t0 = time.perf_counter()
     values = stochastic_integrals(G, sample_ensemble(spec, horizon, dt, n_paths, seed), L)
@@ -119,24 +114,24 @@ def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed
     fin_sq = hminus1_norm_sq_rows(L, values[:, -1])
     diff = sup_sq - 4.0 * fin_sq
     return _report("doob", "inequality", float(sup_sq.mean()), 4.0 * float(fin_sq.mean()),
-                   _std_err(diff), margin_sigmas, n_paths, t0,
+                   _std_err(diff), MARGIN_SIGMAS, n_paths, t0,
                    notes=f"mean_diff={diff.mean():.6g}")
 
 
 def check_isometry(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed: int,
-                   L: DirichletLaplacian, margin_sigmas: float = 3.0) -> VerificationReport:
+                   L: DirichletLaplacian) -> VerificationReport:
     """E |G.M(T)|^2 against the exact integrand budget."""
     t0 = time.perf_counter()
     target = expected_quadratic_budget(G, spec, horizon, L)
     ens = sample_ensemble(spec, horizon, dt, n_paths, seed)
     fin_sq = hminus1_norm_sq_rows(L, stochastic_integrals(G, ens, L)[:, -1])
     return _report("isometry", "identity", float(fin_sq.mean()), target, _std_err(fin_sq),
-                   margin_sigmas, n_paths, t0)
+                   MARGIN_SIGMAS, n_paths, t0)
 
 
 def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
                 spec: NoiseSpec, data1, data2, horizon: float, n_paths: int, seed: int,
-                margin_sigmas: float = 3.0, name: str = "stability") -> VerificationReport:
+                name: str = "stability") -> VerificationReport:
     """Stability of the additive solve in the data: sup_t E|Y1 - Y2|^2 against
     |x1 - x2|^2 plus the exact budget of G1 - G2."""
     t0 = time.perf_counter()
@@ -145,9 +140,8 @@ def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     op1, op2 = as_mode_operator(g_op1), as_mode_operator(g_op2)
-    diff_op = _difference_operator(op1, op2)
     bound = float(hminus1_norm_sq_rows(L, (x1 - x2)[None, :])[0])
-    bound += expected_quadratic_budget(diff_op, spec, horizon, L)
+    bound += expected_quadratic_budget(op1 - op2, spec, horizon, L)
 
     ens = sample_ensemble(spec, horizon, cfg.dt, n_paths, seed)
     diffs = _paired_differences(graph, cfg, L, ens, (x1, op1), (x2, op2))
@@ -155,7 +149,7 @@ def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     mean = sq.mean(axis=0)
     idx = int(np.argmax(mean))
     return _report(name, "inequality", float(mean[idx]), bound, _std_err(sq[:, idx]),
-                   margin_sigmas, n_paths, t0, notes=f"argmax_t={idx}")
+                   MARGIN_SIGMAS, n_paths, t0, notes=f"argmax_t={idx}")
 
 
 def _paired_differences(graph, cfg, L, ens, data1, data2):
@@ -166,22 +160,12 @@ def _paired_differences(graph, cfg, L, ens, data1, data2):
     return np.subtract(*np.split(states, 2))
 
 
-def _difference_operator(op1, op2):
-    # constant (K, n) fields broadcast against step fields (B, K, n)
-    breaks = {tuple(op.breakpoints) for op in (op1, op2) if isinstance(op, StepOperator)}
-    if len(breaks) > 1:
-        raise ValueError("stability check needs constant or aligned step integrands")
-    fields = op1.fields - op2.fields
-    return StepOperator(breaks.pop(), fields) if breaks else ConstantOperator(fields)
-
-
 def check_apriori(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
-                  x0, gm, lambdas: Sequence[float],
-                  margin_factor: float = 2.0) -> VerificationReport:
+                  x0, gm, lambdas: Sequence[float]) -> VerificationReport:
     """Boundedness of the regularization quantities along a lambda sweep.
 
     Both int(j(z) + j*(eta)) and int|X - z|^2 / lam must stay within
-    margin_factor of their values at the largest lambda (the fitted constant);
+    APRIORI_FACTOR of their values at the largest lambda (the fitted constant);
     the factor-2 slack mirrors the path dependence of the bounding constant.
     """
     t0 = time.perf_counter()
@@ -195,25 +179,23 @@ def check_apriori(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian
         else:
             ratios.append(float(np.max(series) / ref))
     estimate = max(ratios)
-    return _report("apriori_bounds", "inequality", estimate, margin_factor, 0.0, 0.0, 1, t0,
+    return _report("apriori_bounds", "inequality", estimate, APRIORI_FACTOR, 0.0, 0.0, 1, t0,
                    notes=f"potential_ratio={ratios[0]:.4g} gap_ratio={ratios[1]:.4g}")
 
 
 def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
                       cfg: SolverConfig, L: DirichletLaplacian, x0,
-                      T0_list: Sequence[float], n_paths: int, seed: int,
-                      margin_sigmas: float = 3.0, perturbation=None) -> list:
+                      T0_list: Sequence[float], n_paths: int, seed: int) -> list:
     """Measured contraction factor of one fixed-point sweep per window length.
 
-    Applies the map to the constant candidates X1 = x0 and X2 = x0 + d and
-    compares the squared ensemble distance ratio against the theoretical
-    modulus k * T0 * (1 + 6/eps) / (1 - 6 eps). For window lengths below the
-    contraction threshold the factor must also sit below one at the margin.
+    Applies the map to the constant candidates X1 = x0 and X2 = x0 + d, d half
+    the first eigenmode, and compares the squared ensemble distance ratio
+    against the theoretical modulus k * T0 * (1 + 6/eps) / (1 - 6 eps). For
+    window lengths below the contraction threshold the factor must also sit
+    below one at the margin.
     """
     x0 = np.asarray(x0, dtype=float)
-    if perturbation is None:
-        perturbation = 0.5 * eigenmode(L, 0)
-    d = np.asarray(perturbation, dtype=float)
+    d = 0.5 * eigenmode(L, 0)
     denom = float(hminus1_norm_sq_rows(L, d[None, :])[0])
     k_est = lipschitz_constant(B, spec, L, seed=seed)
     threshold = contraction_time_limit(k_est, cfg.epsilon)
@@ -231,11 +213,11 @@ def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noise
         se = _std_err(sup_sq) / denom
         bound = k_est * T0 * modulus_coeff
         below_threshold = T0 < threshold
-        passed = factor <= bound + margin_sigmas * se
+        passed = factor <= bound + MARGIN_SIGMAS * se
         if below_threshold:
-            passed = passed and (factor + margin_sigmas * se < 1.0)
+            passed = passed and (factor + MARGIN_SIGMAS * se < 1.0)
         reports.append(_report(
-            f"contraction_T0={T0:.6g}", "inequality", factor, bound, se, margin_sigmas,
+            f"contraction_T0={T0:.6g}", "inequality", factor, bound, se, MARGIN_SIGMAS,
             n_paths, t0, passed=passed,
             notes=f"threshold={threshold:.6g} k={k_est:.6g} "
                   f"below_threshold={below_threshold}",
@@ -245,13 +227,12 @@ def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noise
 
 def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
                         cfg: SolverConfig, L: DirichletLaplacian, y1, y2,
-                        horizon: float, n_paths: int, seed: int,
-                        stability_tol: float = 0.25) -> VerificationReport:
+                        horizon: float, n_paths: int, seed: int) -> VerificationReport:
     """Measured squared-Lipschitz ratio of the datum-to-solution map.
 
     Runs the full fixed-point solve from two data on a common ensemble, then
     repeats with a fresh ensemble; passes when both ratios are finite and
-    agree within stability_tol relative spread.
+    agree within LIPSCHITZ_MAP_TOL relative spread.
     """
     t0 = time.perf_counter()
     y1 = np.asarray(y1, dtype=float)
@@ -269,7 +250,7 @@ def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noi
         ratios.append(ensemble_mean_sup_sq(r1.states, r2.states, L) / denom)
     spread = abs(ratios[0] - ratios[1])
     scale = max(ratios)
-    passed = np.isfinite(ratios).all() and spread <= stability_tol * scale
-    return _report("lipschitz_map", "inequality", spread, stability_tol * scale, 0.0, 0.0,
+    passed = np.isfinite(ratios).all() and spread <= LIPSCHITZ_MAP_TOL * scale
+    return _report("lipschitz_map", "inequality", spread, LIPSCHITZ_MAP_TOL * scale, 0.0, 0.0,
                    n_paths, t0, passed=passed,
                    notes=f"ratio_seed0={ratios[0]:.6g} ratio_seed1={ratios[1]:.6g}")

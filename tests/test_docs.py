@@ -31,3 +31,27 @@ def test_readme_module_names_resolve():
     missing = [f"{mod}.{name}" for mod, name in refs
                if not hasattr(importlib.import_module(f"spmlab.{mod}"), name)]
     assert missing == []
+
+
+def _schema_property_names(node):
+    names = set()
+    if isinstance(node, dict):
+        names.update(node.get("properties", {}))
+        for value in node.values():
+            names |= _schema_property_names(value)
+    elif isinstance(node, list):
+        for value in node:
+            names |= _schema_property_names(value)
+    return names
+
+
+def test_readme_configuration_names_every_schema_key():
+    import json
+
+    schema = json.loads((README.parent / "src/spmlab/data/experiment.schema.json").read_text())
+    text = README.read_text()
+    section = text[text.index("### Configuration"):text.index("### Outputs")]
+    backticked = set(re.findall(r"`(\w+)", section))
+    names = _schema_property_names(schema)
+    assert len(names) >= 40
+    assert sorted(names - backticked) == []

@@ -240,6 +240,39 @@ def test_stochastic_integrals_mode_and_node_errors(lap):
         stochastic_integral(np.ones((1, lap.n)), paths[1], lap)
 
 
+@pytest.mark.parametrize("breaks", [[0.0, 0.75, 0.5, 1.0], [0.0, 0.5, 0.5, 1.0]],
+                         ids=["misordered", "repeated"])
+def test_step_breakpoints_must_increase_strictly(breaks):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        StepOperator(breaks, np.ones((3, 1, 4)))
+
+
+def test_one_piece_evaluation_is_a_zero_stride_view():
+    # a constant integrated over an ensemble is one field for every path and
+    # step, not one copy each
+    fields = np.arange(8.0).reshape(2, 4)
+    ts = np.zeros((1_000, 50))
+    for op in (ConstantOperator(fields), StepOperator([0.0, 0.5], fields[None])):
+        view = op.at_many(ts)
+        assert view.shape == (1_000, 50, 2, 4)
+        assert view.strides[:2] == (0, 0)
+        np.testing.assert_array_equal(view[123, 45], fields)
+
+
+def test_step_difference_lives_on_the_union_of_breakpoints():
+    rng = np.random.default_rng(31)
+    a = StepOperator([0.0, 0.125, 0.25], rng.standard_normal((2, 2, 3)))
+    b = StepOperator([0.1, 0.25, 0.5], rng.standard_normal((2, 2, 3)))
+    c = ConstantOperator(rng.standard_normal((2, 3)))
+    # every piece of either side, and times before and after all breakpoints
+    ts = np.array([-1.0, 0.0, 0.05, 0.1, 0.11, 0.125, 0.2, 0.25, 0.3, 0.5, 2.0])
+    for op1, op2 in ((a, b), (b, a), (a, c), (c, b), (c, c)):
+        diff = op1 - op2
+        np.testing.assert_array_equal(diff.breakpoints,
+                                      np.union1d(op1.breakpoints, op2.breakpoints))
+        np.testing.assert_array_equal(diff.at_many(ts), op1.at_many(ts) - op2.at_many(ts))
+
+
 def test_realized_qv_cases(lap):
     spec = make_noise_spec([NoiseMode(jump_intensity=2.0, jump_law=TwoPointJumps(1.0))])
     path = sample_path(spec, 1.0, 0.5, rng_for(5, 1))

@@ -516,7 +516,7 @@ def test_stacked_band_solve_matches_per_row_solves(dim, n, k):
     slope = rng.uniform(0.05, 20.0, (k, L.n))
     slope[:, ::3] = 0.0
     rhs = rng.standard_normal((k, L.n))
-    x, info = solver._solve_jacobians(L, tau, slope, rhs.copy())
+    x, info = solver._solve_jacobians(L, tau, slope, rhs[:, None].copy())
     assert info == 0
     for r in range(k):
         ab = np.zeros((L.n, 3 * b + 1)).T
@@ -524,7 +524,7 @@ def test_stacked_band_solve_matches_per_row_solves(dim, n, k):
         ab[2 * b] += 1.0
         alone = solver._gbsv(b, b, ab, rhs[r].copy(), overwrite_ab=1, overwrite_b=1)
         assert alone[3] == 0
-        np.testing.assert_array_equal(x[r], alone[2])
+        np.testing.assert_array_equal(x[r, 0], alone[2])
 
 
 def test_singular_block_names_its_pending_path(lap, monkeypatch):

@@ -67,6 +67,33 @@ def test_expected_budget_closed_forms(lap):
     assert expected_quadratic_budget(op, spec, 1.0, lap) == pytest.approx(expected, rel=1e-12)
 
 
+def test_budget_extends_the_first_and_last_pieces(lap):
+    # the first piece also holds before the first breakpoint and the last
+    # piece after the final one, as in the integral's evaluation
+    spec = mixed_spec()
+    g = np.stack([eigenmode(lap, 0), 0.5 * eigenmode(lap, 1)])
+    target = float(spec.variance_rates @ hminus1_norm_sq_rows(lap, g))
+    constant = expected_quadratic_budget(ConstantOperator(g), spec, 1.0, lap)
+    assert expected_quadratic_budget(StepOperator([0.0, 0.5], g[None]), spec, 1.0,
+                                     lap) == constant
+    two = np.stack([g, 0.5 * g])
+    for breaks, expected in [([0.25, 0.5, 2.0], 0.5 + 0.5 * 0.25),
+                             ([-1.0, 0.25, 0.75], 0.25 + 0.75 * 0.25),
+                             ([2.0, 3.0, 4.0], 1.0),
+                             ([-3.0, -2.0, -1.0], 0.25)]:
+        assert expected_quadratic_budget(StepOperator(breaks, two), spec, 1.0,
+                                         lap) == pytest.approx(expected * target, rel=1e-12)
+
+
+def test_isometry_of_a_step_that_ends_before_the_horizon(lap):
+    # the integral keeps the last piece up to T, and so must the target
+    spec = mixed_spec()
+    g = np.stack([0.4 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 1)])
+    rep = check_isometry(spec, StepOperator([0.0, 0.5], g[None]), 1.0, 1 / 64, 4000, 3, lap)
+    assert rep.bound_or_target == expected_quadratic_budget(ConstantOperator(g), spec, 1.0, lap)
+    assert rep.passed
+
+
 def test_doob_trivial_and_mixed(lap):
     spec = mixed_spec()
     zero = check_doob(spec, np.zeros((2, lap.n)), 0.5, 1 / 32, 50, 1, lap)
@@ -141,15 +168,23 @@ def test_resta_bound_pairs_constant_and_step_integrands(lap, pair):
     assert rep.bound_or_target == pytest.approx(expected, rel=1e-12)
 
 
-def test_resta_rejects_misaligned_step_integrands(lap):
+def test_resta_bound_sums_union_pieces_of_misaligned_steps(lap):
+    # the difference of two steps with different breakpoints is constant on
+    # each piece of the union [0, 0.1), [0.1, 0.125), [0.125, 0.25]
     spec = mixed_spec()
     g = np.stack([0.4 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 1)])
-    x = eigenmode(lap, 0)
+    x1, x2 = eigenmode(lap, 0), 0.5 * eigenmode(lap, 0)
     op1 = StepOperator([0.0, 0.125, 0.25], np.stack([g, 0.5 * g]))
-    op2 = StepOperator([0.0, 0.1, 0.25], np.stack([g, 0.5 * g]))
-    with pytest.raises(ValueError, match="aligned step"):
-        check_resta(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 64), lap, spec,
-                    (x, op1), (x, op2), 0.25, 4, 1)
+    op2 = StepOperator([0.0, 0.1, 0.25], np.stack([0.3 * g, -g]))
+    rep = check_resta(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 64), lap, spec,
+                      (x1, op1), (x2, op2), 0.25, 4, 1)
+
+    def rate(f):
+        return float(spec.variance_rates @ hminus1_norm_sq_rows(lap, f))
+
+    expected = float(hminus1_norm_sq_rows(lap, (x1 - x2)[None, :])[0])
+    expected += 0.1 * rate(0.7 * g) + 0.025 * rate(2.0 * g) + 0.125 * rate(1.5 * g)
+    assert rep.bound_or_target == pytest.approx(expected, rel=1e-12)
 
 
 def test_apriori_cases(lap):
