@@ -3,9 +3,12 @@
 Subcommands: simulate-additive, simulate-multiplicative, generalized,
 lambda-sweep, verify-all, mollify-demo. ``main`` loads a JSON config (bundled
 default when --config is omitted), applies dotted-path --set overrides plus
-the --seed/--paths/--out shortcuts and builds one context from it. The
-command runs the pipeline, writes its CSV files and returns its summary
-lines, which ``main`` writes into the output directory and prints.
+the --seed/--paths/--out shortcuts and builds one context from it. A command
+only computes: it returns its CSV tables as ``{file name: (header, rows)}``,
+its summary lines, its exit code and stdout-only suffixes. ``main`` is the one
+writer: it stamps every file with the provenance line, writes the tables and
+``summary.txt`` into the output directory, with ``command: <name>`` as the
+first summary line, and prints the summary.
 
 Exit codes: 0 success / all checks passed, 1 a check or assertion failed,
 2 configuration error, 3 solver failure.
@@ -14,6 +17,7 @@ Exit codes: 0 success / all checks passed, 1 a check or assertion failed,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from itertools import zip_longest
@@ -56,7 +60,7 @@ _COMMANDS = {}
 
 def _command(name, help_text):
     """Register a command and its help text: it takes a _Context and returns
-    (summary lines, exit code, stdout-only suffixes for the first lines)."""
+    ({file name: (header, rows)}, summary lines, exit code, stdout-only suffixes)."""
     def wrap(fn):
         _COMMANDS[name] = (fn, help_text)
         return fn
@@ -74,10 +78,6 @@ class _Context:
         self.scfg = cfg.solver_config()
         self.x0 = cfg.initial_field(self.L)
         self.B = cfg.diffusion(self.L)
-        self.prov = provenance_line(cfg.digest, cfg.master_seed)
-
-    def out(self, name):
-        return os.path.join(self.cfg.output_dir, name)
 
     def frozen_integral(self, seed):
         """Path 0 under seed and its integral of the coefficient frozen at the datum."""
@@ -86,23 +86,17 @@ class _Context:
         return path, stochastic_integral(op, path, self.L)
 
 
-def _write_trajectory(path, traj, prov):
+def _rows(*cols):
+    # a generator, so the Python rows exist only while main writes the file;
+    # tolist() gives Python scalars, so booleans print as true/false
+    yield from zip(*(c.tolist() for c in cols))
+
+
+def _trajectory_table(traj):
     m, n = traj.states.shape
-    cols = [np.repeat(traj.times, n), np.tile(np.arange(n), m),
-            traj.states.ravel(), traj.selections.ravel()]
-    write_csv(path, ["time", "node", "state", "selection"],
-              zip(*(c.tolist() for c in cols)), prov)
-
-
-def _write_martingale(path_obj, out_path, prov):
-    k, m = path_obj.values.shape
-    jumps = np.zeros((k, m), dtype=bool)
-    jumps[path_obj.jump_modes, path_obj.jump_indices] = True
-    cols = [np.tile(path_obj.times, k), np.repeat(np.arange(k), m),
-            path_obj.values.ravel(), jumps.ravel()]
-    # tolist() gives Python scalars, so the booleans print as true/false
-    write_csv(out_path, ["time", "mode", "value", "is_jump"],
-              zip(*(c.tolist() for c in cols)), prov)
+    return ["time", "node", "state", "selection"], _rows(
+        np.repeat(traj.times, n), np.tile(np.arange(n), m),
+        traj.states.ravel(), traj.selections.ravel())
 
 
 @_command("simulate-additive", "single-path solve with the coefficient frozen at the datum")
@@ -111,12 +105,16 @@ def _cmd_simulate_additive(ctx: _Context):
     path, gm = ctx.frozen_integral(ctx.cfg.master_seed)
     traj = additive_path_solve(ctx.graph, ctx.scfg, L, x0, gm)
 
-    _write_trajectory(ctx.out("trajectory.csv"), traj, ctx.prov)
-    _write_martingale(path, ctx.out("martingale.csv"), ctx.prov)
+    k, m = path.values.shape
+    jumps = np.zeros((k, m), dtype=bool)
+    jumps[path.jump_modes, path.jump_indices] = True
+    tables = {"trajectory.csv": _trajectory_table(traj),
+              "martingale.csv": (["time", "mode", "value", "is_jump"], _rows(
+                  np.tile(path.times, k), np.repeat(np.arange(k), m),
+                  path.values.ravel(), jumps.ravel()))}
     diag = trajectory_diagnostics(traj, ctx.graph, L)
     resid = strong_identity_residual(traj, gm, x0, L)
     lines = [
-        "command: simulate-additive",
         f"horizon: {fmt_value(ctx.cfg.horizon)}",
         f"steps: {len(traj.times) - 1}",
         f"lambda: {fmt_value(ctx.scfg.lam)}",
@@ -125,32 +123,28 @@ def _cmd_simulate_additive(ctx: _Context):
         f"conjugate_integral: {fmt_value(diag['conjugate_integral'])}",
         f"max_identity_residual: {fmt_value(float(resid.max()))}",
     ]
-    return lines, 0, ()
+    return tables, lines, 0, ()
 
 
 @_command("simulate-multiplicative", "ensemble fixed-point solve with state-dependent noise")
 def _cmd_simulate_multiplicative(ctx: _Context):
-    cfg, prov = ctx.cfg, ctx.prov
+    cfg = ctx.cfg
     ens = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
     res = picard_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0, ens)
 
-    rows = []
-    for w, ((t0, t1), dists, factors) in enumerate(
-            zip(res.windows, res.window_distances, res.window_factors)):
-        for it, dist in enumerate(dists):
-            factor = factors[it - 1] if 0 < it <= len(factors) else None
-            rows.append((w, t0, t1, it + 1, dist, factor))
-    write_csv(ctx.out("picard.csv"),
-              ["window", "t_start", "t_end", "iteration", "distance_sq", "factor"],
-              rows, prov)
-
+    rows = [(w, t0, t1, it + 1, dist, factors[it - 1] if 0 < it <= len(factors) else None)
+            for w, ((t0, t1), dists, factors) in enumerate(
+                zip(res.windows, res.window_distances, res.window_factors))
+            for it, dist in enumerate(dists)]
     sq = hminus1_norm_sq_rows(ctx.L, ens.at_base(res.states))
-    write_csv(ctx.out("ensemble_norms.csv"), ["time", "mean_sq_dual_norm"],
-              list(zip(res.base_times, sq.mean(axis=0))), prov)
-    _write_trajectory(ctx.out("trajectory0.csv"), res.trajectories[0], prov)
-
+    tables = {
+        "picard.csv": (["window", "t_start", "t_end", "iteration", "distance_sq", "factor"],
+                       rows),
+        "ensemble_norms.csv": (["time", "mean_sq_dual_norm"],
+                               zip(res.base_times, sq.mean(axis=0))),
+        "trajectory0.csv": _trajectory_table(res.trajectories[0]),
+    }
     lines = [
-        "command: simulate-multiplicative",
         f"paths: {cfg.n_paths}",
         f"iterations: {res.iterations}",
         f"windows: {len(res.windows)}",
@@ -158,7 +152,7 @@ def _cmd_simulate_multiplicative(ctx: _Context):
         f"lipschitz_estimate: {fmt_value(res.lipschitz_estimate)}",
         f"converged: {fmt_value(res.converged)}",
     ]
-    return lines, 0, ()
+    return tables, lines, 0, ()
 
 
 @_command("generalized", "mollified solves of a rough coefficient with Cauchy distances")
@@ -169,14 +163,12 @@ def _cmd_generalized(ctx: _Context):
                             cfg.generalized_levels(), ens)
 
     rows = zip(res.levels, [None, *res.sup_mean_distances], [None, *res.mean_sup_distances])
-    write_csv(ctx.out("levels.csv"),
-              ["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], rows, ctx.prov)
+    tables = {"levels.csv": (["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], rows)}
     lines = [
-        "command: generalized",
         f"levels: {' '.join(str(n) for n in res.levels)}",
         f"cauchy_ok: {fmt_value(res.cauchy_ok)}",
     ]
-    return lines, 0 if res.cauchy_ok else 1, ()
+    return tables, lines, 0 if res.cauchy_ok else 1, ()
 
 
 @_command("lambda-sweep", "regularization sweep on one fixed path")
@@ -186,17 +178,14 @@ def _cmd_lambda_sweep(ctx: _Context):
 
     rows = zip(report.lambdas, [None, *report.sup_diffs], report.gap_integrals,
                report.gap_ratios, report.potential_integrals, report.conjugate_integrals)
-    write_csv(ctx.out("sweep.csv"),
-              ["lambda", "sup_diff_prev", "gap_integral", "gap_ratio",
-               "potential_integral", "conjugate_integral"],
-              rows, ctx.prov)
+    tables = {"sweep.csv": (["lambda", "sup_diff_prev", "gap_integral", "gap_ratio",
+                             "potential_integral", "conjugate_integral"], rows)}
     lines = [
-        "command: lambda-sweep",
         f"lambdas: {len(report.lambdas)}",
         f"initial_norm_sq: {fmt_value(report.initial_norm_sq)}",
         f"max_gap_ratio: {fmt_value(float(report.gap_ratios.max()))}",
     ]
-    return lines, 0, ()
+    return tables, lines, 0, ()
 
 
 @_command("verify-all", "run every statistical check and report pass/fail")
@@ -230,18 +219,13 @@ def _cmd_verify_all(ctx: _Context):
                                        x0 + 0.5 * np.roll(x0, 1) + 0.1,
                                        horizon, max(50, n_paths // 4), seed + 6))
 
-    header, rows = report_table(reports)
-    write_csv(ctx.out("reports.csv"), header, rows, ctx.prov)
-    lines = []
-    for r in reports:
-        lines.append(
-            f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: estimate={fmt_value(r.estimate)} "
-            f"{'target' if r.kind == 'identity' else 'bound'}={fmt_value(r.bound_or_target)} "
-            f"se={fmt_value(r.std_error)} paths={r.n_paths}"
-        )
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: estimate={fmt_value(r.estimate)} "
+             f"{'target' if r.kind == 'identity' else 'bound'}={fmt_value(r.bound_or_target)} "
+             f"se={fmt_value(r.std_error)} paths={r.n_paths}" for r in reports]
     n_failed = sum(not r.passed for r in reports)
     lines.append(f"checks: {len(reports)} failed: {n_failed}")
-    return lines, 0 if n_failed == 0 else 1, [f" runtime={r.runtime_s:.2f}s" for r in reports]
+    return ({"reports.csv": report_table(reports)}, lines, 0 if n_failed == 0 else 1,
+            [f" runtime={r.runtime_s:.2f}s" for r in reports])
 
 
 @_command("mollify-demo", "mollifier contraction and convergence table")
@@ -253,10 +237,9 @@ def _cmd_mollify_demo(ctx: _Context):
                                                             smoothed])))
     defects, ratios = norms[1:len(levels) + 1], norms[len(levels) + 1:] / norms[0]
     ok = bool(np.all(ratios <= 1.0 + 1e-12) and np.all(np.diff(defects) <= 0.0))
-    write_csv(ctx.out("mollify.csv"), ["level", "defect_dual_norm", "norm_ratio"],
-              list(zip(levels, defects, ratios)), ctx.prov)
-    lines = ["command: mollify-demo", f"contraction_and_decrease: {fmt_value(ok)}"]
-    return lines, 0 if ok else 1, ()
+    tables = {"mollify.csv": (["level", "defect_dual_norm", "norm_ratio"],
+                              zip(levels, defects, ratios))}
+    return tables, [f"contraction_and_decrease: {fmt_value(ok)}"], 0 if ok else 1, ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +267,7 @@ def load_config(args) -> ExperimentConfig:
     if args.paths is not None:
         overrides.append(f"run.n_paths={args.paths}")
     if args.out is not None:
-        overrides.append(f"run.output_dir={args.out}")
+        overrides.append(f"run.output_dir={json.dumps(args.out)}")
     if overrides:
         cfg = cfg.apply_overrides(overrides)
     return cfg
@@ -293,16 +276,21 @@ def load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        ctx = _Context(load_config(args))
-        lines, code, suffixes = _COMMANDS[args.command][0](ctx)
+        cfg = load_config(args)
+        tables, lines, code, suffixes = _COMMANDS[args.command][0](_Context(cfg))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
-    write_summary(ctx.out("summary.txt"), lines, ctx.prov)
-    print("\n".join(line + suffix for line, suffix in zip_longest(lines, suffixes, fillvalue="")))
+    prov = provenance_line(cfg.digest, cfg.master_seed)
+    for name, (header, rows) in tables.items():
+        write_csv(os.path.join(cfg.output_dir, name), header, rows, prov)
+    lines = [f"command: {args.command}", *lines]
+    write_summary(os.path.join(cfg.output_dir, "summary.txt"), lines, prov)
+    print("\n".join(line + suffix
+                    for line, suffix in zip_longest(lines, ["", *suffixes], fillvalue="")))
     return code
 
 

@@ -111,7 +111,6 @@ class ExperimentConfig:
         merged["diffusion"].setdefault("gamma", 1.0)
         merged["run"].setdefault("output_dir", "spmlab_out")
         self.data = merged
-        self._laplacian = None
         self._cross_checks()
 
     # -- loading -----------------------------------------------------------
@@ -199,13 +198,11 @@ class ExperimentConfig:
             raise ConfigError(f"config grid: {err}")
 
     def laplacian(self):
-        if self._laplacian is None:
-            grid = self.grid()
-            try:
-                self._laplacian = build_laplacian(grid, self.data["grid"]["node_cap"])
-            except ValueError as err:
-                raise ConfigError(f"config grid: {err}")
-        return self._laplacian
+        grid = self.grid()
+        try:
+            return build_laplacian(grid, self.data["grid"]["node_cap"])
+        except ValueError as err:
+            raise ConfigError(f"config grid: {err}")
 
     def graph(self):
         beta = self.data["beta"]

@@ -180,15 +180,15 @@ class MartingalePath:
 
 
 def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
-                seed: Union[int, np.random.Generator]) -> MartingalePath:
+                seed: np.random.Generator) -> MartingalePath:
     """Sample one path on [0, horizon] with base step ``base_dt``.
 
     The base grid is uniform with round(horizon / base_dt) steps; all Poisson
-    jump times are inserted into it. Bit-identical output for equal seeds.
+    jump times are inserted into it. ``seed`` is the Generator the path draws
+    from (``rng_for``); equal streams give bit-identical paths.
     """
     if horizon <= 0 or base_dt <= 0:
         raise ValueError("horizon and base_dt must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_base = max(1, int(round(horizon / base_dt)))
     base = np.linspace(0.0, horizon, n_base + 1)
 
@@ -196,14 +196,14 @@ def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
     for k, mode in enumerate(spec.modes):
         if mode.jump_intensity <= 0:
             continue
-        count = int(rng.poisson(mode.jump_intensity * horizon))
+        count = int(seed.poisson(mode.jump_intensity * horizon))
         if count == 0:
             continue
         # 1 - U keeps times in (0, horizon]
-        times_k = horizon * (1.0 - rng.random(count))
+        times_k = horizon * (1.0 - seed.random(count))
         jump_times.append(times_k)
         jump_modes.append(np.full(count, k, dtype=int))
-        jump_sizes.append(mode.jump_law.sample(rng, count))
+        jump_sizes.append(mode.jump_law.sample(seed, count))
 
     if jump_times:
         jt = np.concatenate(jump_times)
@@ -224,7 +224,7 @@ def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
     incr = np.zeros((spec.n_modes, n_steps))
     for k, mode in enumerate(spec.modes):
         if mode.wiener_vol > 0:
-            incr[k] += mode.wiener_vol * np.sqrt(dtaus) * rng.standard_normal(n_steps)
+            incr[k] += mode.wiener_vol * np.sqrt(dtaus) * seed.standard_normal(n_steps)
     jump_idx = np.searchsorted(times, jt)
     for idx, k, size in zip(jump_idx, jm, js):
         incr[k, idx - 1] += size
@@ -524,11 +524,11 @@ def mollified(B: DiffusionCoefficient, level: int) -> MollifiedDiffusion:
 
 
 def lipschitz_constant(B: DiffusionCoefficient, spec: NoiseSpec, L: DirichletLaplacian,
-                       n_pairs: int = 48, scale: float = 1.0, seed: int = 0) -> float:
+                       n_pairs: int = 48, seed: int = 0) -> float:
     """Measured squared-Lipschitz constant sup |B(x)-B(y)|_Q^2 / |x-y|_{-1}^2."""
     if B.state_independent:
         return 0.0
-    xy = scale * np.random.default_rng(seed).standard_normal((n_pairs, 2, L.n))
+    xy = np.random.default_rng(seed).standard_normal((n_pairs, 2, L.n))
     fields = B.mode_fields_batch(xy.reshape(2 * n_pairs, L.n), L)
     diff = fields[0::2] - fields[1::2]
     sq = hminus1_norm_sq_rows(L, np.concatenate([xy[:, 0] - xy[:, 1],

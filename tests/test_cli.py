@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spmlab.cli import main
+import spmlab.cli
+from spmlab.cli import _COMMANDS, main
 from spmlab.config import ExperimentConfig, default_config_dict
 from spmlab.errors import ConfigError
 from spmlab.monotone import Linear, PowerLaw, StefanPiecewise
@@ -123,6 +124,40 @@ def test_verify_all_byte_identical_reruns(tmp_path):
     # differs between directories only in run.output_dir
     first = (out1 / "reports.csv").read_text().splitlines()[0]
     assert "config_sha256=" in first and "master_seed=" in first
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_summary_and_stdout_start_with_the_command(tmp_path, capsys, name):
+    cfg = small_run(tmp_path, generalized={"levels": [2, 4]})
+    assert main([name, "--config", cfg]) in (0, 1)
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert summary[0].startswith("# spmlab config_sha256=")
+    assert summary[1] == f"command: {name}"
+    assert capsys.readouterr().out.splitlines()[0] == f"command: {name}"
+
+
+def test_each_csv_is_written_once_through_write_csv(tmp_path, monkeypatch):
+    # the first argument is the file's path: the benchmark tracer reads it
+    written = []
+    write_csv = spmlab.cli.write_csv
+
+    def recording(*args, **kwargs):
+        written.append(args[0])
+        return write_csv(*args, **kwargs)
+
+    monkeypatch.setattr(spmlab.cli, "write_csv", recording)
+    cfg = small_run(tmp_path, noise={"T": 0.0625})
+    assert main(["simulate-additive", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    assert sorted(written) == sorted(str(p) for p in out.glob("*.csv"))
+    assert len(written) == 2
+
+
+@pytest.mark.parametrize("out", ["123", "true", '"quoted"'])
+def test_out_is_a_directory_name_even_when_it_parses_as_json(tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    assert main(["mollify-demo", "--out", out]) == 0
+    assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["mollify.csv", "summary.txt"]
 
 
 def test_overrides_change_outputs(tmp_path):

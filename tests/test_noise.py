@@ -50,7 +50,7 @@ def test_variance_rates_and_trace():
 
 def test_silent_spec_path_is_zero():
     spec = make_noise_spec([NoiseMode()])
-    path = sample_path(spec, 1.0, 0.25, seed=0)
+    path = sample_path(spec, 1.0, 0.25, seed=np.random.default_rng(0))
     np.testing.assert_array_equal(path.values, np.zeros((1, 5)))
     assert len(path.jump_sizes) == 0
     with pytest.raises(ValueError, match="TrQ"):
