@@ -4,11 +4,11 @@ Subcommands: simulate-additive, simulate-multiplicative, generalized,
 lambda-sweep, verify-all, mollify-demo. ``main`` loads a JSON config (bundled
 default when --config is omitted), applies dotted-path --set overrides plus
 the --seed/--paths/--out shortcuts and builds one context from it. A command
-only computes: it returns its CSV tables as ``{file name: (header, rows)}``,
-its summary lines, its exit code and stdout-only suffixes. ``main`` is the one
-writer: it stamps every file with the provenance line, writes the tables and
-``summary.txt`` into the output directory, with ``command: <name>`` as the
-first summary line, and prints the summary.
+only computes: it returns its CSV tables as ``{file name: (header, columns)}``,
+one 1-D numpy array or list per header name, with its summary lines, exit code
+and stdout-only suffixes. ``main`` is the one writer: it stamps every file with
+the provenance line, writes each table through ``reporting.write_csv`` and then
+``summary.txt``, with ``command: <name>`` first, and prints the summary.
 
 Exit codes: 0 success / all checks passed, 1 a check or assertion failed,
 2 configuration error, 3 solver failure.
@@ -60,7 +60,7 @@ _COMMANDS = {}
 
 def _command(name, help_text):
     """Register a command and its help text: it takes a _Context and returns
-    ({file name: (header, rows)}, summary lines, exit code, stdout-only suffixes)."""
+    ({file name: (header, columns)}, summary lines, exit code, stdout-only suffixes)."""
     def wrap(fn):
         _COMMANDS[name] = (fn, help_text)
         return fn
@@ -86,17 +86,11 @@ class _Context:
         return path, stochastic_integral(op, path, self.L)
 
 
-def _rows(*cols):
-    # a generator, so the Python rows exist only while main writes the file;
-    # tolist() gives Python scalars, so booleans print as true/false
-    yield from zip(*(c.tolist() for c in cols))
-
-
 def _trajectory_table(traj):
     m, n = traj.states.shape
-    return ["time", "node", "state", "selection"], _rows(
+    return ["time", "node", "state", "selection"], [
         np.repeat(traj.times, n), np.tile(np.arange(n), m),
-        traj.states.ravel(), traj.selections.ravel())
+        traj.states.ravel(), traj.selections.ravel()]
 
 
 @_command("simulate-additive", "single-path solve with the coefficient frozen at the datum")
@@ -109,9 +103,9 @@ def _cmd_simulate_additive(ctx: _Context):
     jumps = np.zeros((k, m), dtype=bool)
     jumps[path.jump_modes, path.jump_indices] = True
     tables = {"trajectory.csv": _trajectory_table(traj),
-              "martingale.csv": (["time", "mode", "value", "is_jump"], _rows(
+              "martingale.csv": (["time", "mode", "value", "is_jump"], [
                   np.tile(path.times, k), np.repeat(np.arange(k), m),
-                  path.values.ravel(), jumps.ravel()))}
+                  path.values.ravel(), jumps.ravel()])}
     diag = trajectory_diagnostics(traj, ctx.graph, L)
     resid = strong_identity_residual(traj, gm, x0, L)
     lines = [
@@ -139,9 +133,8 @@ def _cmd_simulate_multiplicative(ctx: _Context):
     sq = hminus1_norm_sq_rows(ctx.L, ens.at_base(res.states))
     tables = {
         "picard.csv": (["window", "t_start", "t_end", "iteration", "distance_sq", "factor"],
-                       rows),
-        "ensemble_norms.csv": (["time", "mean_sq_dual_norm"],
-                               zip(res.base_times, sq.mean(axis=0))),
+                       list(map(list, zip(*rows)))),
+        "ensemble_norms.csv": (["time", "mean_sq_dual_norm"], [res.base_times, sq.mean(axis=0)]),
         "trajectory0.csv": _trajectory_table(res.trajectories[0]),
     }
     lines = [
@@ -162,8 +155,8 @@ def _cmd_generalized(ctx: _Context):
     res = generalized_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0,
                             cfg.generalized_levels(), ens)
 
-    rows = zip(res.levels, [None, *res.sup_mean_distances], [None, *res.mean_sup_distances])
-    tables = {"levels.csv": (["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], rows)}
+    columns = [res.levels, [None, *res.sup_mean_distances], [None, *res.mean_sup_distances]]
+    tables = {"levels.csv": (["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], columns)}
     lines = [
         f"levels: {' '.join(str(n) for n in res.levels)}",
         f"cauchy_ok: {fmt_value(res.cauchy_ok)}",
@@ -176,10 +169,10 @@ def _cmd_lambda_sweep(ctx: _Context):
     _, gm = ctx.frozen_integral(ctx.cfg.master_seed)
     report = lambda_sweep(ctx.graph, ctx.scfg, ctx.L, ctx.x0, gm, ctx.cfg.sweep_lambdas())
 
-    rows = zip(report.lambdas, [None, *report.sup_diffs], report.gap_integrals,
-               report.gap_ratios, report.potential_integrals, report.conjugate_integrals)
+    columns = [report.lambdas, [None, *report.sup_diffs], report.gap_integrals,
+               report.gap_ratios, report.potential_integrals, report.conjugate_integrals]
     tables = {"sweep.csv": (["lambda", "sup_diff_prev", "gap_integral", "gap_ratio",
-                             "potential_integral", "conjugate_integral"], rows)}
+                             "potential_integral", "conjugate_integral"], columns)}
     lines = [
         f"lambdas: {len(report.lambdas)}",
         f"initial_norm_sq: {fmt_value(report.initial_norm_sq)}",
@@ -230,7 +223,7 @@ def _cmd_verify_all(ctx: _Context):
 
 @_command("mollify-demo", "mollifier contraction and convergence table")
 def _cmd_mollify_demo(ctx: _Context):
-    L, levels = ctx.L, (1, 2, 4, 8, 16, 32)
+    L, levels = ctx.L, [1, 2, 4, 8, 16, 32]
     rough = np.random.default_rng(ctx.cfg.master_seed).standard_normal(L.n)
     smoothed = np.stack([mollify(rough, level, L) for level in levels])
     norms = np.sqrt(hminus1_norm_sq_rows(L, np.concatenate([rough[None, :], smoothed - rough,
@@ -238,7 +231,7 @@ def _cmd_mollify_demo(ctx: _Context):
     defects, ratios = norms[1:len(levels) + 1], norms[len(levels) + 1:] / norms[0]
     ok = bool(np.all(ratios <= 1.0 + 1e-12) and np.all(np.diff(defects) <= 0.0))
     tables = {"mollify.csv": (["level", "defect_dual_norm", "norm_ratio"],
-                              zip(levels, defects, ratios))}
+                              [levels, defects, ratios])}
     return tables, [f"contraction_and_decrease: {fmt_value(ok)}"], 0 if ok else 1, ()
 
 
@@ -285,8 +278,8 @@ def main(argv=None) -> int:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
     prov = provenance_line(cfg.digest, cfg.master_seed)
-    for name, (header, rows) in tables.items():
-        write_csv(os.path.join(cfg.output_dir, name), header, rows, prov)
+    for name, (header, columns) in tables.items():
+        write_csv(os.path.join(cfg.output_dir, name), header, columns, prov)
     lines = [f"command: {args.command}", *lines]
     write_summary(os.path.join(cfg.output_dir, "summary.txt"), lines, prov)
     print("\n".join(line + suffix

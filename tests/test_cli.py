@@ -142,15 +142,25 @@ def test_each_csv_is_written_once_through_write_csv(tmp_path, monkeypatch):
     write_csv = spmlab.cli.write_csv
 
     def recording(*args, **kwargs):
-        written.append(args[0])
+        path, header, columns = args[:3]
+        # a column table: one array or list per header name, all of one length
+        assert len(columns) == len(header)
+        assert all(isinstance(c, (np.ndarray, list)) for c in columns)
+        assert len({len(c) for c in columns}) == 1
+        written.append(path)
         return write_csv(*args, **kwargs)
 
     monkeypatch.setattr(spmlab.cli, "write_csv", recording)
-    cfg = small_run(tmp_path, noise={"T": 0.0625})
-    assert main(["simulate-additive", "--config", cfg]) == 0
-    out = tmp_path / "out"
-    assert sorted(written) == sorted(str(p) for p in out.glob("*.csv"))
-    assert len(written) == 2
+    cfg = small_run(tmp_path, noise={"T": 0.0625}, generalized={"levels": [2, 4]})
+    n_files = {"simulate-additive": 2, "simulate-multiplicative": 3, "generalized": 1,
+               "lambda-sweep": 1, "verify-all": 1, "mollify-demo": 1}
+    assert set(n_files) == set(_COMMANDS)
+    for name, count in n_files.items():
+        written.clear()
+        out = tmp_path / name
+        assert main([name, "--config", cfg, "--out", str(out)]) in (0, 1)
+        assert sorted(written) == sorted(str(p) for p in out.glob("*.csv"))
+        assert len(written) == count
 
 
 @pytest.mark.parametrize("out", ["123", "true", '"quoted"'])
