@@ -86,10 +86,15 @@ class _Context:
         return path, stochastic_integral(op, path, self.L)
 
 
+def _time_text(times):
+    """Each time as its %.17g byte string, so a column that repeats it formats it once."""
+    return np.array(["%.17g" % t for t in times.tolist()], dtype="S")
+
+
 def _trajectory_table(traj):
     m, n = traj.states.shape
     return ["time", "node", "state", "selection"], [
-        np.repeat(traj.times, n), np.tile(np.arange(n), m),
+        np.repeat(_time_text(traj.times), n), np.tile(np.arange(n), m),
         traj.states.ravel(), traj.selections.ravel()]
 
 
@@ -99,15 +104,15 @@ def _cmd_simulate_additive(ctx: _Context):
     path, gm = ctx.frozen_integral(ctx.cfg.master_seed)
     traj = additive_path_solve(ctx.graph, ctx.scfg, L, x0, gm)
 
+    diag = trajectory_diagnostics(traj, ctx.graph, L)
+    resid = strong_identity_residual(traj, gm, x0, L)
     k, m = path.values.shape
     jumps = np.zeros((k, m), dtype=bool)
     jumps[path.jump_modes, path.jump_indices] = True
     tables = {"trajectory.csv": _trajectory_table(traj),
               "martingale.csv": (["time", "mode", "value", "is_jump"], [
-                  np.tile(path.times, k), np.repeat(np.arange(k), m),
+                  np.tile(_time_text(path.times), k), np.repeat(np.arange(k), m),
                   path.values.ravel(), jumps.ravel()])}
-    diag = trajectory_diagnostics(traj, ctx.graph, L)
-    resid = strong_identity_residual(traj, gm, x0, L)
     lines = [
         f"horizon: {fmt_value(ctx.cfg.horizon)}",
         f"steps: {len(traj.times) - 1}",

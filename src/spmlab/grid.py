@@ -12,9 +12,9 @@ Dirichlet boundary conditions. The operator is assembled densely once per grid
 form, tensor sine modes ordered and signed canonically (``build_laplacian``).
 Dual norms (``hminus1_norm_sq_rows``), the lift (-Lap)^{-1}, fractional
 smoothing (-Lap)^{-gamma} and the heat-kernel mollifier go through that
-eigenbasis as exact spectral multipliers (``spectral_apply``). The mollifier
-multiplier exp(-mu/n^2) lies in (0, 1], so smoothing is a strict contraction
-of the dual norm and converges to the identity as the level n grows.
+eigenbasis as exact spectral multipliers on rows (..., n) (``spectral_apply``).
+The mollifier multiplier exp(-mu/n^2) lies in (0, 1], so smoothing is a strict
+contraction of the dual norm and converges to the identity as the level n grows.
 ``solve_laplacian``, ``inner_hminus1`` and ``norm_hminus1`` solve with the
 matrix directly and cache nothing; they are the reference the eigenbasis is
 tested against. The implicit solvers build their Newton Jacobians from the
@@ -192,12 +192,12 @@ def hminus1_norm_sq_rows(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
 
 def spectral_apply(L: DirichletLaplacian, multipliers: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Apply the diagonal spectral operator sum_j w_j <f, phi_j>_2 phi_j to a single
-    field (n,) or to a stack of columns (n, m)."""
-    return L.eigenvectors @ (multipliers * (L.eigenvectors.T @ f).T).T
+    field (n,) or to a stack of fields as rows (..., n)."""
+    return ((f @ L.eigenvectors) * multipliers) @ L.eigenvectors.T
 
 
 def smooth_gamma(f, gamma: float, L: DirichletLaplacian) -> np.ndarray:
-    """Fractional smoothing (-Lap)^{-gamma}; gamma = 0 is the identity."""
+    """Fractional smoothing (-Lap)^{-gamma} of rows (..., n); gamma = 0 is the identity."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma == 0:
@@ -206,7 +206,7 @@ def smooth_gamma(f, gamma: float, L: DirichletLaplacian) -> np.ndarray:
 
 
 def mollify(f, level: int, L: DirichletLaplacian) -> np.ndarray:
-    """Heat-kernel mollifier with multiplier exp(-mu_j / level^2).
+    """Heat-kernel mollifier of rows (..., n) with multiplier exp(-mu_j / level^2).
 
     The multiplier lies in (0, 1], so the dual norm never grows, and it
     increases to 1 as ``level`` grows, so the defect |mollify(f) - f| in the

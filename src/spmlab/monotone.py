@@ -4,16 +4,19 @@ Each graph is the subdifferential of a convex potential normalized to vanish
 at zero. The workhorses are the resolvent x = (I + lam*beta)^{-1}(r), which is
 everywhere defined, single valued and nonexpansive, and the Yosida regularization
 (r - resolvent) / lam, which is monotone, 1/lam-Lipschitz and always selects a
-value of beta at the resolvent point. Each variant implements only array
+value of beta at the resolvent point. Each family implements only array
 forms: ``_resolvent_and_slope``, which returns the resolvent and its a.e.
 slope in r, and ``_minimal_section``, ``_section_slope``, ``_potential`` and
 ``_conjugate``. The base class derives the resolvent, the Yosida value and the
 Yosida slope from the first, and it alone holds the calling convention of
-every public evaluation. Closed forms are used where the variant admits them.
-The power law has one for m = 1 and one for m = 3: with c = sqrt(3 lam), the
-identity 4 sinh^3(t) + 3 sinh(t) = sinh(3t) turns s + lam*s^3 = a into
-s = (2/c) sinh(asinh(1.5 c a) / 3). Other exponents solve the scalar equation
-by Newton with bisection as the safety net.
+every public evaluation. There are two families, each in closed form where
+it admits one. The power law |r|^(m-1) r has one for m = 1 and one for m = 3:
+with c = sqrt(3 lam), the identity 4 sinh^3(t) + 3 sinh(t) = sinh(3t) turns
+s + lam*s^3 = a into s = (2/c) sinh(asinh(1.5 c a) / 3). Other exponents solve
+the scalar equation by Newton with bisection as the safety net. The
+piecewise-linear graph has the pieces (s_neg, s_pos, lo, hi): slope s_neg
+below 0, the segment [lo, hi] at 0 and slope s_pos above; an end of slope 0
+bounds the range.
 
 All public evaluations are vectorized: scalars in, float out; arrays in,
 arrays out; lam may also be an array that broadcasts against r.
@@ -167,8 +170,48 @@ class PowerLaw(MonotoneGraph):
         return m / (m + 1.0) * np.abs(s) ** ((m + 1.0) / m)
 
 
+class _PiecewiseLinear(MonotoneGraph):
+    """beta(r) = lo + s_neg*r for r < 0, [lo, hi] at r = 0 and hi + s_pos*r for
+    r > 0, with lo <= 0 <= hi; a variant only names them in ``_pieces()``."""
+
+    def _resolvent_and_slope(self, lam, r):
+        s_neg, s_pos, lo, hi = self._pieces()
+        below, above = r < lam * lo, r > lam * hi
+        neg, pos = 1.0 + lam * s_neg, 1.0 + lam * s_pos
+        # on [lam lo, lam hi] the resolvent is 0 and flat, unless beta is one line
+        flat = 1.0 / pos if (s_neg, lo) == (s_pos, hi) else 0.0
+        value = np.where(below, (r - lam * lo) / neg, np.where(above, (r - lam * hi) / pos, 0.0))
+        return value, np.where(below, 1.0 / neg, np.where(above, 1.0 / pos, flat))
+
+    def _minimal_section(self, r):
+        s_neg, s_pos, lo, hi = self._pieces()
+        return np.where(r < 0.0, lo + s_neg * r, np.where(r > 0.0, hi + s_pos * r, 0.0))
+
+    def _section_slope(self, r):
+        return np.where(r < 0.0, *self._pieces()[:2])
+
+    def section_interval(self, r):
+        _, _, lo, hi = self._pieces()
+        r = np.asarray(r, dtype=float)
+        v = self._minimal_section(r)
+        return np.where(r == 0.0, lo, v), np.where(r == 0.0, hi, v)
+
+    def _potential(self, r):
+        s_neg, s_pos, lo, hi = self._pieces()
+        return np.where(r < 0.0, lo * r + 0.5 * s_neg * r * r, hi * r + 0.5 * s_pos * r * r)
+
+    def _conjugate(self, s):
+        # 0 on [lo, hi]; beyond an end of slope 0, +inf with a relative slack of 1e-12
+        s_neg, s_pos, lo, hi = self._pieces()
+        below = (s - lo) ** 2 / (2.0 * s_neg) if s_neg else np.inf
+        above = (s - hi) ** 2 / (2.0 * s_pos) if s_pos else np.inf
+        slack = 1.0 + 1e-12
+        return np.where(s < (lo if s_neg else lo * slack), below,
+                        np.where(s > (hi if s_pos else hi * slack), above, 0.0))
+
+
 @dataclass(frozen=True)
-class Linear(MonotoneGraph):
+class Linear(_PiecewiseLinear):
     """beta(r) = c r with c > 0."""
 
     slope: float = 1.0
@@ -181,24 +224,12 @@ class Linear(MonotoneGraph):
     def lipschitz_slope(self):
         return self.slope
 
-    def _resolvent_and_slope(self, lam, r):
-        return r / (1.0 + lam * self.slope), np.full_like(r, 1.0 / (1.0 + lam * self.slope))
-
-    def _minimal_section(self, r):
-        return self.slope * r
-
-    def _section_slope(self, r):
-        return np.full_like(r, self.slope)
-
-    def _potential(self, r):
-        return 0.5 * self.slope * r * r
-
-    def _conjugate(self, s):
-        return s * s / (2.0 * self.slope)
+    def _pieces(self):
+        return self.slope, self.slope, 0.0, 0.0
 
 
 @dataclass(frozen=True)
-class ScaledSignum(MonotoneGraph):
+class ScaledSignum(_PiecewiseLinear):
     """beta(r) = a sign(r) with the full segment [-a, a] at r = 0.
 
     Range is [-a, a] only, so this variant violates the surjectivity required
@@ -213,32 +244,12 @@ class ScaledSignum(MonotoneGraph):
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def _resolvent_and_slope(self, lam, r):
-        beyond = np.abs(r) - lam * self.scale
-        return np.sign(r) * np.maximum(beyond, 0.0), np.where(beyond > 0.0, 1.0, 0.0)
-
-    def _minimal_section(self, r):
-        return self.scale * np.sign(r)
-
-    def _section_slope(self, r):
-        return np.zeros_like(r)
-
-    def section_interval(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        v = self.scale * np.sign(r_arr)
-        lo = np.where(r_arr == 0.0, -self.scale, v)
-        hi = np.where(r_arr == 0.0, self.scale, v)
-        return lo, hi
-
-    def _potential(self, r):
-        return self.scale * np.abs(r)
-
-    def _conjugate(self, s):
-        return np.where(np.abs(s) <= self.scale * (1.0 + 1e-12), 0.0, np.inf)
+    def _pieces(self):
+        return 0.0, 0.0, -self.scale, self.scale
 
 
 @dataclass(frozen=True)
-class StefanPiecewise(MonotoneGraph):
+class StefanPiecewise(_PiecewiseLinear):
     """Two-phase enthalpy graph: slope_neg for r < 0, a vertical segment
     [0, height] at r = 0, then height + slope_pos * r for r > 0."""
 
@@ -252,34 +263,5 @@ class StefanPiecewise(MonotoneGraph):
         if self.height < 0:
             raise ValueError(f"segment height must be >= 0, got {self.height}")
 
-    def _resolvent_and_slope(self, lam, r):
-        top = lam * self.height
-        neg, pos = 1.0 + lam * self.slope_neg, 1.0 + lam * self.slope_pos
-        value = np.where(r < 0.0, r / neg, np.where(r > top, (r - top) / pos, 0.0))
-        return value, np.where(r < 0.0, 1.0 / neg, np.where(r > top, 1.0 / pos, 0.0))
-
-    def _minimal_section(self, r):
-        return np.where(
-            r < 0.0,
-            self.slope_neg * r,
-            np.where(r > 0.0, self.height + self.slope_pos * r, 0.0),
-        )
-
-    def _section_slope(self, r):
-        return np.where(r < 0.0, self.slope_neg, self.slope_pos)
-
-    def section_interval(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        v = self._minimal_section(r_arr)
-        hi = np.where(r_arr == 0.0, self.height, v)
-        return np.where(r_arr == 0.0, 0.0, v), hi
-
-    def _potential(self, r):
-        neg = 0.5 * self.slope_neg * r * r
-        pos = self.height * r + 0.5 * self.slope_pos * r * r
-        return np.where(r < 0.0, neg, pos)
-
-    def _conjugate(self, s):
-        below = s * s / (2.0 * self.slope_neg)
-        above = (s - self.height) ** 2 / (2.0 * self.slope_pos)
-        return np.where(s < 0.0, below, np.where(s > self.height, above, 0.0))
+    def _pieces(self):
+        return self.slope_neg, self.slope_pos, 0.0, self.height

@@ -462,8 +462,7 @@ class LinearSpectral(DiffusionCoefficient):
             raise ValueError("gamma must be >= 0")
 
     def mode_fields_batch(self, states, L):
-        smooth = smooth_gamma(states.T, self.gamma, L).T  # (m, n)
-        return np.einsum("k,mn->mkn", self.coeffs, smooth)
+        return np.einsum("k,mn->mkn", self.coeffs, smooth_gamma(states, self.gamma, L))
 
 
 _TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -491,11 +490,8 @@ class SmoothedNemytskii(DiffusionCoefficient):
                 f"unknown transform {self.transform!r}, choose from {sorted(_TRANSFORMS)}"
             )
 
-    def _fn(self):
-        return _TRANSFORMS[self.transform]
-
     def mode_fields_batch(self, states, L):
-        smooth = smooth_gamma(self._fn()(states).T, self.gamma, L).T
+        smooth = smooth_gamma(_TRANSFORMS[self.transform](states), self.gamma, L)
         return np.einsum("k,mn->mkn", self.coeffs, smooth)
 
 
@@ -513,10 +509,7 @@ class MollifiedDiffusion(DiffusionCoefficient):
         self.state_independent = self.base.state_independent
 
     def mode_fields_batch(self, states, L):
-        raw = self.base.mode_fields_batch(states, L)  # (m, K, n)
-        m, k, n = raw.shape
-        flat = mollify(raw.reshape(m * k, n).T, self.level, L).T
-        return flat.reshape(m, k, n)
+        return mollify(self.base.mode_fields_batch(states, L), self.level, L)
 
 
 def mollified(B: DiffusionCoefficient, level: int) -> MollifiedDiffusion:

@@ -14,9 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-# per dtype kind of an array column: its % format and the values of a slice
+# per dtype kind of an array column: its % format and the values of a slice, bytes as text
 _KINDS = {"f": ("%.17g", np.ndarray.tolist), "i": ("%d", np.ndarray.tolist),
-          "b": ("%s", lambda part: np.where(part, "true", "false").tolist())}
+          "b": ("%s", lambda part: np.where(part, "true", "false").tolist()),
+          "S": ("%s", lambda part: part.astype(str).tolist())}
 _BY_VALUE = ("%s", lambda part: [fmt_value(v) for v in part])  # lists, other arrays
 _CHUNK_ROWS = 2048  # rows per % call; any size writes the same bytes
 

@@ -665,8 +665,8 @@ def ito_residual(traj: Trajectory, gm: IntegralPath, path: MartingalePath,
     norms_sq = hminus1_norm_sq_rows(L, states)
     drift_cum = np.cumsum(dtau * w * np.sum(states[1:] * drift[1:], axis=1))
     dg = np.diff(gm.values, axis=0)
-    lifted = spectral_apply(L, 1.0 / L.eigenvalues, dg.T)  # (n, N) columns (-Lap)^{-1} dg_j
-    mart_cum = np.cumsum(w * np.sum(states[:-1] * lifted.T, axis=1))
+    lifted = spectral_apply(L, 1.0 / L.eigenvalues, dg)  # rows (-Lap)^{-1} dg_j
+    mart_cum = np.cumsum(w * np.sum(states[:-1] * lifted, axis=1))
     qv = realized_qv(gm.integrand, path, L)
 
     out = np.zeros(len(traj.times))

@@ -14,6 +14,7 @@ from spmlab import (
     smooth_gamma,
     solve_laplacian,
 )
+from spmlab.grid import spectral_apply
 from testkit import apply_laplacian
 
 RNG = np.random.default_rng(1234)
@@ -218,6 +219,25 @@ def test_mollify_contraction_and_convergence(lap15):
         if prev_defect is not None:
             assert defect <= prev_defect
         prev_defect = defect
+
+
+@pytest.mark.parametrize("dim,n", [(1, 15), (2, (5, 7))])
+def test_spectral_operators_take_rows(dim, n):
+    # an (m, K, n) stack keeps its shape; each (K, n) slice is one matrix product,
+    # bit for bit, and each field matches its own evaluation and the direct solve
+    L = build_laplacian(make_grid(dim, n, 1.0))
+    stack = RNG.standard_normal((4, 3, L.n))
+    operators = [lambda f: spectral_apply(L, 1.0 / L.eigenvalues, f),
+                 lambda f: smooth_gamma(f, 0.5, L), lambda f: mollify(f, 3, L)]
+    for op in operators:
+        out = op(stack)
+        assert out.shape == stack.shape
+        np.testing.assert_array_equal(out, np.stack([op(fields) for fields in stack]))
+        for i, k in np.ndindex(4, 3):
+            np.testing.assert_allclose(out[i, k], op(stack[i, k]), rtol=1e-13, atol=1e-15)
+    lifted = operators[0](stack)
+    for i, k in np.ndindex(4, 3):
+        np.testing.assert_allclose(lifted[i, k], solve_laplacian(L, stack[i, k]), rtol=1e-10)
 
 
 def test_2x2_eigenvalues_are_pair_sums():

@@ -266,3 +266,48 @@ def test_surjectivity_flags():
     assert Linear(2.0).lipschitz_slope == 2.0
     assert PowerLaw(1.0).lipschitz_slope == 1.0
     assert PowerLaw(3.0).lipschitz_slope is None
+
+
+def closed_forms(graph, lam, r):
+    """Resolvent, slope, minimal section, section slope, section interval,
+    potential and conjugate of a piecewise-linear graph, written out for each
+    class on its own as the reference for the shared implementation."""
+    if isinstance(graph, Linear):
+        c = graph.slope
+        return [r / (1.0 + lam * c), np.full_like(r, 1.0 / (1.0 + lam * c)), c * r,
+                np.full_like(r, c), c * r, c * r, 0.5 * c * r * r, r * r / (2.0 * c)]
+    if isinstance(graph, ScaledSignum):
+        a = graph.scale
+        beyond = np.abs(r) - lam * a
+        return [np.sign(r) * np.maximum(beyond, 0.0), np.where(beyond > 0.0, 1.0, 0.0),
+                a * np.sign(r), np.zeros_like(r), np.where(r == 0.0, -a, a * np.sign(r)),
+                np.where(r == 0.0, a, a * np.sign(r)), a * np.abs(r),
+                np.where(np.abs(r) <= a * (1.0 + 1e-12), 0.0, np.inf)]
+    sn, sp, h = graph.slope_neg, graph.slope_pos, graph.height
+    top, neg, pos = lam * h, 1.0 + lam * sn, 1.0 + lam * sp
+    section = np.where(r < 0.0, sn * r, np.where(r > 0.0, h + sp * r, 0.0))
+    return [np.where(r < 0.0, r / neg, np.where(r > top, (r - top) / pos, 0.0)),
+            np.where(r < 0.0, 1.0 / neg, np.where(r > top, 1.0 / pos, 0.0)),
+            section, np.where(r < 0.0, sn, sp), np.where(r == 0.0, 0.0, section),
+            np.where(r == 0.0, h, section),
+            np.where(r < 0.0, 0.5 * sn * r * r, h * r + 0.5 * sp * r * r),
+            np.where(r < 0.0, r * r / (2.0 * sn),
+                     np.where(r > h, (r - h) ** 2 / (2.0 * sp), 0.0))]
+
+
+@pytest.mark.parametrize("graph", [Linear(0.7), ScaledSignum(1.2), StefanPiecewise(1.0, 2.0, 1.5),
+                                   StefanPiecewise(0.5, 3.0, 0.0)],
+                         ids=["lin", "sign", "stefan", "stefan_h0"])
+def test_piecewise_linear_graphs_match_their_closed_forms(graph):
+    a, h = 1.2, 1.5  # the signum scale and the Stefan height above
+    for lam in LAMBDAS:
+        kinks = np.array([lam * a, lam * h, a, h])
+        kinks = np.concatenate([kinks, kinks * (1.0 + 1e-12), kinks * (1.0 - 1e-12)])
+        grid = np.concatenate([[0.0, 1e-300, 1e6, 1e100], kinks, RNG.uniform(-5, 5, 64)])
+        r = np.concatenate([grid, -grid])  # also the conjugate's argument
+        x, slope = graph._resolvent_and_slope(lam, r)
+        lo, hi = graph.section_interval(r)
+        got = [x, slope, graph.minimal_section(r), graph.section_slope(r), lo, hi,
+               graph.potential(r), graph.conjugate(r)]
+        for value, expected in zip(got, closed_forms(graph, lam, r)):
+            np.testing.assert_array_equal(value, expected)
