@@ -27,6 +27,7 @@ from .noise import (
     ConstantOperator,
     IntegralPath,
     LinearSpectral,
+    MollifiedDiffusion,
     NoiseMode,
     NormalJumps,
     SmoothedNemytskii,
@@ -34,11 +35,11 @@ from .noise import (
     TwoPointJumps,
     lipschitz_constant,
     make_noise_spec,
-    mollified,
     realized_qv,
     rng_for,
     sample_path,
     stochastic_integral,
+    uniform_times,
 )
 from .solver import (
     SolverConfig,
@@ -53,7 +54,6 @@ from .solver import (
     picard_solve,
     strong_identity_residual,
     trajectory_diagnostics,
-    uniform_times,
 )
 from .verify import (
     check_apriori,

@@ -3,18 +3,18 @@
 The driving noise is a vector of K independent scalar Levy martingales, one
 per mode: a Wiener part with volatility sigma_k plus a compensated compound
 Poisson part with intensity lambda_k and a mean-zero jump law. The covariance
-operator is then diagonal, Q = diag(v_k) with v_k = sigma_k^2 + lambda_k E[J^2],
-and the scalar bracket convention is
+operator is then diagonal, Q = diag(v_k), v_k = sigma_k^2 + lambda_k E[J^2]
+(``variance_rates``), and with TrQ = sum_k v_k > 0 the bracket convention is
 
     <M>(t) = t * TrQ,       Q_M = Q / TrQ,
 
 so that the integrand norm |G|_{Q_M}^2 d<M> integrates to sum_k v_k |G_k|^2 dt.
 
-Paths are sampled on a uniform base grid with every jump time inserted
-exactly, so integrands evaluated at the left endpoint of each sub-interval are
-genuine left limits and the integral of a piecewise-constant operator is a
-finite sum with no time-discretization error. Sampling is deterministic per
-(master seed, path index).
+Paths are sampled on the base grid of ``uniform_times`` with every jump time
+inserted exactly, so integrands evaluated at the left endpoint of each
+sub-interval are genuine left limits and the integral of a piecewise-constant
+operator is a finite sum with no time-discretization error. Sampling is
+deterministic per (master seed, path index).
 
 Every integrand is a ``StepOperator``: ``fields[i]`` (K, n) holds on
 [b_i, b_{i+1}), the first piece also before b_0 and the last one after the
@@ -31,9 +31,10 @@ over a path is a max along axis 1, its final value row -1.
 
 Diffusion coefficients map a stack of state fields to one field per mode and
 state (``mode_fields_batch``, the one method each variant implements); the
-built-in variants are a state-independent family, a spectrally smoothed linear
-family and a smoothed superposition (Nemytskii) family. Their squared-Lipschitz
-constant in the dual norm is measured on random fields (``lipschitz_constant``).
+built-in variants are a state-independent family and one spectral family,
+coeffs[k] (-Lap)^{-gamma} T(x) with T = x (linear) or a nodewise transform
+(smoothed Nemytskii). Their squared-Lipschitz constant in the dual norm is
+measured on random fields (``lipschitz_constant``).
 """
 
 from __future__ import annotations
@@ -138,19 +139,6 @@ class NoiseSpec:
     def variance_rates(self) -> np.ndarray:
         return np.array([m.variance_rate for m in self.modes])
 
-    @property
-    def trace(self) -> float:
-        """TrQ, the total variance rate."""
-        return float(self.variance_rates.sum())
-
-    @property
-    def normalized_rates(self) -> np.ndarray:
-        """Diagonal of Q_M = Q / TrQ; undefined for fully silent noise."""
-        tr = self.trace
-        if tr <= 0:
-            raise ValueError("Q_M is undefined for a noise spec with TrQ = 0")
-        return self.variance_rates / tr
-
 
 def make_noise_spec(modes: Sequence[NoiseMode]) -> NoiseSpec:
     return NoiseSpec(modes=tuple(modes))
@@ -158,6 +146,13 @@ def make_noise_spec(modes: Sequence[NoiseMode]) -> NoiseSpec:
 
 # ---------------------------------------------------------------------------
 # sampled paths
+
+def uniform_times(horizon: float, dt: float) -> np.ndarray:
+    """The uniform base grid on [0, horizon] with round(horizon / dt) steps, at least one."""
+    if horizon <= 0 or dt <= 0:
+        raise ValueError("horizon and dt must be positive")
+    return np.linspace(0.0, horizon, max(1, int(round(horizon / dt))) + 1)
+
 
 @dataclass
 class MartingalePath:
@@ -183,14 +178,11 @@ def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
                 seed: np.random.Generator) -> MartingalePath:
     """Sample one path on [0, horizon] with base step ``base_dt``.
 
-    The base grid is uniform with round(horizon / base_dt) steps; all Poisson
-    jump times are inserted into it. ``seed`` is the Generator the path draws
+    The base grid is ``uniform_times(horizon, base_dt)``; all Poisson jump
+    times are inserted into it. ``seed`` is the Generator the path draws
     from (``rng_for``); equal streams give bit-identical paths.
     """
-    if horizon <= 0 or base_dt <= 0:
-        raise ValueError("horizon and base_dt must be positive")
-    n_base = max(1, int(round(horizon / base_dt)))
-    base = np.linspace(0.0, horizon, n_base + 1)
+    base = uniform_times(horizon, base_dt)
 
     jump_times, jump_modes, jump_sizes = [], [], []
     for k, mode in enumerate(spec.modes):
@@ -371,7 +363,7 @@ def ito_sums(g_left: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def stochastic_integrals(G, paths, L: Optional[DirichletLaplacian] = None) -> np.ndarray:
+def stochastic_integrals(G, paths, L: DirichletLaplacian) -> np.ndarray:
     """Integrate one operator against every path of an ensemble (held, or a
     list of paths), held (P, N+1, n): left endpoints times increments,
 
@@ -385,13 +377,12 @@ def stochastic_integrals(G, paths, L: Optional[DirichletLaplacian] = None) -> np
     g_left = as_mode_operator(G).at_many(ens.times[:, :-1])
     if g_left.shape[-2] != ens.values.shape[2]:
         raise ValueError(f"integrand has {g_left.shape[-2]} modes, path has {ens.values.shape[2]}")
-    if L is not None and g_left.shape[-1] != L.n:
+    if g_left.shape[-1] != L.n:
         raise ValueError(f"integrand fields have {g_left.shape[-1]} nodes, grid has {L.n}")
     return ito_sums(g_left, ens.values)
 
 
-def stochastic_integral(G, path: MartingalePath,
-                        L: Optional[DirichletLaplacian] = None) -> IntegralPath:
+def stochastic_integral(G, path: MartingalePath, L: DirichletLaplacian) -> IntegralPath:
     """The one-path case of ``stochastic_integrals``, keeping its integrand."""
     op = as_mode_operator(G)
     return IntegralPath(path.times, stochastic_integrals(op, [path], L)[0], op)
@@ -449,9 +440,9 @@ class ConstantAdditive(DiffusionCoefficient):
 
 
 @dataclass
-class LinearSpectral(DiffusionCoefficient):
-    """Mode k carries coeffs[k] * (-Lap)^{-gamma} x; gamma = 0 is allowed only
-    for generalized (mollified) runs."""
+class _Spectral(DiffusionCoefficient):
+    """Mode k carries coeffs[k] * (-Lap)^{-gamma} of a nodewise map of the
+    state; a variant only names the map in ``_map``."""
 
     coeffs: np.ndarray
     gamma: float = 1.0
@@ -462,7 +453,16 @@ class LinearSpectral(DiffusionCoefficient):
             raise ValueError("gamma must be >= 0")
 
     def mode_fields_batch(self, states, L):
-        return np.einsum("k,mn->mkn", self.coeffs, smooth_gamma(states, self.gamma, L))
+        return np.einsum("k,mn->mkn", self.coeffs, smooth_gamma(self._map(states), self.gamma, L))
+
+
+@dataclass
+class LinearSpectral(_Spectral):
+    """Mode k carries coeffs[k] * (-Lap)^{-gamma} x; gamma = 0 is allowed only
+    for generalized (mollified) runs."""
+
+    def _map(self, states):
+        return states
 
 
 _TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -473,26 +473,20 @@ _TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 
 @dataclass
-class SmoothedNemytskii(DiffusionCoefficient):
+class SmoothedNemytskii(_Spectral):
     """Mode k carries coeffs[k] * (-Lap)^{-gamma} (transform o x) with a scalar
     Lipschitz transform applied nodewise."""
 
-    coeffs: np.ndarray
-    gamma: float = 1.0
     transform: str = "tanh"
 
     def __post_init__(self):
-        self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        super().__post_init__()
         if self.transform not in _TRANSFORMS:
-            raise ValueError(
-                f"unknown transform {self.transform!r}, choose from {sorted(_TRANSFORMS)}"
-            )
+            raise ValueError(f"unknown transform {self.transform!r}, "
+                             f"choose from {sorted(_TRANSFORMS)}")
 
-    def mode_fields_batch(self, states, L):
-        smooth = smooth_gamma(_TRANSFORMS[self.transform](states), self.gamma, L)
-        return np.einsum("k,mn->mkn", self.coeffs, smooth)
+    def _map(self, states):
+        return _TRANSFORMS[self.transform](states)
 
 
 @dataclass
@@ -510,10 +504,6 @@ class MollifiedDiffusion(DiffusionCoefficient):
 
     def mode_fields_batch(self, states, L):
         return mollify(self.base.mode_fields_batch(states, L), self.level, L)
-
-
-def mollified(B: DiffusionCoefficient, level: int) -> MollifiedDiffusion:
-    return MollifiedDiffusion(base=B, level=level)
 
 
 def lipschitz_constant(B: DiffusionCoefficient, spec: NoiseSpec, L: DirichletLaplacian,

@@ -15,26 +15,27 @@ hence integrands frozen at sub-interval left endpoints are genuine left limits.
 
 All marching goes through one batched core, ``march_batch``: the P paths of an
 ensemble advance in lock step, in the held layout of ``noise``, where a held
-step has length zero and is an exact no-op. The march walks the grid in
-windows of W steps and solves each window all at once (Gander 2015): backward
-Euler over steps 1..W is one system F_i = y_i + tau_i (-Lap) b(y_i + g_i) -
-y_{i-1} = 0, whose Jacobian in step-major order is a band with kl = n and
-ku = b, the stencil's half-width: I + tau_i (-Lap) diag(b'_i) on the diagonal
-and -I n rows below it. W is the most steps whose band buffer,
-8 (2n + b + 1) n P W bytes, fits in 256 KiB, or 1 when that is fewer than 8:
-one 1D path at n = 15 gets W = 68, ensembles of 16 paths at n = 15 and 2D
-grids from 7x7 up get W = 1. A window of one step uses the band kl = ku = b
-and accepts a line-search trial when its residual falls, which is the
-step-by-step arithmetic bit for bit. A window that misses its targets, stalls
-or hits a zero pivot is marched again step by step, which raises the error of
-the step that fails. Per Newton iterate there is one resolvent solve (value,
-slope and selection together) and one LAPACK ``?gbsv`` call for all windows
-still above target: their Jacobians, built in one array expression, are the
-band of one block-diagonal matrix with no -I across a path seam. That solve
-is exact, since elimination never mixes the blocks, so every path gets the
-arithmetic of a banded LU of its own. The line search takes one step length
-per window. ``implicit_step`` is the one-path, one-step case, and a one-node
-grid takes the same Newton iteration as any other.
+step has length zero. Every path marches through every window; a done path's
+guess has an exactly zero residual, so it never enters a solve. The march
+walks the grid in windows of W steps and solves each window all at once
+(Gander 2015): backward Euler over steps 1..W is one system
+F_i = y_i + tau_i (-Lap) b(y_i + g_i) - y_{i-1} = 0, whose Jacobian in
+step-major order is a band with kl = n and ku = b, the stencil's half-width:
+I + tau_i (-Lap) diag(b'_i) on the diagonal and -I n rows below it. W is the
+most steps whose band buffer, 8 (2n + b + 1) n P W bytes, fits in 256 KiB, or
+1 when that is fewer than 8: one 1D path at n = 15 gets W = 68, ensembles of
+16 paths at n = 15 and 2D grids from 7x7 up get W = 1. A window of one step
+uses the band kl = ku = b and accepts a line-search trial when its residual
+falls, which is the step-by-step arithmetic bit for bit. A window that misses
+its targets, stalls or hits a zero pivot is marched again step by step, which
+raises the error of the step that fails. Per Newton iterate there is one
+resolvent solve (value, slope and selection together) and one LAPACK ``?gbsv``
+call for all windows still above target: their Jacobians, built in one array
+expression, are the band of one block-diagonal matrix with no -I across a path
+seam. That solve is exact, since elimination never mixes the blocks, so every
+path gets the arithmetic of a banded LU of its own. The line search takes one
+step length per window. ``implicit_step`` is the one-path, one-step case, and
+a one-node grid takes the same Newton iteration as any other.
 Each path may carry its own lam, so ``lambda_sweep`` solves its whole list in
 one march. The gates live here (``check_gates``); the config loader calls them.
 
@@ -63,13 +64,13 @@ from .noise import (
     DiffusionCoefficient,
     IntegralPath,
     MartingalePath,
+    MollifiedDiffusion,
     NoiseSpec,
     held_steps,
     hold_ensemble,
     hold_tails,
     ito_sums,
     lipschitz_constant,
-    mollified,
     realized_qv,
 )
 
@@ -103,6 +104,8 @@ class SolverConfig:
             raise ValueError("epsilon must lie in (0, 1/6)")
         if self.newton_tol <= 0 or self.picard_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.newton_max_iter < 0 or self.picard_max_iter < 1:
+            raise ValueError("newton_max_iter must be >= 0 and picard_max_iter >= 1")
         if self.window_T0 is not None and self.window_T0 <= 0:
             raise ValueError("window_T0 must be positive when set")
 
@@ -120,13 +123,6 @@ class Trajectory:
     states: np.ndarray
     selections: np.ndarray
     lam: float
-
-
-def uniform_times(horizon: float, dt: float) -> np.ndarray:
-    if horizon <= 0 or dt <= 0:
-        raise ValueError("horizon and dt must be positive")
-    n = max(1, int(round(horizon / dt)))
-    return np.linspace(0.0, horizon, n + 1)
 
 
 def contraction_time_limit(k: float, eps: float) -> float:
@@ -177,14 +173,13 @@ def _solve_jacobians(L: DirichletLaplacian, tau: np.ndarray, slope: np.ndarray,
     ab = buf.transpose(0, 2, 1)
     ab[:, kl:kl + 2 * b + 1] = (tau.reshape(m, 1) * slope.reshape(m, n))[:, None, :] * L.band
     ab[:, kl + b] += 1.0
-    if w > 1:
-        buf.reshape(-1, w, n, buf.shape[2])[:, :-1, :, -1] = -1.0
+    buf.reshape(-1, w, n, buf.shape[2])[:, :-1, :, -1] = -1.0  # empty when w = 1
     _, _, x, info = _gbsv(kl, b, buf.reshape(m * n, -1).T, rhs.reshape(m * n),
                           overwrite_ab=1, overwrite_b=1)
     return x.reshape(rhs.shape), info
 
 
-def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, paths=None):
+def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False):
     """Solve the backward Euler steps y_i + tau_i*(-Lap) b(y_i + g_i) = y_{i-1},
     i = 1..w, of k windows at once, each from its start y_0.
 
@@ -203,7 +198,7 @@ def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, paths=None):
     k, w, n = g.shape
 
     def failure(j, i, what):
-        where = "" if paths is None else f", path {paths[j]}"
+        where = f", path {j}" if name_paths else ""
         return SolverError(f"implicit step failed: {what} "
                            f"(tau={tau[j, i]:.3e}, lam={lam[j]:.3e}, n={n}{where})")
 
@@ -329,13 +324,14 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
 
     times (P, N+1) holds the grids and gm (P, N+1, n) the driving integrals,
     in the held layout of ``noise``; each path's step count is read off its
-    grid, and a held step is an exact no-op that no Newton iteration touches.
-    x0 is one datum (n,) or one per path (P, n), and lam one regularization
-    parameter or one per path (cfg.lam when omitted). Each path keeps the
-    per-step tolerance newton_tol / (its own step count), which keeps its
-    accumulated integral-identity defect at the newton_tol scale. The steps
-    are solved in windows of ``_window_length`` steps, all at once, and a
-    window that fails is marched step by step. Returns the held
+    grid. Every path marches through every window; a done path has only held
+    steps there, of length zero, so its guess has an exactly zero residual and
+    it never enters a solve. x0 is one datum (n,) or one per path (P, n), and
+    lam one regularization parameter or one per path (cfg.lam when omitted).
+    Each path keeps the per-step tolerance newton_tol / (its own step count),
+    which keeps its accumulated integral-identity defect at the newton_tol
+    scale. The steps are solved in windows of ``_window_length`` steps, all at
+    once, and a window that fails is marched step by step. Returns the held
     (states, selections), each (P, N+1, n).
     """
     times = np.asarray(times, dtype=float)
@@ -358,20 +354,18 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     step_tol = cfg.newton_tol / np.maximum(1, steps)
 
     def advance(i, w):
-        # steps i+1..i+w of every path not yet done, as one stack of windows
-        act = np.flatnonzero(steps > i)
-        g = gm[act, i + 1:i + w + 1]
-        y_new, sel = _newton_batch(graph, lam[act], L, taus[act, i:i + w], y[act], g,
-                                   step_tol[act], cfg.newton_max_iter, paths=act)
+        # steps i+1..i+w of every path as one stack of windows; done paths never enter a solve
+        g = gm[:, i + 1:i + w + 1]
+        y_new, sel = _newton_batch(graph, lam, L, taus[:, i:i + w], y, g, step_tol,
+                                   cfg.newton_max_iter, name_paths=True)
         x_new = y_new + g
-        bad = np.argwhere(~np.all(np.isfinite(x_new), axis=2).T)  # (step, window), earliest first
+        bad = np.argwhere(~np.all(np.isfinite(x_new), axis=2).T)  # (step, path), earliest first
         if bad.size:
-            j, r = bad[0]
-            p = act[r]
+            j, p = bad[0]
             raise SolverError(f"non-finite state at t={times[p, i + j + 1]:.6g} on path {p}")
-        y[act] = y_new[:, -1]
-        states[act, i + 1:i + w + 1] = x_new
-        selections[act, i + 1:i + w + 1] = sel
+        y[:] = y_new[:, -1]
+        states[:, i + 1:i + w + 1] = x_new
+        selections[:, i + 1:i + w + 1] = sel
 
     n_steps, window = int(steps.max()), _window_length(L, n_paths)
     for i in range(0, n_steps, window):
@@ -524,7 +518,6 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
     states[:, 0] = x0
 
     windows, window_distances, window_factors = [], [], []
-    total_iters = 0
     widened = False
     b_start = 0
     while b_start < n_base:
@@ -548,7 +541,6 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
             new, sel = march_batch(graph, cfg, L, times, ito_sums(fields, values), iterate[:, 0])
             sq_sums = hminus1_norm_sq_rows(L, (new - iterate)[rows, local_base]).sum(axis=0)
             iterate = new
-            total_iters += 1
             dist = float(np.max(sq_sums / n_paths))
             if dists and dists[-1] > 0:
                 factors.append(dist / dists[-1])
@@ -585,7 +577,7 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
         windows=windows,
         window_distances=window_distances,
         window_factors=window_factors,
-        iterations=total_iters,
+        iterations=sum(map(len, window_distances)),
         converged=True,
         lipschitz_estimate=k_est,
         window_length=m0 * dt_eff,
@@ -623,7 +615,7 @@ def generalized_solve(graph: MonotoneGraph, B_rough: DiffusionCoefficient, spec:
     """
     levels = check_levels(levels)
     ens = hold_ensemble(paths)
-    results = [picard_solve(graph, mollified(B_rough, n), spec, cfg, L, x0, ens)
+    results = [picard_solve(graph, MollifiedDiffusion(B_rough, n), spec, cfg, L, x0, ens)
                for n in levels]
     pairs = list(zip(results[:-1], results[1:]))
     base_sq = [hminus1_norm_sq_rows(L, ens.at_base(a.states - b.states)) for a, b in pairs]

@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from spmlab import (
     ConstantAdditive,
     ConstantOperator,
     LinearSpectral,
+    MollifiedDiffusion,
     NoiseMode,
     NormalJumps,
     SmoothedNemytskii,
@@ -16,7 +20,6 @@ from spmlab import (
     lipschitz_constant,
     make_grid,
     make_noise_spec,
-    mollified,
     mollify,
     realized_qv,
     rng_for,
@@ -44,8 +47,7 @@ def two_mode_spec():
 def test_variance_rates_and_trace():
     spec = two_mode_spec()
     np.testing.assert_allclose(spec.variance_rates, [0.64 + 2 * 0.25, 0.25 + 0.16])
-    assert spec.trace == pytest.approx(1.55)
-    np.testing.assert_allclose(spec.normalized_rates.sum(), 1.0)
+    assert angle_bracket(spec, 1.0) == pytest.approx(1.55)
 
 
 def test_silent_spec_path_is_zero():
@@ -53,8 +55,6 @@ def test_silent_spec_path_is_zero():
     path = sample_path(spec, 1.0, 0.25, seed=np.random.default_rng(0))
     np.testing.assert_array_equal(path.values, np.zeros((1, 5)))
     assert len(path.jump_sizes) == 0
-    with pytest.raises(ValueError, match="TrQ"):
-        spec.normalized_rates
 
 
 def test_angle_bracket_values():
@@ -332,7 +332,7 @@ def test_mode_fields_batch_consistency(lap):
         ConstantAdditive(fields=np.stack([eigenmode(lap, 0), eigenmode(lap, 1)])),
         LinearSpectral(coeffs=[0.6, 0.4], gamma=1.0),
         SmoothedNemytskii(coeffs=[0.6, 0.4], gamma=1.0, transform="tanh"),
-        mollified(LinearSpectral(coeffs=[0.6, 0.4], gamma=0.0), 4),
+        MollifiedDiffusion(LinearSpectral(coeffs=[0.6, 0.4], gamma=0.0), 4),
     ):
         batch = B.mode_fields_batch(states, lap)
         for i, x in enumerate(states):
@@ -359,7 +359,7 @@ def test_mollified_coefficient_matches_mollify(lap):
     level = 4
     x = np.random.default_rng(1).standard_normal(lap.n)
     raw = base.mode_fields(x, lap)
-    wrapped = mollified(base, level).mode_fields(x, lap)
+    wrapped = MollifiedDiffusion(base, level).mode_fields(x, lap)
     for k in range(2):
         np.testing.assert_allclose(wrapped[k], mollify(raw[k], level, lap), atol=1e-13)
 
@@ -371,6 +371,33 @@ def test_nemytskii_transform_and_validation(lap):
                                smooth_gamma(np.tanh(x), 1.0, lap), atol=1e-13)
     with pytest.raises(ValueError, match="transform"):
         SmoothedNemytskii(coeffs=[1.0], gamma=1.0, transform="bogus")
+
+
+def test_spectral_coefficients_match_their_formula(lap):
+    # the reference formula, written out apart from the shared spectral body:
+    # mode k carries coeffs[k] * (-Lap)^{-gamma} T(x), T = identity for the linear one
+    c = np.array([0.6, -0.4, 1.3])
+    states = 2.0 * np.random.default_rng(4).standard_normal((5, lap.n))
+    transforms = {"tanh": np.tanh, "sin": np.sin, "soft_clip": lambda x: x / (1.0 + np.abs(x))}
+    for gamma in (0.0, 1.0):
+        cases = [(LinearSpectral(coeffs=c, gamma=gamma), lambda x: x)]
+        cases += [(SmoothedNemytskii(coeffs=c, gamma=gamma, transform=name), T)
+                  for name, T in transforms.items()]
+        for B, T in cases:
+            np.testing.assert_array_equal(B.mode_fields_batch(states, lap),
+                                          np.einsum("k,mn->mkn", c,
+                                                    smooth_gamma(T(states), gamma, lap)))
+    assert [f.name for f in fields(LinearSpectral)] == ["coeffs", "gamma"]
+    assert [f.name for f in fields(SmoothedNemytskii)] == ["coeffs", "gamma", "transform"]
+    assert repr(LinearSpectral([0.5])) == "LinearSpectral(coeffs=array([0.5]), gamma=1.0)"
+    assert (repr(SmoothedNemytskii(0.5, 0.25, "sin"))
+            == "SmoothedNemytskii(coeffs=array([0.5]), gamma=0.25, transform='sin')")
+    for cls in (LinearSpectral, SmoothedNemytskii):
+        with pytest.raises(ValueError, match=r"^gamma must be >= 0$"):
+            cls(coeffs=[1.0], gamma=-0.5)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "unknown transform 'bogus', choose from ['sin', 'soft_clip', 'tanh']") + "$"):
+        SmoothedNemytskii(coeffs=[1.0], transform="bogus")
 
 
 def test_mode_validation():

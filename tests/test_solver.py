@@ -375,6 +375,13 @@ def test_solver_config_validation():
         SolverConfig(lam=0.1, dt=0.01, epsilon=0.2)
     with pytest.raises(ValueError):
         SolverConfig(lam=0.1, dt=0.01, window_T0=-1.0)
+    # zero Picard sweeps leave no distance to judge a window by; zero Newton
+    # iterations stay legal (tests force a Newton failure with them)
+    with pytest.raises(ValueError, match="picard_max_iter >= 1"):
+        SolverConfig(lam=0.1, dt=0.01, picard_max_iter=0)
+    with pytest.raises(ValueError, match="newton_max_iter must be >= 0"):
+        SolverConfig(lam=0.1, dt=0.01, newton_max_iter=-1)
+    SolverConfig(lam=0.1, dt=0.01, newton_max_iter=0)
 
 
 def test_two_dimensional_solve_and_picard():
@@ -569,10 +576,17 @@ def ragged_ensemble(lap):
     return times, gms, x0
 
 
-@pytest.mark.parametrize("graph,lam", [(PowerLaw(3.0), 0.05),
-                                       (StefanPiecewise(1.0, 3.0, 2.0), 0.1),
-                                       (Linear(1.0), 0.0)], ids=["pl3", "stefan", "lin"])
-def test_march_batch_matches_serial_reference(lap, graph, lam):
+@pytest.mark.parametrize("graph,lam,step_by_step", [
+    pytest.param(graph, lam, step_by_step, id=name + ("-W1" if step_by_step else ""))
+    for step_by_step in (False, True)
+    for name, graph, lam in (("pl3", PowerLaw(3.0), 0.05),
+                             ("stefan", StefanPiecewise(1.0, 3.0, 2.0), 0.1),
+                             ("lin", Linear(1.0), 0.0))])
+def test_march_batch_matches_serial_reference(lap, monkeypatch, graph, lam, step_by_step):
+    # by default the ensemble marches in one window; step by step (W = 1) the
+    # two shorter paths are done before the last steps of the longest one
+    if step_by_step:
+        monkeypatch.setattr(solver, "_WINDOW_BYTES", 0)
     times, gms, x0 = ragged_ensemble(lap)
     cfg = SolverConfig(lam=lam, dt=1 / 32)
     states, sels = march_batch(graph, cfg, lap, held(times), held(gms), x0)

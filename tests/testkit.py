@@ -7,10 +7,10 @@ from spmlab import hminus1_norm_sq_rows
 
 
 def angle_bracket(spec, t: float) -> float:
-    """Scalar bracket <M>(t) = t * TrQ."""
+    """Scalar bracket <M>(t) = t * TrQ, TrQ the sum of the variance rates."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    return float(t) * spec.trace
+    return float(t) * float(spec.variance_rates.sum())
 
 
 def hs_norm_q(B, x, spec, L) -> float:
