@@ -212,7 +212,7 @@ def _cmd_verify_all(ctx: _Context):
     threshold = contraction_time_limit(k_est, scfg.epsilon)
     T0 = min(horizon, 0.5 * threshold) if np.isfinite(threshold) else horizon
     reports.extend(check_contraction(graph, B, spec, scfg, L, x0, [T0],
-                                     max(50, n_paths // 2), seed + 5))
+                                     max(50, n_paths // 2), seed + 5, k_est))
     reports.append(check_lipschitz_map(graph, B, spec, scfg, L, x0,
                                        x0 + 0.5 * np.roll(x0, 1) + 0.1,
                                        horizon, max(50, n_paths // 4), seed + 6))

@@ -16,9 +16,10 @@ eigenbasis as exact spectral multipliers on rows (..., n) (``spectral_apply``).
 The mollifier multiplier exp(-mu/n^2) lies in (0, 1], so smoothing is a strict
 contraction of the dual norm and converges to the identity as the level n grows.
 ``solve_laplacian``, ``inner_hminus1`` and ``norm_hminus1`` solve with the
-matrix directly and cache nothing; they are the reference the eigenbasis is
-tested against. The implicit solvers build their Newton Jacobians from the
-stencil in LAPACK band layout (``DirichletLaplacian.band``).
+matrix directly, by numpy's ``linalg.solve``, and cache nothing; they are the
+reference the eigenbasis is tested against. The implicit solvers build their
+Newton Jacobians from the stencil in LAPACK band layout
+(``DirichletLaplacian.band``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
 
 DEFAULT_NODE_CAP = 4096
 
@@ -162,7 +162,7 @@ def _check_field(f, n, name="field"):
 def solve_laplacian(L: DirichletLaplacian, f) -> np.ndarray:
     """Solve -Lap u = f directly with the matrix (uncached test reference)."""
     f = _check_field(f, L.n, "f")
-    return solve(L.matrix, f, assume_a="pos")
+    return np.linalg.solve(L.matrix, f)
 
 
 def inner_l2(u, v, grid: SpatialGrid) -> float:

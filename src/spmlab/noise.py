@@ -35,6 +35,8 @@ built-in variants are a state-independent family and one spectral family,
 coeffs[k] (-Lap)^{-gamma} T(x) with T = x (linear) or a nodewise transform
 (smoothed Nemytskii). Their squared-Lipschitz constant in the dual norm is
 measured on random fields (``lipschitz_constant``).
+
+``numpy.random`` is imported eagerly: numpy would import it lazily, inside a command's run time.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+import numpy.random  # noqa: F401  (eagerly: see the module docstring)
 
 from .grid import (
     DirichletLaplacian,
@@ -50,6 +53,12 @@ from .grid import (
     mollify,
     smooth_gamma,
 )
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a and b, bit for bit ``np.union1d``, minus its numpy.ma import."""
+    s = np.sort(np.concatenate([a, b]))
+    return s[np.insert(s[1:] != s[:-1], 0, True)] if s.size else s
 
 
 def rng_for(master_seed: int, index: int) -> np.random.Generator:
@@ -203,7 +212,7 @@ def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
         js = np.concatenate(jump_sizes)
         order = np.argsort(jt, kind="stable")
         jt, jm, js = jt[order], jm[order], js[order]
-        times = np.unique(np.concatenate([base, jt]))
+        times = _union(base, jt)
     else:
         jt = np.empty(0)
         jm = np.empty(0, dtype=int)
@@ -317,7 +326,7 @@ class StepOperator:
 
     def __sub__(self, other: "StepOperator") -> "StepOperator":
         """Pointwise difference, one piece per piece of the union of breakpoints."""
-        edges = np.union1d(self.breakpoints, other.breakpoints)
+        edges = _union(self.breakpoints, other.breakpoints)
         return StepOperator(edges, self.at_many(edges[:-1]) - other.at_many(edges[:-1]))
 
 

@@ -51,11 +51,14 @@ the mollified solutions are reported with their Cauchy distances.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NonContractionError, SolverError
 from .grid import DirichletLaplacian, hminus1_norm_sq_rows, spectral_apply
@@ -74,7 +77,22 @@ from .noise import (
     realized_qv,
 )
 
-_gbsv = get_lapack_funcs("gbsv", (np.empty(1),))
+
+def _load_flapack(scipy_dir: str):
+    """scipy's LAPACK wrappers, from their file: the ``scipy.linalg`` package is slow to import."""
+    path = os.path.join(scipy_dir, "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        from importlib.metadata import version  # ~40 ms, so only on failure
+
+        raise ImportError(f"scipy's LAPACK wrappers {path} are missing (scipy {version('scipy')})")
+    spec = spec_from_file_location("scipy.linalg._flapack", path)  # by an ExtensionFileLoader
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(spec.name, module)  # later scipy.linalg imports reuse it
+
+
+_gbsv = (sys.modules.get("scipy.linalg._flapack")
+         or _load_flapack(os.path.dirname(find_spec("scipy").origin))).dgbsv
 # windows of steps are solved at once while their band buffer fits in this many
 # bytes; fewer than _MIN_WINDOW steps cost more per step than single steps
 _WINDOW_BYTES = 256 * 1024

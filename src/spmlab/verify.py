@@ -185,19 +185,19 @@ def check_apriori(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian
 
 def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
                       cfg: SolverConfig, L: DirichletLaplacian, x0,
-                      T0_list: Sequence[float], n_paths: int, seed: int) -> list:
+                      T0_list: Sequence[float], n_paths: int, seed: int, k_est=None) -> list:
     """Measured contraction factor of one fixed-point sweep per window length.
 
     Applies the map to the constant candidates X1 = x0 and X2 = x0 + d, d half
     the first eigenmode, and compares the squared ensemble distance ratio
     against the theoretical modulus k * T0 * (1 + 6/eps) / (1 - 6 eps). For
     window lengths below the contraction threshold the factor must also sit
-    below one at the margin.
+    below one at the margin. k is ``k_est`` if given, else measured at ``seed``.
     """
     x0 = np.asarray(x0, dtype=float)
     d = 0.5 * eigenmode(L, 0)
     denom = float(hminus1_norm_sq_rows(L, d[None, :])[0])
-    k_est = lipschitz_constant(B, spec, L, seed=seed)
+    k_est = lipschitz_constant(B, spec, L, seed=seed) if k_est is None else k_est
     threshold = contraction_time_limit(k_est, cfg.epsilon)
     modulus_coeff = (1.0 + 6.0 / cfg.epsilon) / (1.0 - 6.0 * cfg.epsilon)
     op1 = ConstantOperator(B.mode_fields(x0, L))

@@ -28,7 +28,7 @@ from spmlab import (
     solve_laplacian,
     stochastic_integral,
 )
-from spmlab.noise import MartingalePath, stochastic_integrals
+from spmlab.noise import MartingalePath, _union, stochastic_integrals
 from testkit import angle_bracket, growth_constant, hs_norm_q
 
 
@@ -425,3 +425,14 @@ def test_realized_qv_step_operator_left_limit(lap):
         g = g1 if t_left < 0.5 else g2
         expected += size**2 * float(hminus1_norm_sq_rows(lap, g[None, :])[0])
     assert qv[-1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_union_is_union1d_bit_for_bit():
+    rng = np.random.default_rng(21)
+    a = rng.choice(rng.standard_normal(12), 40)  # many repeats
+    b = np.concatenate([rng.choice(a, 15), rng.standard_normal(6), [0.0, 0.0]])
+    inf = np.array([np.inf, -np.inf, 0.5, np.inf])
+    empty = np.empty(0)
+    for x, y in [(a, b), (b, a), (inf, -inf), (inf, b), (empty, empty), (empty, a), (b, empty)]:
+        got, want = _union(x, y), np.union1d(x, y)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -77,6 +77,15 @@ def scalar_step_oracle(graph, lam, a, tau, g, rhs):
     return 0.5 * (lo + hi)
 
 
+def test_flapack_loader_names_the_folder_and_scipy_version(tmp_path):
+    from importlib.metadata import version
+
+    with pytest.raises(ImportError) as info:
+        solver._load_flapack(str(tmp_path))
+    assert str(tmp_path) in str(info.value)
+    assert f"scipy {version('scipy')}" in str(info.value)
+
+
 def test_implicit_step_zero_fixed_point(lap):
     for graph, lam in [(PowerLaw(3.0), 0.1), (StefanPiecewise(1.0, 2.0, 1.0), 0.1),
                        (Linear(1.0), 0.0)]:
