@@ -131,10 +131,10 @@ def _cmd_simulate_multiplicative(ctx: _Context):
     ens = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
     res = picard_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0, ens)
 
-    rows = [(w, t0, t1, it + 1, dist, factors[it - 1] if 0 < it <= len(factors) else None)
+    rows = [(w, t0, t1, it, dist, factor)
             for w, ((t0, t1), dists, factors) in enumerate(
                 zip(res.windows, res.window_distances, res.window_factors))
-            for it, dist in enumerate(dists)]
+            for it, (dist, factor) in enumerate(zip(dists, [None, *factors]), 1)]
     sq = hminus1_norm_sq_rows(ctx.L, ens.at_base(res.states))
     tables = {
         "picard.csv": (["window", "t_start", "t_end", "iteration", "distance_sq", "factor"],
@@ -240,6 +240,11 @@ def _cmd_mollify_demo(ctx: _Context):
     return tables, [f"contraction_and_decrease: {fmt_value(ok)}"], 0 if ok else 1, ()
 
 
+# (flag, run key, type) of the shortcuts that load_config turns into run.<key> overrides
+_RUN_SHORTCUTS = (("seed", "master_seed", int), ("paths", "n_paths", int),
+                  ("out", "output_dir", str))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spmlab",
@@ -251,21 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="path to a JSON config (bundled default if omitted)")
         sp.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="PATH=VALUE", help="dotted-path override, repeatable")
-        sp.add_argument("--seed", type=int, help="override run.master_seed")
-        sp.add_argument("--paths", type=int, help="override run.n_paths")
-        sp.add_argument("--out", help="override run.output_dir")
+        for flag, key, kind in _RUN_SHORTCUTS:
+            sp.add_argument(f"--{flag}", type=kind, help=f"override run.{key}")
     return parser
 
 
 def load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig.default()
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"run.master_seed={args.seed}")
-    if args.paths is not None:
-        overrides.append(f"run.n_paths={args.paths}")
-    if args.out is not None:
-        overrides.append(f"run.output_dir={json.dumps(args.out)}")
+    overrides = [*args.overrides, *(f"run.{key}={json.dumps(getattr(args, flag))}"
+                                    for flag, key, _ in _RUN_SHORTCUTS
+                                    if getattr(args, flag) is not None)]
     if overrides:
         cfg = cfg.apply_overrides(overrides)
     return cfg

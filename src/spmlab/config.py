@@ -1,12 +1,13 @@
 """Experiment configuration: JSON loading, schema validation, object builders.
 
 Configs are plain JSON validated against the schema shipped in
-``spmlab/data/experiment.schema.json``; defaults are merged in afterwards and
-a handful of cross-section rules (mode counts, the solver's surjectivity and
-lam = 0 gates, and its sweep and level orders) are enforced here because they
-cannot be expressed in the schema. Graphs, jump laws and noise modes are built
-by their own constructors from the config entries that name one of their
-fields, so the defaults live in one place.
+``spmlab/data/experiment.schema.json``; the defaults live in one table,
+``_DEFAULTS``, merged in afterwards. Cross-section rules the schema cannot
+express (one diffusion coefficient entry per noise mode, the solver's
+surjectivity and lam = 0 gates, its sweep and level orders) are enforced here.
+Every refusal names its section once, through ``_section``. Graphs, jump laws
+and noise modes are built by their own constructors from the config entries
+that name one of their fields, so their defaults live in one place.
 Dotted-path overrides (``solver.picard_tol=1e-8``) re-validate the result.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 from importlib import resources
 
@@ -35,9 +37,17 @@ from .noise import (
 )
 from .solver import SolverConfig, check_gates, check_lambdas, check_levels
 
-# lam, dt and allow_nonsurjective come from the beta and noise sections
-_DEFAULT_SOLVER = {f.name: f.default for f in fields(SolverConfig)
-                   if f.name not in ("lam", "dt", "allow_nonsurjective")}
+# {section: {key: default}}; the solver's lam, dt and allow_nonsurjective come
+# from the beta and noise sections
+_DEFAULTS = {
+    "grid": {"length": 1.0, "node_cap": DEFAULT_NODE_CAP},
+    "beta": {"params": {}, "lambda": 0.0, "allow_nonsurjective": False},
+    "diffusion": {"params": {}, "gamma": 1.0},
+    "initial": {"kind": "zero"},
+    "solver": {f.name: f.default for f in fields(SolverConfig)
+               if f.name not in ("lam", "dt", "allow_nonsurjective")},
+    "run": {"output_dir": "spmlab_out"},
+}
 _DEFAULT_SWEEP = [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625]
 _DEFAULT_LEVELS = [2, 4, 8, 16]
 _GRAPHS = {"power_law": PowerLaw, "linear": Linear, "scaled_signum": ScaledSignum,
@@ -64,14 +74,24 @@ def _validate_schema(data: dict):
         raise ConfigError(f"config {where}: {err.message}")
 
 
+@contextmanager
+def _section(name: str):
+    """Re-raise a value refused inside the block as ConfigError naming the
+    section; a ConfigError passes unchanged, so no message names it twice."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, SolverError) as err:
+        raise ConfigError(f"config {name}: {err}")
+
+
 def _construct(cls, params: dict, section: str, **given):
     """cls built from the params entries that name one of its dataclass fields,
     as floats, plus the given keywords; other entries are ignored."""
-    try:
+    with _section(section):
         return cls(**{f.name: float(params[f.name]) for f in fields(cls)
                       if f.name in params and f.name not in given}, **given)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"config {section}: {err}")
 
 
 def _build_field(spec: dict, L) -> np.ndarray:
@@ -81,7 +101,7 @@ def _build_field(spec: dict, L) -> np.ndarray:
     if kind == "eigenmode":
         index = int(spec.get("index", 0))
         if index >= L.n:
-            raise ConfigError(f"eigenmode index {index} out of range for {L.n} nodes")
+            raise ValueError(f"eigenmode index {index} out of range for {L.n} nodes")
         return float(spec.get("scale", 1.0)) * eigenmode(L, index)
     if kind == "spectral_random":
         rng = np.random.default_rng(int(spec.get("seed", 0)))
@@ -89,7 +109,7 @@ def _build_field(spec: dict, L) -> np.ndarray:
         coeff = rng.standard_normal(L.n) * L.eigenvalues ** (-0.5 * decay)
         field = (L.eigenvectors @ coeff) / np.sqrt(L.grid.weight)
         return float(spec.get("scale", 1.0)) * field
-    raise ConfigError(f"unknown field kind {kind!r}")
+    raise ValueError(f"unknown field kind {kind!r}")
 
 
 class ExperimentConfig:
@@ -97,20 +117,8 @@ class ExperimentConfig:
 
     def __init__(self, data: dict):
         _validate_schema(data)
-        merged = copy.deepcopy(data)
-        merged.setdefault("initial", {"kind": "zero"})
-        solver = dict(_DEFAULT_SOLVER)
-        solver.update(merged.get("solver", {}))
-        merged["solver"] = solver
-        merged["grid"].setdefault("length", 1.0)
-        merged["grid"].setdefault("node_cap", DEFAULT_NODE_CAP)
-        merged["beta"].setdefault("params", {})
-        merged["beta"].setdefault("lambda", 0.0)
-        merged["beta"].setdefault("allow_nonsurjective", False)
-        merged["diffusion"].setdefault("params", {})
-        merged["diffusion"].setdefault("gamma", 1.0)
-        merged["run"].setdefault("output_dir", "spmlab_out")
-        self.data = merged
+        self.data = copy.deepcopy({**data, **{section: {**defaults, **data.get(section, {})}
+                                              for section, defaults in _DEFAULTS.items()}})
         self._cross_checks()
 
     # -- loading -----------------------------------------------------------
@@ -168,41 +176,22 @@ class ExperimentConfig:
         rules = (("beta", check_gates, gates), ("sweep", check_lambdas, (self.sweep_lambdas(),)),
                  ("generalized", check_levels, (self.generalized_levels(),)))
         for section, rule, args in rules:
-            try:
+            with _section(section):
                 rule(*args)
-            except (SolverError, ValueError) as err:
-                raise ConfigError(f"config {section}: {err}")
         diff = self.data["diffusion"]
-        params = diff["params"]
-        if diff["variant"] in ("linear_spectral", "smoothed_nemytskii"):
-            coeffs = params.get("coeffs", [])
-            if len(coeffs) != n_modes:
-                raise ConfigError(
-                    f"diffusion/params/coeffs needs {n_modes} entries "
-                    f"(one per noise mode), got {len(coeffs)}"
-                )
-        if diff["variant"] == "constant_additive":
-            fields = params.get("modes", [])
-            if len(fields) != n_modes:
-                raise ConfigError(
-                    f"diffusion/params/modes needs {n_modes} field specs, got {len(fields)}"
-                )
+        key = "modes" if diff["variant"] == "constant_additive" else "coeffs"
+        with _section("diffusion"):
+            count = len(diff["params"].get(key, []))
+        if count != n_modes:
+            raise ConfigError(f"config diffusion/params/{key}: needs {n_modes} entries "
+                              f"(one per noise mode), got {count}")
 
     # -- builders ------------------------------------------------------------
 
-    def grid(self):
-        g = self.data["grid"]
-        try:
-            return make_grid(g["dim"], g["n"], g["length"])
-        except ValueError as err:
-            raise ConfigError(f"config grid: {err}")
-
     def laplacian(self):
-        grid = self.grid()
-        try:
-            return build_laplacian(grid, self.data["grid"]["node_cap"])
-        except ValueError as err:
-            raise ConfigError(f"config grid: {err}")
+        g = self.data["grid"]
+        with _section("grid"):
+            return build_laplacian(make_grid(g["dim"], g["n"], g["length"]), g["node_cap"])
 
     def graph(self):
         beta = self.data["beta"]
@@ -220,31 +209,27 @@ class ExperimentConfig:
     def diffusion(self, L):
         diff = self.data["diffusion"]
         params = diff["params"]
-        gamma = float(diff["gamma"])
-        if diff["variant"] == "constant_additive":
-            fields = np.stack([_build_field(fs, L) for fs in params["modes"]])
-            return ConstantAdditive(fields=fields)
-        try:
-            coeffs = np.asarray(params["coeffs"], dtype=float)
+        with _section("diffusion"):
+            if diff["variant"] == "constant_additive":
+                return ConstantAdditive(fields=np.stack([_build_field(fs, L)
+                                                         for fs in params["modes"]]))
+            coeffs, gamma = np.asarray(params["coeffs"], dtype=float), float(diff["gamma"])
             if diff["variant"] == "linear_spectral":
                 return LinearSpectral(coeffs=coeffs, gamma=gamma)
             return SmoothedNemytskii(coeffs=coeffs, gamma=gamma,
                                      transform=params.get("transform", "tanh"))
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"config diffusion: {err}")
 
     def initial_field(self, L) -> np.ndarray:
-        return _build_field(self.data["initial"], L)
+        with _section("initial"):
+            return _build_field(self.data["initial"], L)
 
     def solver_config(self) -> SolverConfig:
         beta, s = self.data["beta"], self.data["solver"]
         # the schema's integers may arrive as 50.0, which range() refuses
         counts = {k: int(s[k]) for k in ("newton_max_iter", "picard_max_iter")}
-        try:
+        with _section("solver"):
             return SolverConfig(**{**s, **counts}, lam=float(beta["lambda"]), dt=self.dt,
                                 allow_nonsurjective=beta["allow_nonsurjective"])
-        except ValueError as err:
-            raise ConfigError(f"config solver: {err}")
 
     def sweep_lambdas(self):
         return list(self.data.get("sweep", {}).get("lambdas", _DEFAULT_SWEEP))

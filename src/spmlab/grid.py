@@ -152,7 +152,7 @@ def build_laplacian(grid: SpatialGrid, node_cap: int = DEFAULT_NODE_CAP) -> Diri
     return DirichletLaplacian(grid, mat, vals[order], vecs[:, order])
 
 
-def _check_field(f, n, name="field"):
+def _check_field(f, n, name):
     f = np.asarray(f, dtype=float)
     if f.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {f.shape}")

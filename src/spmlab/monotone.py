@@ -99,16 +99,16 @@ class MonotoneGraph:
         return _match(s, self._conjugate(np.asarray(s, dtype=float)))
 
 
-def _bisect_increasing(fn, lo, hi, tol=_BISECT_TOL, max_iter=_BISECT_MAX_ITER):
+def _bisect_increasing(fn, lo, hi):
     """Vectorized bisection for fn increasing with fn(lo) <= 0 <= fn(hi)."""
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         high = fn(mid) > 0.0
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
-        if np.max(hi - lo) < tol:
+        if np.max(hi - lo) < _BISECT_TOL:
             break
     return 0.5 * (lo + hi)
 

@@ -560,7 +560,7 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
             sq_sums = hminus1_norm_sq_rows(L, (new - iterate)[rows, local_base]).sum(axis=0)
             iterate = new
             dist = float(np.max(sq_sums / n_paths))
-            if dists and dists[-1] > 0:
+            if dists:
                 factors.append(dist / dists[-1])
             dists.append(dist)
             if dist < cfg.picard_tol:

@@ -111,6 +111,26 @@ def test_simulate_multiplicative_and_generalized(tmp_path):
     assert [r[0] for r in rows] == ["2", "4"]
 
 
+def test_picard_rows_pair_each_distance_with_its_factor(tmp_path):
+    # the 8-window run of the output matrix: every window lists its distances
+    # in order, and each row after the first its ratio to the row before
+    out = tmp_path / "out"
+    assert main(["simulate-multiplicative", "--out", str(out), "--paths", "50",
+                 "--set", "noise.T=1", "--set", "solver.window_T0=0.125"]) == 0
+    header, rows = read_csv(out / "picard.csv")
+    assert header == ["window", "t_start", "t_end", "iteration", "distance_sq", "factor"]
+    windows = {}
+    for r in rows:
+        windows.setdefault(int(r[0]), []).append(r)
+    assert sorted(windows) == list(range(8))
+    for window in windows.values():
+        assert [int(r[3]) for r in window] == list(range(1, len(window) + 1))
+        assert len(window) == 3
+        dists = [float(r[4]) for r in window]
+        assert [r[5] for r in window[:1]] == [""]
+        assert [float(r[5]) for r in window[1:]] == [b / a for a, b in zip(dists, dists[1:])]
+
+
 def test_verify_all_byte_identical_reruns(tmp_path):
     cfg = small_run(tmp_path, run={"n_paths": 60})
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -226,6 +246,46 @@ def test_config_errors_exit_2_with_message(tmp_path, capsys, settings, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["grid.dim=2", "grid.n=[3]"], "config grid: n must have 2 entries, got 1"),
+    (["grid.n=5000"], "config grid: grid has 5000 interior nodes, above the dense cap 4096"),
+    (["beta.params.exponent=0.5"], "config beta: exponent must be >= 1, got 0.5"),
+    (['noise.modes=[{"wiener_vol": 0.5, "jump_intensity": 1.0}]',
+      "diffusion.params.coeffs=[0.4]"],
+     "config noise: a jump law is required when jump_intensity > 0"),
+    (["diffusion.variant=smoothed_nemytskii", "diffusion.params.transform=foo"],
+     "config diffusion: unknown transform 'foo', choose from ['sin', 'soft_clip', 'tanh']"),
+    (['diffusion.params.coeffs=[1,"a"]'],
+     "config diffusion: could not convert string to float: 'a'"),
+    (["diffusion.params.coeffs=[0.4]"],
+     "config diffusion/params/coeffs: needs 2 entries (one per noise mode), got 1"),
+    (["diffusion.params.coeffs=0.4"], "config diffusion: object of type 'float' has no len()"),
+    (["diffusion.variant=constant_additive",
+      'diffusion.params.modes=[{"kind": "zero"}]'],
+     "config diffusion/params/modes: needs 2 entries (one per noise mode), got 1"),
+    (["diffusion.variant=constant_additive",
+      'diffusion.params.modes=[{"kind": "eigenmode", "index": 99}, {"kind": "zero"}]'],
+     "config diffusion: eigenmode index 99 out of range for 15 nodes"),
+    (["initial.index=99"], "config initial: eigenmode index 99 out of range for 15 nodes"),
+    (["sweep.lambdas=[0.1,0.2]"],
+     "config sweep: lambdas must be a strictly decreasing positive list"),
+    (["generalized.levels=[4,2]"],
+     "config generalized: levels must be a strictly increasing list of positive ints"),
+], ids=["grid_dim", "node_cap", "exponent", "jump_law", "transform", "coeff_entry",
+        "coeff_count", "coeff_list", "field_count", "field_index", "initial_index",
+        "sweep_order", "levels_order"])
+def test_every_refusal_names_its_section_once(tmp_path, capsys, settings, message):
+    argv = ["simulate-additive", "--out", str(tmp_path / "out")]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    section = message.split(":")[0].split("/")[0]
+    assert err.count(section) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_jump_law_needs_its_parameter(tmp_path, capsys):
