@@ -14,7 +14,8 @@ Paths are sampled on the base grid of ``uniform_times`` with every jump time
 inserted exactly, so integrands evaluated at the left endpoint of each
 sub-interval are genuine left limits and the integral of a piecewise-constant
 operator is a finite sum with no time-discretization error. Sampling is
-deterministic per (master seed, path index).
+deterministic per (master seed, path index): an ensemble is drawn in one pass
+that equals its paths drawn one at a time byte for byte (``_sample_held``).
 
 Every integrand is a ``StepOperator``: ``fields[i]`` (K, n) holds on
 [b_i, b_{i+1}), the first piece also before b_0 and the last one after the
@@ -185,61 +186,17 @@ class MartingalePath:
 
 def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
                 seed: np.random.Generator) -> MartingalePath:
-    """Sample one path on [0, horizon] with base step ``base_dt``.
+    """Sample one path on [0, horizon] with base step ``base_dt``: the one-path
+    case of ``sample_ensemble``.
 
     The base grid is ``uniform_times(horizon, base_dt)``; all Poisson jump
     times are inserted into it. ``seed`` is the Generator the path draws
     from (``rng_for``); equal streams give bit-identical paths.
     """
-    base = uniform_times(horizon, base_dt)
-
-    jump_times, jump_modes, jump_sizes = [], [], []
-    for k, mode in enumerate(spec.modes):
-        if mode.jump_intensity <= 0:
-            continue
-        count = int(seed.poisson(mode.jump_intensity * horizon))
-        if count == 0:
-            continue
-        # 1 - U keeps times in (0, horizon]
-        times_k = horizon * (1.0 - seed.random(count))
-        jump_times.append(times_k)
-        jump_modes.append(np.full(count, k, dtype=int))
-        jump_sizes.append(mode.jump_law.sample(seed, count))
-
-    if jump_times:
-        jt = np.concatenate(jump_times)
-        jm = np.concatenate(jump_modes)
-        js = np.concatenate(jump_sizes)
-        order = np.argsort(jt, kind="stable")
-        jt, jm, js = jt[order], jm[order], js[order]
-        times = _union(base, jt)
-    else:
-        jt = np.empty(0)
-        jm = np.empty(0, dtype=int)
-        js = np.empty(0)
-        times = base
-
-    n_steps = len(times) - 1
-    dtaus = np.diff(times)
-    values = np.zeros((spec.n_modes, n_steps + 1))
-    incr = np.zeros((spec.n_modes, n_steps))
-    for k, mode in enumerate(spec.modes):
-        if mode.wiener_vol > 0:
-            incr[k] += mode.wiener_vol * np.sqrt(dtaus) * seed.standard_normal(n_steps)
-    jump_idx = np.searchsorted(times, jt)
-    for idx, k, size in zip(jump_idx, jm, js):
-        incr[k, idx - 1] += size
-    values[:, 1:] = np.cumsum(incr, axis=1)
-
-    return MartingalePath(
-        spec=spec,
-        times=times,
-        values=values,
-        jump_indices=jump_idx,
-        jump_modes=jm,
-        jump_sizes=js,
-        base_indices=np.searchsorted(times, base),
-    )
+    ens, (_, index, modes, sizes) = _sample_held(spec, horizon, base_dt, [seed])
+    return MartingalePath(spec=spec, times=ens.times[0],
+                          values=np.ascontiguousarray(ens.values[0].T), jump_indices=index,
+                          jump_modes=modes, jump_sizes=sizes, base_indices=ens.base_indices[0])
 
 
 @dataclass(frozen=True)
@@ -289,11 +246,64 @@ def hold_ensemble(paths) -> HeldEnsemble:
                         base_indices=np.stack([p.base_indices for p in paths]))
 
 
+def _sample_held(spec: NoiseSpec, horizon: float, base_dt: float, rngs: list):
+    """Path p drawn from rngs[p] in the order of one path alone, held, with its
+    jumps (path, grid index, mode, size) sorted by path, time and draw; only
+    the generator calls run per path, the merge, increments and cumsum once."""
+    base = uniform_times(horizon, base_dt)
+    n_paths, n_base, vols = len(rngs), len(base), np.array([m.wiener_vol for m in spec.modes])
+    jumpy = [(k, m) for k, m in enumerate(spec.modes) if m.jump_intensity > 0]
+    drawn, counts, us, sizes = [], [], [np.empty(0)], [np.empty(0)]
+    for p, rng in enumerate(rngs):
+        for k, mode in jumpy:
+            count = int(rng.poisson(mode.jump_intensity * horizon))
+            if count:
+                drawn.append((p, k))
+                counts.append(count)
+                us.append(rng.random(count))
+                sizes.append(mode.jump_law.sample(rng, count))
+    path_mode = np.array(drawn, dtype=int).reshape(-1, 2)
+    jp, jm = np.repeat(path_mode, counts, axis=0).T
+    # base points first, so each keeps its place ahead of an equal jump time;
+    # 1 - U keeps jump times in (0, horizon]
+    at_t = np.concatenate([np.tile(base, n_paths), horizon * (1.0 - np.concatenate(us))])
+    at_p = np.concatenate([np.repeat(np.arange(n_paths), n_base), jp])
+    order = np.lexsort((at_t, at_p))  # stable: by path, time, then draw
+    t_sorted, p_sorted = at_t[order], at_p[order]
+    new = np.insert((t_sorted[1:] != t_sorted[:-1]) | (p_sorted[1:] != p_sorted[:-1]), 0, True)
+    point = np.empty_like(order)
+    point[order] = np.cumsum(new) - 1  # each time's flat grid point
+    points = np.bincount(p_sorted[new], minlength=n_paths)
+    first = np.cumsum(points) - points
+    steps = points - 1
+    at = first[:, None] + np.minimum(np.arange(steps.max() + 1), steps[:, None])
+    times = t_sorted[new][at]
+
+    dtaus = np.diff(times, axis=1)
+    incr = np.zeros(dtaus.shape + (spec.n_modes,))
+    wiener = np.flatnonzero(vols > 0)
+    if wiener.size:  # a path's normals come mode by mode, each over its steps
+        z = np.zeros(dtaus.shape + (wiener.size,))
+        z[np.arange(dtaus.shape[1]) < steps[:, None]] = np.concatenate(
+            [rng.standard_normal((wiener.size, s)).T for rng, s in zip(rngs, steps)])
+        incr[:, :, wiener] += vols[wiener] * np.sqrt(dtaus)[:, :, None] * z
+    n_fixed = n_paths * n_base
+    jumps = order[order >= n_fixed] - n_fixed
+    jp, jm, js = jp[jumps], jm[jumps], np.concatenate(sizes)[jumps]
+    index = point[n_fixed + jumps] - first[jp]
+    np.add.at(incr, (jp, index - 1, jm), js)
+    # held steps add +0.0, and no increment is -0.0, so held rows repeat the last bit for bit
+    values = np.zeros((n_paths, len(at[0]), spec.n_modes))
+    np.cumsum(incr, axis=1, out=values[:, 1:])
+    base_indices = point[:n_fixed].reshape(n_paths, n_base) - first[:, None]
+    return HeldEnsemble(times, values, base_indices), (jp, index, jm, js)
+
+
 def sample_ensemble(spec: NoiseSpec, horizon: float, base_dt: float, n_paths: int,
                     master_seed: int) -> HeldEnsemble:
-    """Paths 0, ..., n_paths - 1 under one master seed, each from its own stream."""
-    return hold_ensemble([sample_path(spec, horizon, base_dt, rng_for(master_seed, i))
-                          for i in range(n_paths)])
+    """Paths 0, ..., n_paths - 1 under one master seed, each on its own ``rng_for`` stream."""
+    return _sample_held(spec, horizon, base_dt,
+                        [rng_for(master_seed, i) for i in range(n_paths)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,12 @@ process X yields the frozen coefficient t -> B(X(t-)), whose additive solve is
 the next iterate. Phi contracts in the ensemble norm sup_t E| . |^2 on short
 time windows; the window length is derived from the measured Lipschitz
 constant of B and the contraction threshold (1 - 6 eps) / (1 + 6/eps) / k,
-then relaxed when the observed contraction factor is comfortable. Rough
-coefficients are run through the spectral mollifier at increasing levels and
-the mollified solutions are reported with their Cauchy distances.
+then relaxed when the observed contraction factor is comfortable. From the
+second sweep on, each march starts Newton at the last iterate (``warm``); a
+held step starts where the row before does, and an untouched entry keeps the
+last iterate bit for bit. Rough coefficients are run through the spectral
+mollifier at increasing levels and the mollified solutions are reported with
+their Cauchy distances.
 """
 
 from __future__ import annotations
@@ -197,20 +200,20 @@ def _solve_jacobians(L: DirichletLaplacian, tau: np.ndarray, slope: np.ndarray,
     return x.reshape(rhs.shape), info
 
 
-def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False):
+def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False, guess=None):
     """Solve the backward Euler steps y_i + tau_i*(-Lap) b(y_i + g_i) = y_{i-1},
     i = 1..w, of k windows at once, each from its start y_0.
 
     lam and tol have shape (k,), tau (k, w), y0 (k, n) and g (k, w, n). Each
-    window runs its own damped Newton iteration, from a guess that holds its
-    start, in lock step with the others: one band solve (``_solve_jacobians``)
-    for all windows with a step above its target tol * (1 + |y_{i-1}|), y_{i-1}
-    at the current iterate, then a line search with one step length per
-    window. One step accepts a trial when its residual falls, a longer window
-    when sum_i (res_i / target_i)^2 falls. With slopes >= 0 the Jacobian is
-    column diagonally dominant. Windows with a non-finite residual never enter
-    the solve, which would spread it to every window. Returns (y, selection),
-    each (k, w, n).
+    window runs its own damped Newton iteration, from ``guess`` (k, w, n) or
+    else from a guess that holds its start, in lock step with the others: one
+    band solve (``_solve_jacobians``) for all windows with a step above its
+    target tol * (1 + |y_{i-1}|), y_{i-1} at the current iterate, then a line
+    search with one step length per window. One step accepts a trial when its
+    residual falls, a longer window when sum_i (res_i / target_i)^2 falls. With
+    slopes >= 0 the Jacobian is column diagonally dominant. Windows with a
+    non-finite residual never enter the solve, which would spread it to every
+    window. Returns (y, selection), each (k, w, n).
     """
     mat = L.matrix
     k, w, n = g.shape
@@ -225,12 +228,15 @@ def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False):
         prev = start[:, None] if w == 1 else np.concatenate((start[:, None], y[:, :-1]), axis=1)
         return y + tau[:, :, None] * (value.reshape(-1, n) @ mat).reshape(value.shape) - prev
 
+    def targets():  # tol * (1 + |y_{i-1}|) at the current iterate
+        return tol[:, None] * (1.0 + _dual_norms(L, np.concatenate((y0[:, None], y[:, :-1]), 1)))
+
     lam_full = np.repeat(lam, w * n).reshape(k, w, n)  # once per call, for every _drift
-    y = np.repeat(y0[:, None], w, axis=1)  # the guess holds the start
+    y = np.repeat(y0[:, None], w, axis=1) if guess is None else guess.copy()
     value, slope, sel = _drift(graph, lam_full, y + g)
     res_vec = residual(y, y0, tau, value)
     res = _dual_norms(L, res_vec)
-    target = tol[:, None] * (1.0 + _dual_norms(L, y))  # tol * (1 + |y_{i-1}|) at the guess
+    target = targets()
     # a trial is accepted only with a finite residual, so a window with a
     # non-finite one is left out of every solve from the start
     live = np.logical_and.reduce(np.isfinite(res), axis=1)
@@ -270,8 +276,7 @@ def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False):
             step *= 0.5
         live[pending] = False
         if w > 1:  # the targets follow y_{i-1}; a single step's start is fixed
-            prev = np.concatenate((y0[:, None], y[:, :-1]), axis=1)
-            target = tol[:, None] * (1.0 + _dual_norms(L, prev))
+            target = targets()
 
     failed = np.flatnonzero(np.logical_or.reduce(res > target, axis=1))
     if failed.size:
@@ -337,7 +342,7 @@ def _window_length(L: DirichletLaplacian, n_paths: int) -> int:
 
 
 def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
-                times: np.ndarray, gm: np.ndarray, x0, lam=None):
+                times: np.ndarray, gm: np.ndarray, x0, lam=None, warm=None):
     """Backward Euler on y = X - g for P paths at once, in lock step.
 
     times (P, N+1) holds the grids and gm (P, N+1, n) the driving integrals,
@@ -350,7 +355,9 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     which keeps its accumulated integral-identity defect at the newton_tol
     scale. The steps are solved in windows of ``_window_length`` steps, all at
     once, and a window that fails is marched step by step. Returns the held
-    (states, selections), each (P, N+1, n).
+    (states, selections), each (P, N+1, n). Held states ``warm`` move only
+    where Newton starts: step i at warm_i - g_i, a step of zero length at the
+    guess of the row before or the window start; an entry left there keeps warm_i.
     """
     times = np.asarray(times, dtype=float)
     gm = np.asarray(gm, dtype=float)
@@ -373,17 +380,21 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
 
     def advance(i, w):
         # steps i+1..i+w of every path as one stack of windows; done paths never enter a solve
-        g = gm[:, i + 1:i + w + 1]
+        cols = slice(i + 1, i + w + 1)
+        g, guess = gm[:, cols], None
+        if warm is not None:  # a held step (they end each row) starts where the row before does
+            starts = np.concatenate((y[:, None], warm[:, cols] - g), axis=1)
+            guess = starts[np.arange(n_paths)[:, None],
+                           np.minimum(np.arange(1, w + 1), np.clip(steps - i, 0, w)[:, None])]
         y_new, sel = _newton_batch(graph, lam, L, taus[:, i:i + w], y, g, step_tol,
-                                   cfg.newton_max_iter, name_paths=True)
-        x_new = y_new + g
+                                   cfg.newton_max_iter, name_paths=True, guess=guess)
+        x_new = y_new + g if warm is None else np.where(y_new == guess, warm[:, cols], y_new + g)
         bad = np.argwhere(~np.all(np.isfinite(x_new), axis=2).T)  # (step, path), earliest first
         if bad.size:
             j, p = bad[0]
             raise SolverError(f"non-finite state at t={times[p, i + j + 1]:.6g} on path {p}")
         y[:] = y_new[:, -1]
-        states[:, i + 1:i + w + 1] = x_new
-        selections[:, i + 1:i + w + 1] = sel
+        states[:, cols], selections[:, cols] = x_new, sel
 
     n_steps, window = int(steps.max()), _window_length(L, n_paths)
     for i in range(0, n_steps, window):
@@ -556,7 +567,9 @@ def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
             # one coefficient evaluation for the left limits of every live step;
             # a held step has no increment, so its fields stay zero
             fields[live] = B.mode_fields_batch(iterate[:, :-1][live], L)
-            new, sel = march_batch(graph, cfg, L, times, ito_sums(fields, values), iterate[:, 0])
+            # from the second sweep on, Newton starts at the previous iterate
+            new, sel = march_batch(graph, cfg, L, times, ito_sums(fields, values), iterate[:, 0],
+                                   warm=iterate if dists else None)
             sq_sums = hminus1_norm_sq_rows(L, (new - iterate)[rows, local_base]).sum(axis=0)
             iterate = new
             dist = float(np.max(sq_sums / n_paths))

@@ -28,7 +28,13 @@ from spmlab import (
     solve_laplacian,
     stochastic_integral,
 )
-from spmlab.noise import MartingalePath, _union, stochastic_integrals
+from spmlab.noise import (
+    MartingalePath,
+    _union,
+    hold_ensemble,
+    sample_ensemble,
+    stochastic_integrals,
+)
 from testkit import angle_bracket, growth_constant, hs_norm_q
 
 
@@ -436,3 +442,29 @@ def test_union_is_union1d_bit_for_bit():
     for x, y in [(a, b), (b, a), (inf, -inf), (inf, b), (empty, empty), (empty, a), (b, empty)]:
         got, want = _union(x, y), np.union1d(x, y)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+SAMPLER_SPECS = {
+    "jumps-two-point": [NoiseMode(jump_intensity=6.0, jump_law=TwoPointJumps(0.5))],
+    "jumps-normal": [NoiseMode(jump_intensity=6.0, jump_law=NormalJumps(0.4))],
+    "wiener": [NoiseMode(wiener_vol=0.7)],
+    "three-modes": [NoiseMode(wiener_vol=0.8, jump_intensity=2.0, jump_law=TwoPointJumps(0.5)),
+                    NoiseMode(jump_intensity=8.0, jump_law=NormalJumps(0.3)),
+                    NoiseMode(wiener_vol=0.5, jump_intensity=1.0, jump_law=NormalJumps(0.4))],
+}
+
+
+@pytest.mark.parametrize("horizon, dt, n_paths", [
+    (0.25, 1 / 32, 40), (0.25, 1 / 32, 1), (1 / 32, 1 / 32, 60), (0.5, 0.1, 30),
+    (2.0, 0.25, 25)], ids=["default", "one-path", "short", "dt-off-horizon", "long"])
+@pytest.mark.parametrize("spec_name", sorted(SAMPLER_SPECS))
+def test_sample_ensemble_is_held_paths_of_their_streams(spec_name, horizon, dt, n_paths):
+    # one pass over the ensemble draws what path by path sampling draws, each
+    # path from its own stream: the held layout is equal byte for byte
+    spec = make_noise_spec(SAMPLER_SPECS[spec_name])
+    ens = sample_ensemble(spec, horizon, dt, n_paths, 17)
+    ref = hold_ensemble([sample_path(spec, horizon, dt, rng_for(17, i)) for i in range(n_paths)])
+    for name in ("times", "values", "base_indices"):
+        a, b = getattr(ens, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()

@@ -1,19 +1,25 @@
 import importlib.util
 import os
 
+import pytest
+
 import spmlab.cli as cli
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "tools", "output_matrix.py")
 
 
-def test_output_matrix_command_lines_parse():
-    # every run of the byte-identity matrix is a valid command line that writes
-    # to a directory of its own; nothing is run
+def load_tool():
     spec = importlib.util.spec_from_file_location("output_matrix", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    runs = tool.runs("matrix")
+    return tool
+
+
+def test_output_matrix_command_lines_parse():
+    # every run of the byte-identity matrix is a valid command line that writes
+    # to a directory of its own; nothing is run
+    runs = load_tool().runs("matrix")
     assert len(runs) == 16
     assert len({name for name, _ in runs}) == 16
     parser = cli.build_parser()
@@ -21,3 +27,52 @@ def test_output_matrix_command_lines_parse():
         args = parser.parse_args(argv)
         assert args.out == os.path.join("matrix", name)
         assert cli.load_config(args).output_dir == os.path.join("matrix", name)
+
+
+PROVENANCE = "# spmlab config_sha256=0 master_seed=1\n"
+TABLE = PROVENANCE + "window,time,state,verdict\n0,0.5,1.25,pass\n0,1,-2e-3,pass\n"
+
+
+def write_matrix(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+@pytest.mark.parametrize("changed, report", [
+    ({}, []),
+    ({"run/picard.csv": TABLE.replace("1.25", "1.2500000001").replace("-2e-3", "-0.002")},
+     ["run/picard.csv state: 2 cells, max rel 8e-11, max abs 1e-10"]),
+    ({"run/picard.csv": TABLE.replace("0.5", "0.75").replace("1.25", "1.5")},
+     ["run/picard.csv time: 1 cells, max rel 0.333, max abs 0.25",
+      "run/picard.csv state: 1 cells, max rel 0.167, max abs 0.25"]),
+], ids=["identical", "one-cell", "two-columns"])
+def test_compare_reports_numeric_differences(tmp_path, changed, report):
+    # two hand-made matrices: per CSV file and column, the cells whose text
+    # differs (-2e-3 against -0.002 counts, at a difference of 0) and the
+    # largest relative and absolute difference
+    files = {"run/picard.csv": TABLE, "run/summary.txt": "done\n", "exit_codes.txt": "run 0\n"}
+    old = write_matrix(tmp_path / "old", files)
+    new = write_matrix(tmp_path / "new", {**files, **changed})
+    assert load_tool().compare(old, new) == (report, True)
+
+
+@pytest.mark.parametrize("changed, report", [
+    ({"run/extra.csv": TABLE}, "only in {new}: run/extra.csv"),
+    ({"exit_codes.txt": "run 1\n"}, "exit_codes.txt: differs"),
+    ({"run/summary.txt": "done twice\n"}, "run/summary.txt: differs"),
+    ({"run/picard.csv": TABLE.replace("state", "x")}, "run/picard.csv: header differs"),
+    ({"run/picard.csv": TABLE.replace("sha256=0", "sha256=1")}, "run/picard.csv: header differs"),
+    ({"run/picard.csv": TABLE + "1,2,3,pass\n"}, "run/picard.csv: 2 -> 3 rows"),
+    ({"run/picard.csv": TABLE.replace("1,-2e-3,pass", "1,-2e-3,fail")},
+     "run/picard.csv verdict: non-numeric cells differ"),
+    ({"run/picard.csv": TABLE.replace("1.25", "nope")},
+     "run/picard.csv state: non-numeric cells differ"),
+], ids=["file-set", "exit-code", "not-csv", "header", "provenance", "rows", "text", "non-numeric"])
+def test_compare_refuses_what_is_not_numeric(tmp_path, changed, report):
+    files = {"run/picard.csv": TABLE, "run/summary.txt": "done\n", "exit_codes.txt": "run 0\n"}
+    old = write_matrix(tmp_path / "old", files)
+    new = write_matrix(tmp_path / "new", {**files, **changed})
+    assert load_tool().compare(old, new) == ([report.format(new=new)], False)

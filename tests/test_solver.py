@@ -882,3 +882,78 @@ def test_failed_window_is_marched_step_by_step(lap, monkeypatch):
     stepped = march_batch(PowerLaw(3.0), cfg, lap, times, gms, x0)
     for a, b in zip(fallen, stepped):
         np.testing.assert_array_equal(a, b)
+
+
+def counted_rows(monkeypatch, lap, per_march):
+    # Jacobian rows factored by the LAPACK call, summed per march_batch call
+    gbsv, march = solver._gbsv, solver.march_batch
+
+    def counted_gbsv(kl, ku, ab, b, **kwargs):
+        per_march[-1] += len(b) // lap.n
+        return gbsv(kl, ku, ab, b, **kwargs)
+
+    def counted_march(*args, **kwargs):
+        per_march.append(0)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_gbsv", counted_gbsv)
+    monkeypatch.setattr(solver, "march_batch", counted_march)
+
+
+@pytest.mark.parametrize("step_by_step", [False, True], ids=["window", "W1"])
+def test_warm_start_moves_only_where_newton_starts(lap, monkeypatch, step_by_step):
+    # the ragged ensemble marches in one window of all its steps, or step by
+    # step; a warm start moves only where Newton starts, so from any guess the
+    # states agree with the cold march to Newton tolerance and every step meets
+    # its own target
+    if step_by_step:
+        monkeypatch.setattr(solver, "_WINDOW_BYTES", 0)
+    times, gms, x0 = ragged_ensemble(lap)
+    times, gms = held(times), held(gms)
+    cfg = SolverConfig(lam=0.05, dt=1 / 32)
+    graph = PowerLaw(3.0)
+    cold, _ = march_batch(graph, cfg, lap, times, gms, x0)
+    noise = 0.3 * np.random.default_rng(23).standard_normal(cold.shape)
+    for warm in (np.zeros_like(cold), x0[:, None] + noise):
+        states, sels = march_batch(graph, cfg, lap, times, gms, x0, warm=warm)
+        np.testing.assert_allclose(states, cold, rtol=0, atol=1e-9)
+        for p, t in enumerate(times):
+            n_steps = np.count_nonzero(t < t[-1])
+            tail = states[p, n_steps:]
+            np.testing.assert_array_equal(tail, np.broadcast_to(tail[0], tail.shape))
+            for i in range(n_steps):
+                x, rhs = states[p, i + 1], states[p, i] - gms[p, i]
+                drift = sels[p, i + 1] + 0.05 * x
+                resid = (x - gms[p, i + 1]) + (t[i + 1] - t[i]) * (lap.matrix @ drift) - rhs
+                target = cfg.newton_tol / n_steps * (1 + norm_hminus1(rhs, lap))
+                assert norm_hminus1(resid, lap) <= target
+    # started a few ulps from its own result, the march factors no row, done
+    # paths and held steps included, and every step keeps its warm state bit
+    # for bit, which (warm - g) + g would not
+    warm = cold * (1 + 1e-14 * np.random.default_rng(3).standard_normal(cold.shape))
+    assert np.any((warm - gms) + gms != warm)
+    rows = []
+    counted_rows(monkeypatch, lap, rows)
+    again, _ = solver.march_batch(graph, cfg, lap, times, gms, x0, warm=warm)
+    assert rows == [0]
+    for p, t in enumerate(times):
+        n_steps = np.count_nonzero(t < t[-1])
+        np.testing.assert_array_equal(again[p, 1:n_steps + 1], warm[p, 1:n_steps + 1])
+
+
+@pytest.mark.parametrize("n_paths, expected", [
+    pytest.param(3, [160, 90, 60, 30], id="window-22"),
+    pytest.param(8, [352, 202, 148, 74], id="window-8"),
+    pytest.param(20, [577, 345, 222], id="W1")])
+def test_picard_warm_start_work_is_pinned(lap, monkeypatch, n_paths, expected):
+    # Jacobian rows factored per sweep of a fixed Picard run; from the second
+    # sweep on each step starts at the previous iterate, so a later sweep
+    # factors fewer rows. Cold, every sweep factors the rows of the first
+    rows = []
+    counted_rows(monkeypatch, lap, rows)
+    x = np.arange(1, lap.n + 1) / (lap.n + 1)
+    paths = [sample_path(two_mode_spec(), 0.25, 1 / 32, rng_for(61, i)) for i in range(n_paths)]
+    picard_solve(PowerLaw(3.0), LinearSpectral(coeffs=[0.6, 0.4], gamma=1.0), two_mode_spec(),
+                 SolverConfig(lam=0.05, dt=1 / 32), lap, np.sin(np.pi * x), paths)
+    assert rows == expected
+    assert rows[2] <= rows[0] / 2

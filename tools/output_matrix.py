@@ -7,16 +7,27 @@ Each run calls ``spmlab.cli.main`` in this process and writes its files to
 ``OUT_DIR/exit_codes.txt``. The runtimes that some commands print go to the
 terminal only, so two matrices of the same outputs are equal file for file.
 The script uses whichever ``spmlab`` is first on ``PYTHONPATH``: run it once
-with the ``src`` of each of two checkouts and compare with ``diff -r``.
+with the ``src`` of each of two checkouts and compare with ``diff -r``, or
+pass the first matrix to the second run:
+
+    PYTHONPATH=src python tools/output_matrix.py OUT_DIR --against PARENT_DIR
+
+which prints, per CSV file and column that differ, the largest relative and
+absolute difference, and exits 1 when the two differ in their file sets,
+exit codes, a CSV header or row count, a non-numeric cell or a file that is
+not CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import os
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -53,9 +64,62 @@ def runs(out_dir: str) -> list[tuple[str, list[str]]]:
     return out
 
 
+def _files(root: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def compare(old_dir: str, new_dir: str) -> tuple[list[str], bool]:
+    """Report lines, and whether new_dir differs from old_dir in numeric CSV cells only.
+
+    A CSV file is its provenance line, a header and rows; a differing file of
+    another kind, provenance, header or row count is not numeric."""
+    old_files, new_files = _files(old_dir), _files(new_dir)
+    lines = [f"only in {d}: {f}" for d, only in ((old_dir, old_files - new_files),
+                                                 (new_dir, new_files - old_files))
+             for f in sorted(only)]
+    numeric = not lines
+    for name in sorted(old_files & new_files):
+        old, new = (_read(os.path.join(d, name)) for d in (old_dir, new_dir))
+        if old == new:
+            continue
+        if not name.endswith(".csv"):
+            numeric = False
+            lines.append(f"{name}: differs")
+            continue
+        old, new = (list(csv.reader(io.StringIO(t.decode()))) for t in (old, new))
+        if old[:2] != new[:2] or len(old) != len(new):
+            numeric = False
+            lines.append(f"{name}: " + ("header differs" if old[:2] != new[:2] else
+                                        f"{len(old) - 2} -> {len(new) - 2} rows"))
+            continue
+        for column, a, b in zip(old[1], zip(*old[2:]), zip(*new[2:])):
+            cells = [(x, y) for x, y in zip(a, b) if x != y]
+            if not cells:
+                continue
+            try:
+                x, y = np.array(cells, dtype=float).T
+            except ValueError:
+                numeric = False
+                lines.append(f"{name} {column}: non-numeric cells differ")
+                continue
+            diff = np.abs(x - y)
+            rel = np.divide(diff, np.maximum(np.abs(x), np.abs(y)), out=np.zeros_like(diff),
+                            where=diff > 0)
+            lines.append(f"{name} {column}: {len(cells)} cells, max rel {rel.max():.3g}, "
+                         f"max abs {diff.max():.3g}")
+    return lines, numeric
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir")
+    parser.add_argument("--against", metavar="DIR",
+                        help="an earlier matrix to compare the outputs with, cell by cell")
     args = parser.parse_args(argv)
 
     import spmlab.cli as cli
@@ -70,7 +134,11 @@ def main(argv=None) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "exit_codes.txt"), "w") as fh:
         fh.write("\n".join(codes) + "\n")
-    return 0
+    if args.against is None:
+        return 0
+    lines, numeric = compare(args.against, args.out_dir)
+    print("\n".join(lines) if lines else f"every file equals the one in {args.against}")
+    return 0 if numeric else 1
 
 
 if __name__ == "__main__":
