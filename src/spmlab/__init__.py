@@ -44,6 +44,7 @@ from .noise import (
 from .solver import (
     SolverConfig,
     additive_path_solve,
+    causal_solve,
     contraction_time_limit,
     ensemble_mean_sup_sq,
     generalized_solve,

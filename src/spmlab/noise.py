@@ -300,10 +300,11 @@ def _sample_held(spec: NoiseSpec, horizon: float, base_dt: float, rngs: list):
 
 
 def sample_ensemble(spec: NoiseSpec, horizon: float, base_dt: float, n_paths: int,
-                    master_seed: int) -> HeldEnsemble:
-    """Paths 0, ..., n_paths - 1 under one master seed, each on its own ``rng_for`` stream."""
-    return _sample_held(spec, horizon, base_dt,
-                        [rng_for(master_seed, i) for i in range(n_paths)])[0]
+                    master_seed) -> HeldEnsemble:
+    """Paths 0, ..., n_paths - 1 under one master seed, or under each seed of a list
+    in turn, each on its own ``rng_for`` stream."""
+    rngs = [rng_for(seed, i) for seed in np.atleast_1d(master_seed) for i in range(n_paths)]
+    return _sample_held(spec, horizon, base_dt, rngs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,14 @@ constant of B and the contraction threshold (1 - 6 eps) / (1 + 6/eps) / k,
 then relaxed when the observed contraction factor is comfortable. From the
 second sweep on, each march starts Newton at the last iterate (``warm``); a
 held step starts where the row before does, and an untouched entry keeps the
-last iterate bit for bit. Rough coefficients are run through the spectral
-mollifier at increasing levels and the mollified solutions are reported with
-their Cauchy distances.
+last iterate bit for bit. The discrete system is lower triangular (X_i needs
+only X_0..X_{i-1}), so one forward pass reaches the sweeps' fixed point to
+Newton tolerance: ``causal_solve``, a march at W = 1 whose ``coeff`` adds
+sum_k B_k(X_i) dM_k to step i+1's driving integral, the drift-implicit,
+noise-explicit Euler scheme (Higham & Kloeden 2006). ``simulate-multiplicative``
+keeps ``picard_solve``, the paper's construction. Rough coefficients are
+mollified at increasing levels, each solved by ``causal_solve``, and reported
+with their Cauchy distances.
 """
 
 from __future__ import annotations
@@ -342,7 +347,7 @@ def _window_length(L: DirichletLaplacian, n_paths: int) -> int:
 
 
 def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
-                times: np.ndarray, gm: np.ndarray, x0, lam=None, warm=None):
+                times: np.ndarray, gm: np.ndarray, x0, lam=None, warm=None, coeff=None):
     """Backward Euler on y = X - g for P paths at once, in lock step.
 
     times (P, N+1) holds the grids and gm (P, N+1, n) the driving integrals,
@@ -358,6 +363,9 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     (states, selections), each (P, N+1, n). Held states ``warm`` move only
     where Newton starts: step i at warm_i - g_i, a step of zero length at the
     guess of the row before or the window start; an entry left there keeps warm_i.
+    ``coeff`` = (B, values), with held mode values (P, N+1, K), adds B's Ito sum
+    to gm causally, step i+1 taking sum_k B_k(X_i) (M_k(t_{i+1}) - M_k(t_i)) at the
+    state just solved; the march then runs at W = 1.
     """
     times = np.asarray(times, dtype=float)
     gm = np.asarray(gm, dtype=float)
@@ -377,11 +385,17 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     selections[:, 0] = _drift(graph, np.repeat(lam, L.n).reshape(n_paths, L.n), states[:, 0])[2]
     y = x0 - gm[:, 0]
     step_tol = cfg.newton_tol / np.maximum(1, steps)
+    ito = np.zeros_like(y)  # coeff's running Ito sum
 
     def advance(i, w):
         # steps i+1..i+w of every path as one stack of windows; done paths never enter a solve
         cols = slice(i + 1, i + w + 1)
         g, guess = gm[:, cols], None
+        if coeff is not None:  # w = 1: B at the left limit X_i; a held step adds zero
+            B, values = coeff
+            fields = B.mode_fields_batch(states[:, i], L)[:, None]  # (P, 1, K, n)
+            ito[:] += ito_sums(fields, values[:, i:i + 2])[:, 1]
+            g = g + ito[:, None]
         if warm is not None:  # a held step (they end each row) starts where the row before does
             starts = np.concatenate((y[:, None], warm[:, cols] - g), axis=1)
             guess = starts[np.arange(n_paths)[:, None],
@@ -396,7 +410,7 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
         y[:] = y_new[:, -1]
         states[:, cols], selections[:, cols] = x_new, sel
 
-    n_steps, window = int(steps.max()), _window_length(L, n_paths)
+    n_steps, window = int(steps.max()), 1 if coeff is not None else _window_length(L, n_paths)
     for i in range(0, n_steps, window):
         w = min(window, n_steps - i)
         try:
@@ -489,17 +503,40 @@ def lambda_sweep(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
 
 
 # ---------------------------------------------------------------------------
-# fixed-point solve for multiplicative noise
+# multiplicative noise: the causal pass and the fixed-point solve
 
 @dataclass
-class PicardResult:
+class EnsembleSolution:
     """The ensemble solution in the held layout: ``times`` (P, N+1), ``states``
-    and ``selections`` (P, N+1, n), with the windows and sweeps that built it."""
+    and ``selections`` (P, N+1, n)."""
 
     times: np.ndarray
     states: np.ndarray
     selections: np.ndarray
     lam: float
+
+    @property
+    def trajectories(self) -> list:
+        """One ``Trajectory`` per path: views of its rows up to its last step."""
+        return [Trajectory(times=self.times[p, :m + 1], states=self.states[p, :m + 1],
+                           selections=self.selections[p, :m + 1], lam=self.lam)
+                for p, m in enumerate(held_steps(self.times))]
+
+
+def causal_solve(graph: MonotoneGraph, B: DiffusionCoefficient, cfg: SolverConfig,
+                 L: DirichletLaplacian, x0: np.ndarray, paths) -> EnsembleSolution:
+    """The fixed point of Phi in one forward pass: X_i needs only X_0..X_{i-1}, so a
+    march with B at each left limit as it is reached (``coeff``) is the sweeps' limit."""
+    ens = hold_ensemble(paths)
+    states, selections = march_batch(graph, cfg, L, ens.times, np.zeros(ens.times.shape + (L.n,)),
+                                     x0, coeff=(B, ens.values))
+    return EnsembleSolution(ens.times, states, selections, cfg.lam)
+
+
+@dataclass
+class PicardResult(EnsembleSolution):
+    """An ``EnsembleSolution`` with the windows and sweeps that built it."""
+
     base_times: np.ndarray
     windows: list
     window_distances: list
@@ -508,13 +545,6 @@ class PicardResult:
     converged: bool
     lipschitz_estimate: float
     window_length: float
-
-    @property
-    def trajectories(self) -> list:
-        """One ``Trajectory`` per path: views of its rows up to its last step."""
-        return [Trajectory(times=self.times[p, :m + 1], states=self.states[p, :m + 1],
-                           selections=self.selections[p, :m + 1], lam=self.lam)
-                for p, m in enumerate(held_steps(self.times))]
 
 
 def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
@@ -631,14 +661,14 @@ class GeneralizedResult:
     cauchy_ok: bool
 
     @property
-    def limit(self) -> PicardResult:
+    def limit(self) -> EnsembleSolution:
         return self.results[-1]
 
 
 def generalized_solve(graph: MonotoneGraph, B_rough: DiffusionCoefficient, spec: NoiseSpec,
                       cfg: SolverConfig, L: DirichletLaplacian, x0: np.ndarray,
                       levels: Sequence[int], paths) -> GeneralizedResult:
-    """Solve with the coefficient mollified at increasing levels.
+    """Solve with the coefficient mollified at increasing levels, each by ``causal_solve``.
 
     Consecutive ensemble distances are reported in both the sup-of-mean (over
     the base grid) and the mean-of-sup metrics; a failure to decrease is
@@ -646,7 +676,7 @@ def generalized_solve(graph: MonotoneGraph, B_rough: DiffusionCoefficient, spec:
     """
     levels = check_levels(levels)
     ens = hold_ensemble(paths)
-    results = [picard_solve(graph, MollifiedDiffusion(B_rough, n), spec, cfg, L, x0, ens)
+    results = [causal_solve(graph, MollifiedDiffusion(B_rough, n), cfg, L, x0, ens)
                for n in levels]
     pairs = list(zip(results[:-1], results[1:]))
     base_sq = [hminus1_norm_sq_rows(L, ens.at_base(a.states - b.states)) for a, b in pairs]

@@ -468,3 +468,18 @@ def test_sample_ensemble_is_held_paths_of_their_streams(spec_name, horizon, dt, 
         a, b = getattr(ens, name), getattr(ref, name)
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec_name", sorted(SAMPLER_SPECS))
+def test_sample_ensemble_of_several_seeds_holds_each_seeds_paths(spec_name):
+    # a list of master seeds draws paths 0..P-1 under each seed in turn, in one
+    # pass; each path is byte for byte the one its own stream draws, held to
+    # the common width
+    spec = make_noise_spec(SAMPLER_SPECS[spec_name])
+    ens = sample_ensemble(spec, 0.25, 1 / 32, 6, [17, 18])
+    ref = hold_ensemble([sample_path(spec, 0.25, 1 / 32, rng_for(seed, i))
+                         for seed in (17, 18) for i in range(6)])
+    for name in ("times", "values", "base_indices"):
+        a, b = getattr(ens, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()

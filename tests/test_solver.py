@@ -20,6 +20,7 @@ from spmlab import (
     TwoPointJumps,
     additive_path_solve,
     build_laplacian,
+    causal_solve,
     eigenmode,
     ensemble_mean_sup_sq,
     generalized_solve,
@@ -41,6 +42,9 @@ from spmlab import (
     trajectory_diagnostics,
     uniform_times,
 )
+from spmlab.cli import _Context
+from spmlab.config import ExperimentConfig
+from spmlab.noise import sample_ensemble, stochastic_integrals
 
 
 @pytest.fixture(scope="module")
@@ -957,3 +961,66 @@ def test_picard_warm_start_work_is_pinned(lap, monkeypatch, n_paths, expected):
                  SolverConfig(lam=0.05, dt=1 / 32), lap, np.sin(np.pi * x), paths)
     assert rows == expected
     assert rows[2] <= rows[0] / 2
+
+
+# (config overrides, paths) of ensembles on which the causal pass must reach
+# Picard's fixed point; 8 paths at n = 15 march in windows of 8 steps in Picard
+CAUSAL_CASES = {
+    "default-16": ([], 16),
+    "default-8-window": ([], 8),
+    "2d-6x6": (["grid.dim=2", "grid.n=6"], 4),
+    "linear-lambda0": (["beta.variant=linear", "beta.lambda=0"], 16),
+    "stefan": (["beta.variant=stefan"], 16),
+}
+
+
+@pytest.mark.parametrize("case", CAUSAL_CASES)
+def test_causal_pass_reaches_the_picard_fixed_point(monkeypatch, case):
+    # X_i depends only on X_0..X_{i-1} and the solve of step i, so one forward
+    # pass with B at each left limit is the fixed point the Picard sweeps
+    # approach: the largest squared dual distance over paths and times stays
+    # below picard_tol. Picard marches in its own windows, the causal pass at W = 1
+    overrides, n_paths = CAUSAL_CASES[case]
+    ctx = _Context(ExperimentConfig.default().apply_overrides(overrides))
+    ens = sample_ensemble(ctx.spec, ctx.cfg.horizon, ctx.cfg.dt, n_paths, ctx.cfg.master_seed)
+    widths, newton = [], solver._newton_batch
+
+    def recorded(graph, lam, L, tau, *args, **kwargs):
+        widths.append(tau.shape[1])
+        return newton(graph, lam, L, tau, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton_batch", recorded)
+    picard = picard_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0, ens)
+    assert max(widths) == solver._window_length(ctx.L, n_paths)
+    widths.clear()
+    causal = causal_solve(ctx.graph, ctx.B, ctx.scfg, ctx.L, ctx.x0, ens)
+    assert set(widths) == {1}
+    gap = float(hminus1_norm_sq_rows(ctx.L, picard.states - causal.states).max())
+    assert gap < ctx.scfg.picard_tol
+    assert len(causal.trajectories) == n_paths
+
+
+def test_causal_pass_with_constant_coefficient_is_the_additive_march(lap):
+    # a state-independent B makes the driving integral its stochastic integral;
+    # the march takes 8 paths in windows of 8 steps, the causal pass one step at
+    # a time, and both meet their Newton targets
+    graph, cfg, x0 = PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), eigenmode(lap, 0)
+    ens = sample_ensemble(two_mode_spec(), 0.25, 1 / 32, 8, 61)
+    B = ConstantAdditive(fields=np.stack([0.5 * eigenmode(lap, 0), 0.3 * eigenmode(lap, 1)]))
+    causal = causal_solve(graph, B, cfg, lap, x0, ens)
+    gm = stochastic_integrals(B.fields, ens, lap)
+    states, sels = march_batch(graph, cfg, lap, ens.times, gm, x0)
+    assert np.sqrt(hminus1_norm_sq_rows(lap, causal.states - states).max()) <= cfg.newton_tol
+    np.testing.assert_allclose(causal.selections, sels, rtol=0, atol=1e-9)
+
+
+def test_causal_pass_non_finite_state_names_time_and_path(lap):
+    ens = sample_ensemble(two_mode_spec(), 0.25, 1 / 32, 4, 61)
+    values = ens.values.copy()
+    values[2, 5, 0] = np.nan
+    # the NaN enters the increment of step 5 on path 2, so its state there is the first bad one
+    match = rf"non-finite state at t={ens.times[2, 5]:.6g} on path 2"
+    with pytest.raises(SolverError, match=match):
+        causal_solve(PowerLaw(3.0), LinearSpectral(coeffs=[0.6, 0.4], gamma=1.0),
+                     SolverConfig(lam=0.05, dt=1 / 32), lap, eigenmode(lap, 0),
+                     replace(ens, values=values))
