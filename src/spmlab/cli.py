@@ -157,8 +157,8 @@ def _cmd_simulate_multiplicative(ctx: _Context):
 def _cmd_generalized(ctx: _Context):
     cfg = ctx.cfg
     ens = sample_ensemble(ctx.spec, cfg.horizon, cfg.dt, cfg.n_paths, cfg.master_seed)
-    res = generalized_solve(ctx.graph, ctx.B, ctx.spec, ctx.scfg, ctx.L, ctx.x0,
-                            cfg.generalized_levels(), ens)
+    res = generalized_solve(ctx.graph, ctx.B, ctx.scfg, ctx.L, ctx.x0, cfg.generalized_levels(),
+                            ens)
 
     columns = [res.levels, [None, *res.sup_mean_distances], [None, *res.mean_sup_distances]]
     tables = {"levels.csv": (["level", "sup_mean_dist_prev", "mean_sup_dist_prev"], columns)}

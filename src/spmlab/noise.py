@@ -13,9 +13,9 @@ so that the integrand norm |G|_{Q_M}^2 d<M> integrates to sum_k v_k |G_k|^2 dt.
 Paths are sampled on the base grid of ``uniform_times`` with every jump time
 inserted exactly, so integrands evaluated at the left endpoint of each
 sub-interval are genuine left limits and the integral of a piecewise-constant
-operator is a finite sum with no time-discretization error. Sampling is
-deterministic per (master seed, path index): an ensemble is drawn in one pass
-that equals its paths drawn one at a time byte for byte (``_sample_held``).
+operator is a finite sum with no time-discretization error. Path i under seed s
+draws from SeedSequence(s, spawn_key=(i,)), an ensemble's streams seeded in one
+pass (``rngs_for``), its paths drawn in one pass as one at a time (``_sample_held``).
 
 Every integrand is a ``StepOperator``: ``fields[i]`` (K, n) holds on
 [b_i, b_{i+1}), the first piece also before b_0 and the last one after the
@@ -62,10 +62,64 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s[np.insert(s[1:] != s[:-1], 0, True)] if s.size else s
 
 
+_M32 = 0xFFFFFFFF
+
+
+def _chain(const: int, mult: int, n: int) -> list:
+    """The n + 1 multipliers of n steps of a SeedSequence hash chain."""
+    out = [const]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+_STATE_MULTS = np.array(_chain(0x8B51F9DD, 0x58F38DED, 8), np.uint64)[:, None]  # INIT_B, MULT_B
+
+
+def _hash(value, const, next_const):
+    """SeedSequence's hashmix of 32-bit words at one chain step, on ints or uint64 arrays."""
+    value = (value ^ const) * next_const & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+@dataclass
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """PCG64's four state words, computed for it and handed to it as its seed."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def rngs_for(master_seed: int, indices) -> list:
+    """``rng_for(master_seed, i)`` for each i in ``indices``: SeedSequence's hash runs
+    once over the seed's 32-bit words (ints) and once over all indices (arrays).
+    A seed < 0 or an index outside [0, 2**32) is refused."""
+    seed, index = int(master_seed), np.asarray(indices, dtype=np.int64)
+    if seed < 0 or (index >> 32).any():
+        raise ValueError(f"need master seed >= 0 and indices in [0, 2**32), got {master_seed}")
+    words = [seed >> shift & _M32 for shift in range(0, max(128, seed.bit_length()), 32)]
+    a = _chain(0x43B0D7E5, 0x931E8875, 4 * len(words) + 4)  # numpy's INIT_A, MULT_A
+    pool = [_hash(w, a[j], a[j + 1]) for j, w in enumerate(words[:4])]
+    for j, (s, d) in enumerate(((s, d) for s in range(4) for d in range(4) if s != d), 4):
+        pool[d] = _mix(pool[d], _hash(pool[s], a[j], a[j + 1]))
+    pool, a = np.array(pool, np.uint64)[:, None], np.array(a, np.uint64)[:, None]
+    for j, w in zip(range(16, len(a), 4), words[4:] + [index.astype(np.uint64)]):
+        pool = _mix(pool, _hash(w, a[j:j + 4], a[j + 1:j + 5]))  # into every pool word
+    state = _hash(pool[[0, 1, 2, 3] * 2], _STATE_MULTS[:-1], _STATE_MULTS[1:])  # the pool twice
+    return [np.random.Generator(np.random.PCG64(_StateWords(row)))
+            for row in (state[0::2] | state[1::2] << 32).T.copy()]
+
+
 def rng_for(master_seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible stream for path ``index`` under one master seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(master_seed),
-                                                        spawn_key=(int(index),)))
+    """The SeedSequence(master_seed, spawn_key=(index,)) stream: ``rngs_for``'s one-index case."""
+    return rngs_for(master_seed, [index])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +356,8 @@ def _sample_held(spec: NoiseSpec, horizon: float, base_dt: float, rngs: list):
 def sample_ensemble(spec: NoiseSpec, horizon: float, base_dt: float, n_paths: int,
                     master_seed) -> HeldEnsemble:
     """Paths 0, ..., n_paths - 1 under one master seed, or under each seed of a list
-    in turn, each on its own ``rng_for`` stream."""
-    rngs = [rng_for(seed, i) for seed in np.atleast_1d(master_seed) for i in range(n_paths)]
+    in turn, each on its own ``rng_for`` stream, a seed's all seeded in one pass."""
+    rngs = [rng for seed in np.atleast_1d(master_seed) for rng in rngs_for(seed, range(n_paths))]
     return _sample_held(spec, horizon, base_dt, rngs)[0]
 
 

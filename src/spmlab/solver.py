@@ -29,11 +29,11 @@ uses the band kl = ku = b and accepts a line-search trial when its residual
 falls, which is the step-by-step arithmetic bit for bit. A window that misses
 its targets, stalls or hits a zero pivot is marched again step by step, which
 raises the error of the step that fails. Per Newton iterate there is one
-resolvent solve (value, slope and selection together) and one LAPACK ``?gbsv``
-call for all windows still above target: their Jacobians, built in one array
-expression, are the band of one block-diagonal matrix with no -I across a path
-seam. That solve is exact, since elimination never mixes the blocks, so every
-path gets the arithmetic of a banded LU of its own. The line search takes one
+resolvent solve (value, slope and selection together) and one LAPACK call
+(``?gtsv`` for single 1D steps, else ``?gbsv``) for all windows above target:
+their Jacobians, built in one array expression, are one block-diagonal band
+with no -I across a path seam. Elimination never mixes the blocks, so every
+path gets the arithmetic of a solve of its own. The line search takes one
 step length per window. ``implicit_step`` is the one-path, one-step case, and
 a one-node grid takes the same Newton iteration as any other.
 Each path may carry its own lam, so ``lambda_sweep`` solves its whole list in
@@ -99,8 +99,9 @@ def _load_flapack(scipy_dir: str):
     return sys.modules.setdefault(spec.name, module)  # later scipy.linalg imports reuse it
 
 
-_gbsv = (sys.modules.get("scipy.linalg._flapack")
-         or _load_flapack(os.path.dirname(find_spec("scipy").origin))).dgbsv
+_flapack = (sys.modules.get("scipy.linalg._flapack")
+            or _load_flapack(os.path.dirname(find_spec("scipy").origin)))
+_gbsv, _gtsv = _flapack.dgbsv, _flapack.dgtsv
 # windows of steps are solved at once while their band buffer fits in this many
 # bytes; fewer than _MIN_WINDOW steps cost more per step than single steps
 _WINDOW_BYTES = 256 * 1024
@@ -178,31 +179,37 @@ def _dual_norms(L: DirichletLaplacian, rows: np.ndarray) -> np.ndarray:
 
 def _solve_jacobians(L: DirichletLaplacian, tau: np.ndarray, slope: np.ndarray,
                      rhs: np.ndarray):
-    """Solve the Newton systems of k windows of w steps with one LAPACK ?gbsv call;
-    rhs (k, w, n) is overwritten; returns (x, info).
+    """Solve the Newton systems of k windows of w steps with one LAPACK call;
+    rhs (k, w, n) is overwritten; returns (x, info, routine).
 
     A window's Jacobian is I + tau_i*(-Lap)*diag(slope_i) on the diagonal and -I
-    n rows below it, a band with kl = n and ku = b (kl = ku = b when w = 1). The
-    bands go into the gbsv layout (diagonal on row kl + b, rows 0..kl-1 for the
-    fill-in) of a C-ordered (k, w, n, 2kl+b+1) buffer: the Fortran-ordered band
-    of the block-diagonal matrix of all k windows, since the corners of L.band
-    are zero and no -I crosses a window seam. Elimination multiplies those zeros
-    by zero multipliers and pivoting never picks them, so each window gets the
-    arithmetic of a call of its own. info > 0 is the 1-based column of the
-    first zero pivot.
+    n rows below it, a band with kl = n and ku = b (kl = ku = b when w = 1).
+    Single tridiagonal steps (1D, n >= 2) go to ?gtsv, the rest to ?gbsv in its layout
+    (diagonal on row kl + b, fill-in on rows 0..kl-1) of a C-ordered (k, w, n, 2kl+b+1)
+    buffer: either way the block-diagonal matrix of all k windows, since the corners of
+    L.band are zero and no -I crosses a seam. Elimination multiplies those zeros by zero
+    multipliers and pivoting never picks them (slopes >= 0: column diagonally dominant,
+    so ?gtsv swaps no rows), so each window gets the arithmetic of its own call. info > 0
+    is the 1-based column of the first zero pivot.
     """
     n, b = L.n, L.half_bandwidth
     w = rhs.shape[1]
-    kl = n if w > 1 else b
     m = rhs.size // n  # steps of all windows
+    ts = tau.reshape(m, 1) * slope.reshape(m, n)
+    if w == 1 and b == 1:
+        up, diag, low = (L.band[:, None] * ts).reshape(3, m * n)
+        *_, x, info = _gtsv(low[:-1], diag + 1.0, up[1:], rhs.reshape(m * n), overwrite_dl=1,
+                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        return x.reshape(rhs.shape), info, "gtsv"
+    kl = n if w > 1 else b
     buf = np.zeros((m, n, 2 * kl + b + 1))
     ab = buf.transpose(0, 2, 1)
-    ab[:, kl:kl + 2 * b + 1] = (tau.reshape(m, 1) * slope.reshape(m, n))[:, None, :] * L.band
+    ab[:, kl:kl + 2 * b + 1] = ts[:, None, :] * L.band
     ab[:, kl + b] += 1.0
     buf.reshape(-1, w, n, buf.shape[2])[:, :-1, :, -1] = -1.0  # empty when w = 1
     _, _, x, info = _gbsv(kl, b, buf.reshape(m * n, -1).T, rhs.reshape(m * n),
                           overwrite_ab=1, overwrite_b=1)
-    return x.reshape(rhs.shape), info
+    return x.reshape(rhs.shape), info, "gbsv"
 
 
 def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False, guess=None):
@@ -251,11 +258,11 @@ def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False, gu
             break
         # every window active: index with a slice, which copies no rows
         rows = slice(None) if act.size == k else act
-        delta, info = _solve_jacobians(L, tau[rows], slope[rows], -res_vec[rows])
+        delta, info, routine = _solve_jacobians(L, tau[rows], slope[rows], -res_vec[rows])
         if info != 0:
             # info is the first zero pivot's 1-based column; its block names the path
             r, c = divmod(info - 1, w * n)
-            raise failure(act[r], c // n, f"singular Newton Jacobian (gbsv info={c % n + 1})")
+            raise failure(act[r], c // n, f"singular Newton Jacobian ({routine} info={c % n + 1})")
         # line search per window; windows that accept leave the pending set, so
         # y, res and the others still hold the pending windows' current iterate
         pending = act
@@ -665,9 +672,9 @@ class GeneralizedResult:
         return self.results[-1]
 
 
-def generalized_solve(graph: MonotoneGraph, B_rough: DiffusionCoefficient, spec: NoiseSpec,
-                      cfg: SolverConfig, L: DirichletLaplacian, x0: np.ndarray,
-                      levels: Sequence[int], paths) -> GeneralizedResult:
+def generalized_solve(graph: MonotoneGraph, B_rough: DiffusionCoefficient, cfg: SolverConfig,
+                      L: DirichletLaplacian, x0: np.ndarray, levels: Sequence[int],
+                      paths) -> GeneralizedResult:
     """Solve with the coefficient mollified at increasing levels, each by ``causal_solve``.
 
     Consecutive ensemble distances are reported in both the sup-of-mean (over

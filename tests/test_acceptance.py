@@ -216,16 +216,14 @@ def test_criterion_08_generalized_solutions(lap, modes):
     paths = [sp.sample_path(spec, 0.25, 1 / 64, sp.rng_for(80, i)) for i in range(n_paths)]
 
     rough = sp.LinearSpectral(coeffs=[0.5, 0.3], gamma=0.0)
-    gen_rough = sp.generalized_solve(sp.Linear(1.0), rough, spec, cfg, lap,
-                                     modes[0], levels, paths)
+    gen_rough = sp.generalized_solve(sp.Linear(1.0), rough, cfg, lap, modes[0], levels, paths)
     ok = gen_rough.cauchy_ok and bool(np.all(np.diff(gen_rough.sup_mean_distances) < 0))
 
     # smooth state-independent coefficient: the limit must match the direct
     # solve within the exact stability budget of the residual mollification
     g = np.stack([0.5 * modes[0], 0.3 * modes[1]])
     smooth = sp.ConstantAdditive(fields=g)
-    gen_smooth = sp.generalized_solve(sp.Linear(1.0), smooth, spec, cfg, lap,
-                                      modes[0], levels, paths)
+    gen_smooth = sp.generalized_solve(sp.Linear(1.0), smooth, cfg, lap, modes[0], levels, paths)
     direct = sp.picard_solve(sp.Linear(1.0), smooth, spec, cfg, lap, modes[0], paths)
     sums = sqsums = None
     for ta, tb, p in zip(gen_smooth.limit.trajectories, direct.trajectories, paths):

@@ -32,6 +32,7 @@ from spmlab.noise import (
     MartingalePath,
     _union,
     hold_ensemble,
+    rngs_for,
     sample_ensemble,
     stochastic_integrals,
 )
@@ -454,16 +455,53 @@ SAMPLER_SPECS = {
 }
 
 
+def seed_sequence_rng(seed, index):
+    # the oracle stream of path index under seed, from numpy's own SeedSequence
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9]
+
+
+@pytest.mark.parametrize("n_paths", [1, 3, 400])
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+def test_streams_are_numpys_seed_sequence_children(seed, n_paths):
+    # the streams seeded in one pass are numpy's SeedSequence(seed, spawn_key=(i,))
+    # generators, in state and in draws; rng_for is the one-index case
+    rngs = rngs_for(seed, range(n_paths))
+    assert len(rngs) == n_paths
+    for i, rng in enumerate(rngs):
+        ref = seed_sequence_rng(seed, i)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+        assert np.array_equal(rng.integers(0, 2**62, 4), ref.integers(0, 2**62, 4))
+    for i in (0, n_paths - 1, n_paths + 7, 2**32 - 1):
+        ref = seed_sequence_rng(seed, i)
+        assert rng_for(seed, i).bit_generator.state == ref.bit_generator.state
+
+
+def test_streams_refuse_a_negative_seed_and_an_index_beyond_32_bits():
+    for seed, indices in [(-1, [0]), (-(2**70), [0]), (1, [2**32]), (1, [0, 5, 2**40]), (1, [-1])]:
+        with pytest.raises(ValueError, match=r"master seed >= 0 and indices in \[0, 2\*\*32\)"):
+            rngs_for(seed, indices)
+    with pytest.raises(ValueError):
+        rng_for(-3, 0)
+    with pytest.raises(ValueError):
+        sample_ensemble(make_noise_spec(SAMPLER_SPECS["wiener"]), 0.25, 1 / 32, 3, [4, -1])
+
+
 @pytest.mark.parametrize("horizon, dt, n_paths", [
     (0.25, 1 / 32, 40), (0.25, 1 / 32, 1), (1 / 32, 1 / 32, 60), (0.5, 0.1, 30),
     (2.0, 0.25, 25)], ids=["default", "one-path", "short", "dt-off-horizon", "long"])
 @pytest.mark.parametrize("spec_name", sorted(SAMPLER_SPECS))
 def test_sample_ensemble_is_held_paths_of_their_streams(spec_name, horizon, dt, n_paths):
     # one pass over the ensemble draws what path by path sampling draws, each
-    # path from its own stream: the held layout is equal byte for byte
+    # path from its own stream, numpy's SeedSequence child (seed, i): the held
+    # layout is equal byte for byte
     spec = make_noise_spec(SAMPLER_SPECS[spec_name])
     ens = sample_ensemble(spec, horizon, dt, n_paths, 17)
-    ref = hold_ensemble([sample_path(spec, horizon, dt, rng_for(17, i)) for i in range(n_paths)])
+    ref = hold_ensemble([sample_path(spec, horizon, dt, seed_sequence_rng(17, i))
+                         for i in range(n_paths)])
     for name in ("times", "values", "base_indices"):
         a, b = getattr(ens, name), getattr(ref, name)
         assert a.shape == b.shape and a.dtype == b.dtype
@@ -477,7 +515,7 @@ def test_sample_ensemble_of_several_seeds_holds_each_seeds_paths(spec_name):
     # the common width
     spec = make_noise_spec(SAMPLER_SPECS[spec_name])
     ens = sample_ensemble(spec, 0.25, 1 / 32, 6, [17, 18])
-    ref = hold_ensemble([sample_path(spec, 0.25, 1 / 32, rng_for(seed, i))
+    ref = hold_ensemble([sample_path(spec, 0.25, 1 / 32, seed_sequence_rng(seed, i))
                          for seed in (17, 18) for i in range(6)])
     for name in ("times", "values", "base_indices"):
         a, b = getattr(ens, name), getattr(ref, name)

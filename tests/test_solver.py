@@ -323,7 +323,7 @@ def test_generalized_smooth_consistency_and_single_level(lap):
     # a smooth constant coefficient: mollified solves approach the direct one
     g = np.stack([0.5 * eigenmode(lap, 0), 0.3 * eigenmode(lap, 1)])
     B = ConstantAdditive(fields=g)
-    res = generalized_solve(Linear(1.0), B, spec, cfg, lap, x0, [2, 4, 8, 16], paths)
+    res = generalized_solve(Linear(1.0), B, cfg, lap, x0, [2, 4, 8, 16], paths)
     assert res.cauchy_ok
     assert np.all(np.diff(res.sup_mean_distances) < 0)
     direct = picard_solve(Linear(1.0), B, spec, cfg, lap, x0, paths)
@@ -332,10 +332,10 @@ def test_generalized_smooth_consistency_and_single_level(lap):
         lap, np.stack([mollify(g[k], 16, lap) - g[k] for k in range(2)])))
     gap = ensemble_mean_sup_sq(res.limit.states, direct.states, lap)
     assert gap <= 4.0 * floor + 1e-12
-    single = generalized_solve(Linear(1.0), B, spec, cfg, lap, x0, [4], paths)
+    single = generalized_solve(Linear(1.0), B, cfg, lap, x0, [4], paths)
     assert single.cauchy_ok and len(single.sup_mean_distances) == 0
     with pytest.raises(ValueError):
-        generalized_solve(Linear(1.0), B, spec, cfg, lap, x0, [4, 2], paths)
+        generalized_solve(Linear(1.0), B, cfg, lap, x0, [4, 2], paths)
 
 
 def test_ito_residual_zero_case(lap):
@@ -536,28 +536,41 @@ def test_stacked_band_solve_matches_per_row_solves(dim, n, k):
     slope = rng.uniform(0.05, 20.0, (k, L.n))
     slope[:, ::3] = 0.0
     rhs = rng.standard_normal((k, L.n))
-    x, info = solver._solve_jacobians(L, tau, slope, rhs[:, None].copy())
+    x, info, routine = solver._solve_jacobians(L, tau, slope, rhs[:, None].copy())
     assert info == 0
+    # a tridiagonal stencil (1D, n >= 2) goes to ?gtsv, every other one to ?gbsv
+    assert routine == ("gtsv" if b == 1 else "gbsv")
     for r in range(k):
-        ab = np.zeros((L.n, 3 * b + 1)).T
-        ab[b:] = tau[r] * slope[r] * L.band
-        ab[2 * b] += 1.0
-        alone = solver._gbsv(b, b, ab, rhs[r].copy(), overwrite_ab=1, overwrite_b=1)
-        assert alone[3] == 0
-        np.testing.assert_array_equal(x[r, 0], alone[2])
+        if b == 1:
+            up, diag, low = tau[r] * slope[r] * L.band
+            *_, alone, info = solver._gtsv(low[:-1], diag + 1.0, up[1:], rhs[r].copy())
+        else:
+            ab = np.zeros((L.n, 3 * b + 1)).T
+            ab[b:] = tau[r] * slope[r] * L.band
+            ab[2 * b] += 1.0
+            _, _, alone, info = solver._gbsv(b, b, ab, rhs[r].copy(), overwrite_ab=1,
+                                             overwrite_b=1)
+        assert info == 0
+        np.testing.assert_array_equal(x[r, 0], alone)
 
 
 def test_singular_block_names_its_pending_path(lap, monkeypatch):
-    # a stand-in gbsv reports a zero pivot in column 3 of the third block; path 0
-    # starts at its solution, so the pending paths are 1, 2, 3 and path 3 is named
+    # stand-ins for both routines report a zero pivot in column 2n + 3: the window
+    # (?gbsv) fails and is marched step by step, where that is column 3 of the
+    # third block of the ?gtsv solve; path 0 starts at its solution, so the
+    # pending paths are 1, 2, 3 and path 3 is named
     def singular_gbsv(kl, ku, ab, b, **kwargs):
         return ab, None, b, 2 * lap.n + 3
 
+    def singular_gtsv(dl, d, du, b, **kwargs):
+        return dl, d, du, b, 2 * lap.n + 3
+
     monkeypatch.setattr(solver, "_gbsv", singular_gbsv)
+    monkeypatch.setattr(solver, "_gtsv", singular_gtsv)
     times, gms, x0 = ragged_ensemble(lap)
     times, gms = [times[0]] + times, [np.zeros_like(gms[0])] + gms
     x0 = np.concatenate([np.zeros((1, lap.n)), x0])
-    with pytest.raises(SolverError, match=r"singular Newton Jacobian \(gbsv info=3\) "
+    with pytest.raises(SolverError, match=r"singular Newton Jacobian \(gtsv info=3\) "
                                           r".*n=15, path 3\)"):
         march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, held(times),
                     held(gms), x0)
@@ -736,20 +749,25 @@ def test_one_node_fallback_solves_only_the_failing_paths(lap1):
 
 
 @pytest.mark.parametrize("n_paths, step_by_step, expected", [
-    pytest.param(1, True, {"band_lus": 96, "lapack_calls": 96, "drifts": 129}, id="1-expected0"),
-    pytest.param(8, True, {"band_lus": 778, "lapack_calls": 101, "drifts": 135}, id="8-expected1"),
-    pytest.param(1, False, {"band_lus": 160, "lapack_calls": 5, "drifts": 7}, id="1-window"),
-    pytest.param(8, False, {"band_lus": 1038, "lapack_calls": 20, "drifts": 26}, id="8-window")])
+    pytest.param(1, True, {"band_lus": 96, "gbsv_calls": 0, "gtsv_calls": 96, "drifts": 129},
+                 id="1-expected0"),
+    pytest.param(8, True, {"band_lus": 778, "gbsv_calls": 0, "gtsv_calls": 101, "drifts": 135},
+                 id="8-expected1"),
+    pytest.param(1, False, {"band_lus": 160, "gbsv_calls": 5, "gtsv_calls": 0, "drifts": 7},
+                 id="1-window"),
+    pytest.param(8, False, {"band_lus": 1038, "gbsv_calls": 17, "gtsv_calls": 3, "drifts": 26},
+                 id="8-window")])
 def test_newton_work_is_pinned(lap, monkeypatch, n_paths, step_by_step, expected):
-    # band LUs (Jacobian rows factored) and drift evaluations of a fixed march,
-    # as counted before the Newton iterate was streamlined; the same algorithm
-    # does the same work. All rows of one Newton iterate share one LAPACK call.
-    # Step by step forces W = 1; at the default cap one path marches in one
-    # window of all its steps and 8 paths in windows of 8 steps
+    # band LUs (Jacobian rows factored, by either LAPACK routine) and drift
+    # evaluations of a fixed march, as counted before the Newton iterate was
+    # streamlined; the same algorithm does the same work. All rows of one Newton
+    # iterate share one LAPACK call: ?gtsv for single 1D steps, ?gbsv for
+    # windows. Step by step forces W = 1; at the default cap one path marches in
+    # one window of all its steps and 8 paths in windows of 8 steps, the last of
+    # which is a single step
     if step_by_step:
         monkeypatch.setattr(solver, "_WINDOW_BYTES", 0)
     counts = dict.fromkeys(expected, 0)
-    gbsv = solver._gbsv
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -757,11 +775,11 @@ def test_newton_work_is_pinned(lap, monkeypatch, n_paths, step_by_step, expected
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_gbsv(kl, ku, ab, b, **kwargs):
-        counts["band_lus"] += len(b) // lap.n
-        return gbsv(kl, ku, ab, b, **kwargs)
+    def counted_lapack(name, args):
+        counts[f"{name}_calls"] += 1
+        counts["band_lus"] += len(args[-1]) // lap.n
 
-    monkeypatch.setattr(solver, "_gbsv", counted("lapack_calls", counted_gbsv))
+    recording_lapack(monkeypatch, counted_lapack)
     monkeypatch.setattr(solver, "_drift", counted("drifts", solver._drift))
     # closed-form sine modes, so nothing depends on the eigenvector signs of LAPACK
     x = np.arange(1, lap.n + 1) / (lap.n + 1)
@@ -784,15 +802,17 @@ def one_long_path(lap):
     return [gm.times], [gm.values], np.sin(np.pi * x)[None, :]
 
 
-def recording_gbsv(monkeypatch, record):
-    # a pass-through stand-in for the LAPACK call that hands its arguments to record
-    gbsv = solver._gbsv
+def recording_lapack(monkeypatch, record):
+    # pass-through stand-ins for both LAPACK routines that hand the routine's
+    # name ("gbsv" or "gtsv") and its positional arguments to record
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            record(name, args)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def wrapper(kl, ku, ab, b, **kwargs):
-        record(kl, ku, ab, b)
-        return gbsv(kl, ku, ab, b, **kwargs)
-
-    monkeypatch.setattr(solver, "_gbsv", wrapper)
+    for name in ("gbsv", "gtsv"):
+        monkeypatch.setattr(solver, f"_{name}", recorded(name, getattr(solver, f"_{name}")))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 15), (2, (5, 7))], ids=["1d1", "1d15", "2d5x7"])
@@ -807,7 +827,7 @@ def test_window_band_solve_matches_dense_solve(dim, n):
     slope = rng.uniform(0.05, 20.0, (k, w, L.n))
     slope[..., ::3] = 0.0
     rhs = rng.standard_normal((k, w, L.n))
-    x, info = solver._solve_jacobians(L, tau, slope, rhs.copy())
+    x, info, _ = solver._solve_jacobians(L, tau, slope, rhs.copy())
     assert info == 0
     for r in range(k):
         jac = np.kron(np.eye(w, k=-1), -np.eye(L.n))
@@ -816,7 +836,8 @@ def test_window_band_solve_matches_dense_solve(dim, n):
             jac[block, block] = np.eye(L.n) + tau[r, i] * L.matrix * slope[r, i]
         np.testing.assert_allclose(x[r].ravel(), np.linalg.solve(jac, rhs[r].ravel()),
                                    rtol=1e-10, atol=1e-12)
-        alone, info = solver._solve_jacobians(L, tau[r:r + 1], slope[r:r + 1], rhs[r:r + 1].copy())
+        alone, info, _ = solver._solve_jacobians(L, tau[r:r + 1], slope[r:r + 1],
+                                                 rhs[r:r + 1].copy())
         assert info == 0
         np.testing.assert_array_equal(x[r], alone[0])
 
@@ -826,18 +847,18 @@ def test_window_band_solve_matches_dense_solve(dim, n):
                                        (Linear(1.0), 0.0)], ids=["pl3", "stefan", "lin"])
 @pytest.mark.parametrize("ensemble", [one_long_path, ragged_ensemble], ids=["long", "ragged"])
 def test_window_matches_step_by_step(lap, monkeypatch, graph, lam, ensemble):
-    # every Newton step is a window solve (kl = n) and none falls back; the states
-    # agree with the march at W = 1, and every step meets its own target
+    # every Newton step is a window solve (?gbsv, kl = n) and none falls back; the
+    # states agree with the march at W = 1 (?gtsv), and every step meets its own target
     times, gms, x0 = ensemble(lap)
     times, gms = held(times), held(gms)
     cfg = SolverConfig(lam=lam, dt=1 / 128)
     kls = set()
-    recording_gbsv(monkeypatch, lambda kl, ku, ab, b: kls.add(kl))
+    recording_lapack(monkeypatch, lambda name, args: kls.add(args[0] if name == "gbsv" else name))
     states, sels = march_batch(graph, cfg, lap, times, gms, x0)
     assert kls == {lap.n}
     monkeypatch.setattr(solver, "_WINDOW_BYTES", 0)
     stepped, stepped_sels = march_batch(graph, cfg, lap, times, gms, x0)
-    assert kls == {lap.n, lap.half_bandwidth}
+    assert kls == {lap.n, "gtsv"}
     np.testing.assert_allclose(states, stepped, rtol=0, atol=1e-9)
     np.testing.assert_allclose(sels, stepped_sels, rtol=0, atol=1e-9)
     for p, t in enumerate(times):
@@ -859,10 +880,10 @@ def test_window_keeps_non_finite_paths_out_of_the_solve(lap, monkeypatch):
     gms[2][5, 3] = np.nan
     gms[0][8, 1] = np.nan
 
-    def finite(kl, ku, ab, b):
-        assert np.all(np.isfinite(ab)) and np.all(np.isfinite(b))
+    def finite(name, args):
+        assert all(np.all(np.isfinite(a)) for a in args)
 
-    recording_gbsv(monkeypatch, finite)
+    recording_lapack(monkeypatch, finite)
     with pytest.raises(SolverError, match=rf"non-finite state at t={times[2][5]:.6g} on path 2$"):
         march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 32), lap, held(times),
                     held(gms), x0)
@@ -889,18 +910,17 @@ def test_failed_window_is_marched_step_by_step(lap, monkeypatch):
 
 
 def counted_rows(monkeypatch, lap, per_march):
-    # Jacobian rows factored by the LAPACK call, summed per march_batch call
-    gbsv, march = solver._gbsv, solver.march_batch
+    # Jacobian rows factored by either LAPACK routine, summed per march_batch call
+    march = solver.march_batch
 
-    def counted_gbsv(kl, ku, ab, b, **kwargs):
-        per_march[-1] += len(b) // lap.n
-        return gbsv(kl, ku, ab, b, **kwargs)
+    def counted(name, args):
+        per_march[-1] += len(args[-1]) // lap.n
 
     def counted_march(*args, **kwargs):
         per_march.append(0)
         return march(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_gbsv", counted_gbsv)
+    recording_lapack(monkeypatch, counted)
     monkeypatch.setattr(solver, "march_batch", counted_march)
 
 

@@ -73,32 +73,43 @@ def test_flapack_is_shared_in_either_import_order(first, second):
         import {second}
         import numpy as np
         import scipy.linalg
-        from scipy.linalg.lapack import dgbsv
+        from scipy.linalg.lapack import dgbsv, dgtsv
         from spmlab import build_laplacian, make_grid
         from spmlab import solver
 
-        out = {{"same_gbsv": solver._gbsv is scipy.linalg.get_lapack_funcs("gbsv", (np.empty(1),)),
+        funcs = {{name: scipy.linalg.get_lapack_funcs(name, (np.empty(1),))
+                 for name in ("gbsv", "gtsv")}}
+        out = {{"same_gbsv": solver._gbsv is funcs["gbsv"],
+               "same_gtsv": solver._gtsv is funcs["gtsv"],
                "same_module": sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack,
                "loader": type(sys.modules["scipy.linalg._flapack"].__loader__).__name__}}
-        L = build_laplacian(make_grid(1, 15, 1.0))
-        b, k = L.half_bandwidth, 4
         rng = np.random.default_rng(5)
-        tau = rng.uniform(1e-3, 0.1, k)
-        slope = rng.uniform(0.05, 20.0, (k, L.n))
-        rhs = rng.standard_normal((k, L.n))
-        x, info = solver._solve_jacobians(L, tau, slope, rhs[:, None].copy())
-        same_bits = info == 0
-        for r in range(k):
-            ab = np.zeros((L.n, 3 * b + 1)).T
-            ab[b:] = tau[r] * slope[r] * L.band
-            ab[2 * b] += 1.0
-            alone = dgbsv(b, b, ab, rhs[r].copy())
-            same_bits = same_bits and alone[3] == 0 and x[r, 0].tobytes() == alone[2].tobytes()
+        same_bits = True
+        # 1D steps against scipy's dgtsv alone, 2D against its dgbsv alone
+        for dim, n, routine in [(1, 15, "gtsv"), (2, (5, 7), "gbsv")]:
+            L = build_laplacian(make_grid(dim, n, 1.0))
+            b, k = L.half_bandwidth, 4
+            tau = rng.uniform(1e-3, 0.1, k)
+            slope = rng.uniform(0.05, 20.0, (k, L.n))
+            rhs = rng.standard_normal((k, L.n))
+            x, info, used = solver._solve_jacobians(L, tau, slope, rhs[:, None].copy())
+            same_bits = same_bits and info == 0 and used == routine
+            for r in range(k):
+                if routine == "gtsv":
+                    up, diag, low = tau[r] * slope[r] * L.band
+                    *_, alone, info = dgtsv(low[:-1], diag + 1.0, up[1:], rhs[r].copy())
+                else:
+                    ab = np.zeros((L.n, 3 * b + 1)).T
+                    ab[b:] = tau[r] * slope[r] * L.band
+                    ab[2 * b] += 1.0
+                    _, _, alone, info = dgbsv(b, b, ab, rhs[r].copy())
+                same_bits = same_bits and info == 0 and x[r, 0].tobytes() == alone.tobytes()
         out["same_bits"] = bool(same_bits)
         tri = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])
         u = scipy.linalg.solve_banded((1, 1), tri, np.array([1.0, 0.0, 1.0]))
         out["solve_banded"] = bool(np.allclose(u, [1.0, 1.0, 1.0], rtol=0, atol=1e-14))
         print(json.dumps(out))
     """)
-    assert result == {"same_gbsv": True, "same_module": True, "loader": "ExtensionFileLoader",
+    assert result == {"same_gbsv": True, "same_gtsv": True, "same_module": True,
+                      "loader": "ExtensionFileLoader",
                       "same_bits": True, "solve_banded": True}
