@@ -14,8 +14,8 @@ Paths are sampled on the base grid of ``uniform_times`` with every jump time
 inserted exactly, so integrands evaluated at the left endpoint of each
 sub-interval are genuine left limits and the integral of a piecewise-constant
 operator is a finite sum with no time-discretization error. Path i under seed s
-draws from SeedSequence(s, spawn_key=(i,)), an ensemble's streams seeded in one
-pass (``rngs_for``), its paths drawn in one pass as one at a time (``_sample_held``).
+draws from SeedSequence(s, spawn_key=(i,)): numpy hashes s, ``rngs_for`` mixes all
+indices into that pool at once, and ``_sample_held`` draws the paths in one pass.
 
 Every integrand is a ``StepOperator``: ``fields[i]`` (K, n) holds on
 [b_i, b_{i+1}), the first piece also before b_0 and the last one after the
@@ -98,27 +98,23 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 
 
 def rngs_for(master_seed: int, indices) -> list:
-    """``rng_for(master_seed, i)`` for each i in ``indices``: SeedSequence's hash runs
-    once over the seed's 32-bit words (ints) and once over all indices (arrays).
-    A seed < 0 or an index outside [0, 2**32) is refused."""
+    """``rng_for(master_seed, i)`` for each i in ``indices``: numpy's pool of the seed, every
+    index mixed in on arrays. A seed < 0 or an index outside [0, 2**32) is refused and named."""
     seed, index = int(master_seed), np.asarray(indices, dtype=np.int64)
     if seed < 0 or (index >> 32).any():
-        raise ValueError(f"need master seed >= 0 and indices in [0, 2**32), got {master_seed}")
-    words = [seed >> shift & _M32 for shift in range(0, max(128, seed.bit_length()), 32)]
-    a = _chain(0x43B0D7E5, 0x931E8875, 4 * len(words) + 4)  # numpy's INIT_A, MULT_A
-    pool = [_hash(w, a[j], a[j + 1]) for j, w in enumerate(words[:4])]
-    for j, (s, d) in enumerate(((s, d) for s in range(4) for d in range(4) if s != d), 4):
-        pool[d] = _mix(pool[d], _hash(pool[s], a[j], a[j + 1]))
-    pool, a = np.array(pool, np.uint64)[:, None], np.array(a, np.uint64)[:, None]
-    for j, w in zip(range(16, len(a), 4), words[4:] + [index.astype(np.uint64)]):
-        pool = _mix(pool, _hash(w, a[j:j + 4], a[j + 1:j + 5]))  # into every pool word
+        bad = seed if seed < 0 else index[index >> 32 != 0][0]
+        raise ValueError(f"need master seed >= 0 and indices in [0, 2**32), got {bad}")
+    j = 4 * max(4, -(-seed.bit_length() // 32))  # 4 hash steps per seed word, 4 words at least
+    a = np.array(_chain(0x43B0D7E5, 0x931E8875, j + 4)[j:], np.uint64)[:, None]  # INIT_A, MULT_A
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    pool = _mix(pool, _hash(index.astype(np.uint64), a[:-1], a[1:]))  # into every pool word
     state = _hash(pool[[0, 1, 2, 3] * 2], _STATE_MULTS[:-1], _STATE_MULTS[1:])  # the pool twice
     return [np.random.Generator(np.random.PCG64(_StateWords(row)))
             for row in (state[0::2] | state[1::2] << 32).T.copy()]
 
 
 def rng_for(master_seed: int, index: int) -> np.random.Generator:
-    """The SeedSequence(master_seed, spawn_key=(index,)) stream: ``rngs_for``'s one-index case."""
+    """The (seed, index) SeedSequence child: numpy hashes the seed, ``rngs_for`` the index."""
     return rngs_for(master_seed, [index])[0]
 
 

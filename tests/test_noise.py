@@ -31,6 +31,7 @@ from spmlab import (
 from spmlab.noise import (
     MartingalePath,
     _union,
+    held_steps,
     hold_ensemble,
     rngs_for,
     sample_ensemble,
@@ -81,8 +82,8 @@ def test_poisson_count_oracle():
     # mean jump count over many paths approaches intensity * horizon
     spec = make_noise_spec([NoiseMode(jump_intensity=2.0, jump_law=TwoPointJumps(1.0))])
     n = 10_000
-    counts = np.array([len(sample_path(spec, 1.0, 0.5, rng_for(777, i)).jump_sizes)
-                       for i in range(n)])
+    ens = sample_ensemble(spec, 1.0, 0.5, n, 777)
+    counts = held_steps(ens.times) - (ens.base_indices.shape[1] - 1)  # the inserted jump times
     assert abs(counts.mean() - 2.0) <= 3.0 * np.sqrt(2.0 / n)
 
 
@@ -91,8 +92,7 @@ def test_terminal_variance_matches_rate():
     spec = make_noise_spec([NoiseMode(wiener_vol=1.0, jump_intensity=1.0,
                                       jump_law=TwoPointJumps(1.0))])
     n = 10_000
-    finals = np.array([sample_path(spec, 1.0, 0.25, rng_for(31, i)).values[0, -1]
-                       for i in range(n)])
+    finals = sample_ensemble(spec, 1.0, 0.25, n, 31).values[:, -1, 0]
     sq = finals**2
     assert abs(sq.mean() - 2.0) <= 3.0 * sq.std(ddof=1) / np.sqrt(n)
     # martingale property: mean final value compatible with zero
@@ -102,8 +102,7 @@ def test_terminal_variance_matches_rate():
 def test_covariance_entrywise():
     spec = two_mode_spec()
     n = 4000
-    finals = np.array([sample_path(spec, 2.0, 0.25, rng_for(55, i)).values[:, -1]
-                       for i in range(n)])
+    finals = sample_ensemble(spec, 2.0, 0.25, n, 55).values[:, -1]
     target = np.diag(2.0 * spec.variance_rates)
     for a in range(2):
         for b in range(2):
@@ -300,8 +299,8 @@ def test_qv_isometry_monte_carlo(lap):
     n = 4000
     qvs = np.empty(n)
     finals = np.empty(n)
-    for i in range(n):
-        path = sample_path(spec, 1.0, 0.125, rng_for(99, i))
+    for i, rng in enumerate(rngs_for(99, range(n))):  # per path: realized_qv reads the jumps
+        path = sample_path(spec, 1.0, 0.125, rng)
         qvs[i] = realized_qv(g, path, lap)[-1]
         gm = stochastic_integral(g, path, lap)
         finals[i] = float(hminus1_norm_sq_rows(lap, gm.values[-1][None, :])[0])
@@ -460,7 +459,8 @@ def seed_sequence_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9]
+# 2**128 - 1 and 2**128 are the last four-word and the first five-word seed
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 - 1, 2**128, 2**130 + 9]
 
 
 @pytest.mark.parametrize("n_paths", [1, 3, 400])
@@ -481,8 +481,11 @@ def test_streams_are_numpys_seed_sequence_children(seed, n_paths):
 
 
 def test_streams_refuse_a_negative_seed_and_an_index_beyond_32_bits():
-    for seed, indices in [(-1, [0]), (-(2**70), [0]), (1, [2**32]), (1, [0, 5, 2**40]), (1, [-1])]:
-        with pytest.raises(ValueError, match=r"master seed >= 0 and indices in \[0, 2\*\*32\)"):
+    # the message names the refused value: the seed, or the first index out of range
+    for seed, indices, bad in [(-1, [0], -1), (-(2**70), [0], -(2**70)), (1, [2**32], 2**32),
+                               (1, [0, 5, 2**40], 2**40), (1, [-1], -1), (3, [7, -2, 2**33], -2)]:
+        with pytest.raises(ValueError, match=r"master seed >= 0 and indices in \[0, 2\*\*32\)"
+                                             rf", got {bad}$"):
             rngs_for(seed, indices)
     with pytest.raises(ValueError):
         rng_for(-3, 0)

@@ -76,3 +76,27 @@ def test_compare_refuses_what_is_not_numeric(tmp_path, changed, report):
     old = write_matrix(tmp_path / "old", files)
     new = write_matrix(tmp_path / "new", {**files, **changed})
     assert load_tool().compare(old, new) == ([report.format(new=new)], False)
+
+
+SUMMARY = PROVENANCE + "command: verify-all\n[PASS] doob: estimate=1.25 bound=2 se=1e-3 paths=100\n"
+
+
+@pytest.mark.parametrize("changed, report, numeric", [
+    ({"run/summary.txt": SUMMARY.replace("1.25", "1.2500000000000013")},
+     ["run/summary.txt estimate: 1 cells, max rel 1.07e-15, max abs 1.33e-15"], True),
+    ({"run/summary.txt": SUMMARY.replace("bound=2", "bound=2.5").replace("1e-3", "0.001")},
+     ["run/summary.txt bound: 1 cells, max rel 0.2, max abs 0.5",
+      "run/summary.txt se: 1 cells, max rel 0, max abs 0"], True),
+    ({"run/summary.txt": SUMMARY.replace("[PASS]", "[FAIL]")}, ["run/summary.txt: differs"], False),
+    ({"run/summary.txt": SUMMARY.replace("doob:", "doob=")}, ["run/summary.txt: differs"], False),
+    ({"run/summary.txt": SUMMARY.replace("seed=1", "seed=2")}, ["run/summary.txt: differs"], False),
+    ({"run/summary.txt": SUMMARY + "extra: 1\n"}, ["run/summary.txt: differs"], False),
+    ({"exit_codes.txt": "run 1\n"}, ["exit_codes.txt: differs"], False),
+], ids=["ulps", "two-keys", "word", "separator", "provenance", "lines", "exit-code"])
+def test_compare_reads_summary_numbers_as_cells(tmp_path, changed, report, numeric):
+    # a summary's numbers are compared as CSV cells, under the key before each;
+    # its words, separators, provenance and line count, and exit_codes.txt, stay exact
+    files = {"run/picard.csv": TABLE, "run/summary.txt": SUMMARY, "exit_codes.txt": "run 0\n"}
+    old = write_matrix(tmp_path / "old", files)
+    new = write_matrix(tmp_path / "new", {**files, **changed})
+    assert load_tool().compare(old, new) == (report, numeric)

@@ -15,7 +15,9 @@ pass the first matrix to the second run:
 which prints, per CSV file and column that differ, the largest relative and
 absolute difference, and exits 1 when the two differ in their file sets,
 exit codes, a CSV header or row count, a non-numeric cell or a file that is
-not CSV.
+not CSV. A ``summary.txt`` is compared token by token: its numbers as CSV
+cells, reported under the word before them (``estimate=...``, ``key: value``),
+and its provenance line and all other text exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import contextlib
 import csv
 import io
 import os
+import re
 import sys
 
 import numpy as np
@@ -73,11 +76,40 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
+def _report(label: str, cells: list) -> tuple[str, bool]:
+    """Report line for differing (old, new) cell texts, and whether all are numbers."""
+    try:
+        x, y = np.array(cells, dtype=float).T
+    except ValueError:
+        return f"{label}: non-numeric cells differ", False
+    diff = np.abs(x - y)
+    rel = np.divide(diff, np.maximum(np.abs(x), np.abs(y)), out=np.zeros_like(diff),
+                    where=diff > 0)
+    return f"{label}: {len(cells)} cells, max rel {rel.max():.3g}, max abs {diff.max():.3g}", True
+
+
+def _summary_cells(old: bytes, new: bytes) -> dict | None:
+    """Differing tokens of two summaries, as (old, new) texts by the token before the
+    separator before each (the key of ``key=value`` and ``key: value``), or None when
+    their provenance lines or token counts differ."""
+    old, new = ([re.split(r"([\s=:]+)", line) for line in t.decode().splitlines()]
+                for t in (old, new))
+    if old[:1] != new[:1] or [len(t) for t in old] != [len(t) for t in new]:
+        return None
+    cells = {}
+    for a, b in zip(old, new):
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                cells.setdefault(a[max(i - 2, 0)], []).append((x, y))
+    return cells
+
+
 def compare(old_dir: str, new_dir: str) -> tuple[list[str], bool]:
-    """Report lines, and whether new_dir differs from old_dir in numeric CSV cells only.
+    """Report lines, and whether new_dir differs from old_dir in numeric cells only.
 
     A CSV file is its provenance line, a header and rows; a differing file of
-    another kind, provenance, header or row count is not numeric."""
+    another kind, provenance, header or row count is not numeric. A summary
+    is its provenance line and lines of words, separators and numbers."""
     old_files, new_files = _files(old_dir), _files(new_dir)
     lines = [f"only in {d}: {f}" for d, only in ((old_dir, old_files - new_files),
                                                  (new_dir, new_files - old_files))
@@ -86,6 +118,15 @@ def compare(old_dir: str, new_dir: str) -> tuple[list[str], bool]:
     for name in sorted(old_files & new_files):
         old, new = (_read(os.path.join(d, name)) for d in (old_dir, new_dir))
         if old == new:
+            continue
+        if os.path.basename(name) == "summary.txt":
+            cells = _summary_cells(old, new)
+            reports = [_report(f"{name} {key}", pairs) for key, pairs in (cells or {}).items()]
+            if cells is None or not all(is_numeric for _, is_numeric in reports):
+                numeric = False
+                lines.append(f"{name}: differs")
+            else:
+                lines += [line for line, _ in reports]
             continue
         if not name.endswith(".csv"):
             numeric = False
@@ -99,19 +140,10 @@ def compare(old_dir: str, new_dir: str) -> tuple[list[str], bool]:
             continue
         for column, a, b in zip(old[1], zip(*old[2:]), zip(*new[2:])):
             cells = [(x, y) for x, y in zip(a, b) if x != y]
-            if not cells:
-                continue
-            try:
-                x, y = np.array(cells, dtype=float).T
-            except ValueError:
-                numeric = False
-                lines.append(f"{name} {column}: non-numeric cells differ")
-                continue
-            diff = np.abs(x - y)
-            rel = np.divide(diff, np.maximum(np.abs(x), np.abs(y)), out=np.zeros_like(diff),
-                            where=diff > 0)
-            lines.append(f"{name} {column}: {len(cells)} cells, max rel {rel.max():.3g}, "
-                         f"max abs {diff.max():.3g}")
+            if cells:
+                line, is_numeric = _report(f"{name} {column}", cells)
+                numeric &= is_numeric
+                lines.append(line)
     return lines, numeric
 
 
