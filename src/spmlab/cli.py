@@ -1,14 +1,16 @@
 """Command line driver for batch experiments.
 
 Subcommands: simulate-additive, simulate-multiplicative, generalized,
-lambda-sweep, verify-all, mollify-demo. ``main`` loads a JSON config (bundled
-default when --config is omitted), applies dotted-path --set overrides plus
-the --seed/--paths/--out shortcuts and builds one context from it. A command
-only computes: it returns its CSV tables as ``{file name: (header, columns)}``,
-one 1-D numpy array or list per header name, with its summary lines, exit code
-and stdout-only suffixes. ``main`` is the one writer: it stamps every file with
-the provenance line, writes each table through ``reporting.write_csv`` and then
-``summary.txt``, with ``command: <name>`` first, and prints the summary.
+lambda-sweep, verify-all, mollify-demo. ``load_config`` hands --config (bundled
+default when omitted), the dotted-path --set overrides and the
+--seed/--paths/--out shortcuts to ``ExperimentConfig.load``, which applies the
+overrides before it validates. ``main`` builds one context from that config. A
+command only computes: it returns its CSV tables as ``{file name: (header,
+columns)}``, one 1-D numpy array or list per header name, with its summary
+lines, exit code and stdout-only suffixes. ``main`` is the one writer: it
+stamps every file with the provenance line, writes each table through
+``reporting.write_csv`` and then ``summary.txt``, with ``command: <name>``
+first, and prints the summary.
 
 Exit codes: 0 success / all checks passed, 1 a check or assertion failed,
 2 configuration error, 3 solver failure.
@@ -262,13 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig.default()
-    overrides = [*args.overrides, *(f"run.{key}={json.dumps(getattr(args, flag))}"
-                                    for flag, key, _ in _RUN_SHORTCUTS
-                                    if getattr(args, flag) is not None)]
-    if overrides:
-        cfg = cfg.apply_overrides(overrides)
-    return cfg
+    shortcuts = [f"run.{key}={json.dumps(getattr(args, flag))}"
+                 for flag, key, _ in _RUN_SHORTCUTS if getattr(args, flag) is not None]
+    return ExperimentConfig.load(args.config, [*args.overrides, *shortcuts])
 
 
 def main(argv=None) -> int:

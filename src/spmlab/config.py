@@ -1,14 +1,15 @@
 """Experiment configuration: JSON loading, schema validation, object builders.
 
-Configs are plain JSON validated against the schema shipped in
-``spmlab/data/experiment.schema.json``; the defaults live in one table,
-``_DEFAULTS``, merged in afterwards. Cross-section rules the schema cannot
-express (one diffusion coefficient entry per noise mode, the solver's
-surjectivity and lam = 0 gates, its sweep and level orders) are enforced here.
-Every refusal names its section once, through ``_section``. Graphs, jump laws
-and noise modes are built by their own constructors from the config entries
-that name one of their fields, so their defaults live in one place.
-Dotted-path overrides (``solver.picard_tol=1e-8``) re-validate the result.
+``ExperimentConfig.load`` reads a JSON config (the bundled default when none
+is given), applies dotted-path overrides (``solver.picard_tol=1e-8``) to it and
+validates the result once against ``spmlab/data/experiment.schema.json``; the
+defaults live in one table, ``_DEFAULTS``, merged in afterwards. Cross-section
+rules the schema cannot express (one diffusion coefficient entry per noise
+mode, the solver's surjectivity and lam = 0 gates, its sweep and level orders)
+are enforced here. Every refusal names its section once, through
+``_section``. Graphs, jump laws and noise modes are built by their own
+constructors from the config entries that name one of their fields, so their
+defaults live in one place.
 """
 
 from __future__ import annotations
@@ -121,26 +122,20 @@ class ExperimentConfig:
                                               for section, defaults in _DEFAULTS.items()}})
         self._cross_checks()
 
-    # -- loading -----------------------------------------------------------
-
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
-        return cls(data)
-
-    @classmethod
-    def default(cls) -> "ExperimentConfig":
-        return cls(default_config_dict())
-
-    def apply_overrides(self, assignments) -> "ExperimentConfig":
-        """Return a new config with dotted-path assignments applied."""
-        data = copy.deepcopy(self.data)
+    def load(cls, path=None, assignments=()) -> "ExperimentConfig":
+        """The JSON at path (the bundled default when None) with the dotted-path
+        assignments applied to it, validated and cross-checked once."""
+        if path is None:
+            data = default_config_dict()
+        else:
+            try:
+                with open(path) as fh:
+                    data = json.load(fh)
+            except FileNotFoundError:
+                raise ConfigError(f"config file not found: {path}")
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
         for item in assignments:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not of the form path=value")
@@ -149,22 +144,20 @@ class ExperimentConfig:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw
-            node = data
-            keys = dotted.split(".")
+            node, keys = data, dotted.split(".")
             for key in keys[:-1]:
-                node = node.setdefault(key, {})
-                if not isinstance(node, dict):
-                    raise ConfigError(f"override path {dotted!r} crosses a non-object")
+                node = node.setdefault(key, {}) if isinstance(node, dict) else None
+            if not isinstance(node, dict):
+                raise ConfigError(f"override path {dotted!r} crosses a non-object")
             node[keys[-1]] = value
-        return ExperimentConfig(data)
+        return cls(data)
 
     @property
     def digest(self) -> str:
         """Hash of the experiment-defining fields; the output directory is
         excluded so runs into different directories stay comparable."""
-        stripped = copy.deepcopy(self.data)
-        stripped["run"].pop("output_dir", None)
-        canonical = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
+        run = {k: v for k, v in self.data["run"].items() if k != "output_dir"}
+        canonical = json.dumps({**self.data, "run": run}, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     # -- cross-section rules -------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import solver
 from .grid import DirichletLaplacian, eigenmode, hminus1_norm_sq_rows
 from .monotone import MonotoneGraph
 from .noise import (
@@ -40,7 +41,6 @@ from .solver import (
     contraction_time_limit,
     ensemble_mean_sup_sq,
     lambda_sweep,
-    march_batch,
 )
 
 # the verdict knobs, fixed for every check
@@ -155,7 +155,7 @@ def _paired_differences(graph, cfg, L, ens, data1, data2):
     """Held X1 - X2, both data solved on each path's grid in one batched march."""
     gms = np.concatenate([stochastic_integrals(op, ens, L) for _, op in (data1, data2)])
     x0 = np.repeat(np.stack([data1[0], data2[0]]), len(ens.times), axis=0)
-    states, _ = march_batch(graph, cfg, L, np.tile(ens.times, (2, 1)), gms, x0)
+    states, _ = solver.march_batch(graph, cfg, L, np.tile(ens.times, (2, 1)), gms, x0)
     return np.subtract(*np.split(states, 2))
 
 
@@ -246,8 +246,8 @@ def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: Noi
     ens = sample_ensemble(spec, horizon, cfg.dt, n_paths, [seed, seed + 1])
     times, values = np.tile(ens.times, (2, 1)), np.tile(ens.values, (2, 1, 1))
     x0 = np.repeat(np.stack([y1, y2]), 2 * n_paths, axis=0)
-    states, _ = march_batch(graph, cfg, L, times, np.zeros(times.shape + (L.n,)), x0,
-                            coeff=(B, values))
+    states, _ = solver.march_batch(graph, cfg, L, times, np.zeros(times.shape + (L.n,)), x0,
+                                   coeff=(B, values))
     s1, s2 = (np.split(s, 2) for s in np.split(states, 2))  # by datum, then by seed
     ratios = [ensemble_mean_sup_sq(a, b, L) / denom for a, b in zip(s1, s2)]
     spread = abs(ratios[0] - ratios[1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spmlab.cli
+import spmlab.config
 from spmlab.cli import _COMMANDS, main
 from spmlab.config import ExperimentConfig, default_config_dict
 from spmlab.errors import ConfigError
@@ -63,7 +64,7 @@ def test_simulate_additive_martingale_csv(tmp_path):
     header, rows = read_csv(tmp_path / "out" / "martingale.csv")
     assert header == ["time", "mode", "value", "is_jump"]
     assert any(r[3] == "true" for r in rows)
-    exp = ExperimentConfig.from_file(cfg)
+    exp = ExperimentConfig.load(cfg)
     path = sample_path(exp.noise_spec(), exp.horizon, exp.dt, rng_for(exp.master_seed, 0))
     n_modes, n_times = path.values.shape
     # mode-major rows; is_jump is true exactly at the recorded (index, mode) jumps
@@ -298,18 +299,18 @@ def test_jump_law_needs_its_parameter(tmp_path, capsys):
 
 
 def test_config_builds_through_the_constructors():
-    cfg = ExperimentConfig.default()
+    cfg = ExperimentConfig.load()
     # params entries that name no field of the chosen class are ignored
-    linear = cfg.apply_overrides(["beta.variant=linear"])
+    linear = ExperimentConfig.load(None, ["beta.variant=linear"])
     assert linear.data["beta"]["params"] == {"exponent": 3.0}
     assert linear.graph() == Linear(1.0)
-    assert cfg.apply_overrides(["beta.params.exponent=2"]).graph() == PowerLaw(2.0)
-    stefan = cfg.apply_overrides(["beta.variant=stefan", "beta.params.height=0.5"])
+    assert ExperimentConfig.load(None, ["beta.params.exponent=2"]).graph() == PowerLaw(2.0)
+    stefan = ExperimentConfig.load(None, ["beta.variant=stefan", "beta.params.height=0.5"])
     assert stefan.graph() == StefanPiecewise(1.0, 1.0, 0.5)
     with pytest.raises(ConfigError, match="config beta: exponent must be >= 1"):
-        cfg.apply_overrides(["beta.params.exponent=0.5"])
+        ExperimentConfig.load(None, ["beta.params.exponent=0.5"])
     assert cfg.noise_spec().modes[1] == NoiseMode(0.5, 1.0, NormalJumps(0.4))
-    scfg = cfg.apply_overrides(["solver.newton_max_iter=7.0"]).solver_config()
+    scfg = ExperimentConfig.load(None, ["solver.newton_max_iter=7.0"]).solver_config()
     assert type(scfg.newton_max_iter) is int and scfg.newton_max_iter == 7
     assert scfg.lam == 0.05 and scfg.dt == 0.0078125 and scfg.window_T0 is None
 
@@ -325,14 +326,52 @@ def test_config_cross_checks_direct():
 
 def test_override_parsing():
     cfg = ExperimentConfig(default_config_dict())
-    new = cfg.apply_overrides(["solver.picard_tol=1e-7", "run.output_dir=elsewhere"])
+    new = ExperimentConfig.load(None, ["solver.picard_tol=1e-7", "run.output_dir=elsewhere"])
     assert new.data["solver"]["picard_tol"] == 1e-7
     assert new.data["run"]["output_dir"] == "elsewhere"
     assert new.digest != cfg.digest
     with pytest.raises(ConfigError):
-        cfg.apply_overrides(["no_equals_sign"])
+        ExperimentConfig.load(None, ["no_equals_sign"])
     with pytest.raises(ConfigError):
-        cfg.apply_overrides(["solver.picard_tol=-1"])
+        ExperimentConfig.load(None, ["solver.picard_tol=-1"])
+
+
+def test_load_config_validates_the_schema_once(monkeypatch):
+    # the overrides go into the JSON before the one validation, not into a
+    # second config built from the first
+    calls = []
+    validate = spmlab.config._validate_schema
+    monkeypatch.setattr(spmlab.config, "_validate_schema",
+                        lambda data: calls.append(data) or validate(data))
+    args = spmlab.cli.build_parser().parse_args(
+        ["simulate-additive", "--seed", "3", "--set", "noise.T=0.5"])
+    cfg = spmlab.cli.load_config(args)
+    assert len(calls) == 1
+    assert cfg.master_seed == 3 and cfg.horizon == 0.5
+
+
+def test_override_repairs_an_invalid_file_value(tmp_path, capsys):
+    # the file plus its overrides is what gets validated
+    cfg = small_run(tmp_path, noise={"T": -1})
+    assert main(["simulate-additive", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config noise/T: -1 is less than or equal to the minimum of 0" in err
+    args = spmlab.cli.build_parser().parse_args(
+        ["simulate-additive", "--config", cfg, "--set", "noise.T=0.25"])
+    assert spmlab.cli.load_config(args).horizon == 0.25
+    argv = ["simulate-additive", "--config", cfg, "--set", "noise.T=0.25",
+            "--set", "solver.picard_tol=-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: config solver/picard_tol: -1 is less than or equal to the minimum of 0\n")
+
+
+def test_override_into_a_file_that_is_no_object_exits_2(tmp_path, capsys):
+    # the overrides walk the raw JSON, which the schema has not yet seen
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert main(["simulate-additive", "--config", str(path), "--seed", "3"]) == 2
+    assert "override path 'run.master_seed' crosses a non-object" in capsys.readouterr().err
 
 
 def test_scaled_signum_gate_via_solver_config():

@@ -20,8 +20,8 @@ def test_output_matrix_command_lines_parse():
     # every run of the byte-identity matrix is a valid command line that writes
     # to a directory of its own; nothing is run
     runs = load_tool().runs("matrix")
-    assert len(runs) == 16
-    assert len({name for name, _ in runs}) == 16
+    assert len(runs) == 17
+    assert len({name for name, _ in runs}) == 17
     parser = cli.build_parser()
     for name, argv in runs:
         args = parser.parse_args(argv)

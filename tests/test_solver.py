@@ -1001,7 +1001,7 @@ def test_causal_pass_reaches_the_picard_fixed_point(monkeypatch, case):
     # approach: the largest squared dual distance over paths and times stays
     # below picard_tol. Picard marches in its own windows, the causal pass at W = 1
     overrides, n_paths = CAUSAL_CASES[case]
-    ctx = _Context(ExperimentConfig.default().apply_overrides(overrides))
+    ctx = _Context(ExperimentConfig.load(None, overrides))
     ens = sample_ensemble(ctx.spec, ctx.cfg.horizon, ctx.cfg.dt, n_paths, ctx.cfg.master_seed)
     widths, newton = [], solver._newton_batch
 

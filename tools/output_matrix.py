@@ -29,6 +29,7 @@ import io
 import os
 import re
 import sys
+from importlib import resources
 
 import numpy as np
 
@@ -36,6 +37,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "perfbench"))
 from workloads import WORKLOADS, command_line  # noqa: E402
 
+# the bundled default config of the spmlab on PYTHONPATH, read as a file
+DEFAULT_CONFIG = str(resources.files("spmlab.data").joinpath("default_config.json"))
 # (name, argv without --out) of every run but the workloads; runs() adds --out after the command
 COMMANDS = [
     ("simulate-additive", ["simulate-additive"]),
@@ -52,6 +55,9 @@ COMMANDS = [
     ("additive-stefan", ["simulate-additive", "--set", "beta.variant=stefan"]),
     ("additive-linear-lambda0", ["simulate-additive", "--set", "beta.variant=linear",
                                  "--set", "beta.lambda=0"]),
+    # a config file plus overrides: the file branch of ExperimentConfig.load
+    ("multiplicative-file", ["simulate-multiplicative", "--config", DEFAULT_CONFIG,
+                             "--paths", "40", "--set", "noise.T=0.125"]),
 ]
 
 
