@@ -37,6 +37,7 @@ from .noise import (
     make_noise_spec,
     realized_qv,
     rng_for,
+    sample_ensemble,
     sample_path,
     stochastic_integral,
     uniform_times,

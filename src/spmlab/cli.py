@@ -194,6 +194,8 @@ def _cmd_verify_all(ctx: _Context):
     x0, B = ctx.x0, ctx.B
     seed = cfg.master_seed
     horizon, n_paths = cfg.horizon, cfg.n_paths
+    if n_paths < 2:  # doob and isometry need a standard error, so two samples
+        raise ConfigError(f"config run/n_paths: verify-all needs at least 2 paths, got {n_paths}")
 
     fields = B.mode_fields(x0, L)
     op_full = ConstantOperator(fields)

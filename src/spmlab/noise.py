@@ -21,14 +21,14 @@ Every integrand is a ``StepOperator``: ``fields[i]`` (K, n) holds on
 [b_i, b_{i+1}), the first piece also before b_0 and the last one after the
 final breakpoint. Evaluation, differences and the exact budget in ``verify``
 all read it that way. A constant integrand (``ConstantOperator``) is the
-one-piece step over (-inf, inf), and a plain (K, n) array stands for one.
+one-piece step over (-inf, inf).
 
-An ensemble of P paths has one layout from sampling to the march, the held
-layout built by ``hold_ensemble``: the grids are one (P, N+1) array, N the
-most steps of any path, each row held at its path's final time after its last
-step, so held steps have length zero; mode values (P, N+1, K) and driving
-integrals, states and selections (P, N+1, n) are held at their last row. A sup
-over a path is a max along axis 1, its final value row -1.
+An ensemble of P paths has one layout from sampling to the march, the
+``HeldEnsemble`` that ``sample_ensemble`` draws: the grids are one (P, N+1)
+array, N the most steps of any path, each row held at its path's final time
+after its last step, so held steps have length zero; mode values (P, N+1, K)
+and driving integrals, states and selections (P, N+1, n) are held at their
+last row. A sup over a path is a max along axis 1, its final value row -1.
 
 Diffusion coefficients map a stack of state fields to one field per mode and
 state (``mode_fields_batch``, the one method each variant implements); the
@@ -276,26 +276,6 @@ def hold_tails(steps: np.ndarray, *arrays: np.ndarray) -> None:
         a[tail] = a[p, steps[p]]
 
 
-def hold_ensemble(paths) -> HeldEnsemble:
-    """The held layout of a list of paths on one base grid, from one index
-    gather: held row i of path p is its grid point min(i, N_p). A held
-    ensemble is returned as it is."""
-    if isinstance(paths, HeldEnsemble):
-        return paths
-    if len(paths) == 0:
-        raise ValueError("need at least one path")
-    bases = [p.times[p.base_indices] for p in paths]
-    if (any(len(b) != len(bases[0]) for b in bases)
-            or not np.allclose(np.stack(bases), bases[0], rtol=0, atol=1e-12)):
-        raise ValueError("all paths must share the same uniform base grid")
-    steps = np.array([len(p.times) - 1 for p in paths])
-    at = (np.cumsum(steps + 1) - (steps + 1))[:, None] + np.minimum(
-        np.arange(steps.max() + 1), steps[:, None])
-    return HeldEnsemble(times=np.concatenate([p.times for p in paths])[at],
-                        values=np.concatenate([p.values.T for p in paths])[at],
-                        base_indices=np.stack([p.base_indices for p in paths]))
-
-
 def _sample_held(spec: NoiseSpec, horizon: float, base_dt: float, rngs: list):
     """Path p drawn from rngs[p] in the order of one path alone, held, with its
     jumps (path, grid index, mode, size) sorted by path, time and draw; only
@@ -399,10 +379,6 @@ class ConstantOperator(StepOperator):
         super().__init__([-np.inf, np.inf], np.atleast_2d(fields)[None])
 
 
-def as_mode_operator(G) -> StepOperator:
-    return G if isinstance(G, StepOperator) else ConstantOperator(G)
-
-
 @dataclass
 class IntegralPath:
     """A stochastic integral evaluated on a path grid.
@@ -433,9 +409,9 @@ def ito_sums(g_left: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def stochastic_integrals(G, paths, L: DirichletLaplacian) -> np.ndarray:
-    """Integrate one operator against every path of an ensemble (held, or a
-    list of paths), held (P, N+1, n): left endpoints times increments,
+def stochastic_integrals(G: StepOperator, ens: HeldEnsemble, L: DirichletLaplacian) -> np.ndarray:
+    """Integrate one operator against every path of a held ensemble, held
+    (P, N+1, n): left endpoints times increments,
 
     (G . M)(t_i) = sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})),
 
@@ -443,8 +419,7 @@ def stochastic_integrals(G, paths, L: DirichletLaplacian) -> np.ndarray:
     constant operator) and one Ito sum for the ensemble. Exact for
     piecewise-constant G whose breakpoints lie on the grids.
     """
-    ens = hold_ensemble(paths)
-    g_left = as_mode_operator(G).at_many(ens.times[:, :-1])
+    g_left = G.at_many(ens.times[:, :-1])
     if g_left.shape[-2] != ens.values.shape[2]:
         raise ValueError(f"integrand has {g_left.shape[-2]} modes, path has {ens.values.shape[2]}")
     if g_left.shape[-1] != L.n:
@@ -452,20 +427,22 @@ def stochastic_integrals(G, paths, L: DirichletLaplacian) -> np.ndarray:
     return ito_sums(g_left, ens.values)
 
 
-def stochastic_integral(G, path: MartingalePath, L: DirichletLaplacian) -> IntegralPath:
-    """The one-path case of ``stochastic_integrals``, keeping its integrand."""
-    op = as_mode_operator(G)
-    return IntegralPath(path.times, stochastic_integrals(op, [path], L)[0], op)
+def stochastic_integral(G: StepOperator, path: MartingalePath,
+                        L: DirichletLaplacian) -> IntegralPath:
+    """The one-path case of ``stochastic_integrals``, on the path as a one-row
+    ensemble, keeping its integrand."""
+    ens = HeldEnsemble(path.times[None], path.values.T[None], path.base_indices[None])
+    return IntegralPath(path.times, stochastic_integrals(G, ens, L)[0], G)
 
 
-def realized_qv(G, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:
+def realized_qv(G: StepOperator, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:
     """Quadratic variation [G . M](t_i) in the dual norm.
 
     Continuous part by left-endpoint quadrature of sum_k sigma_k^2 |G_k(s)|^2,
     jump part as the exact sum of |G_k(jump-) * jump|^2 over recorded jumps.
     A jump at times[i] sees the integrand at the left endpoint times[i - 1].
     """
-    g_left = as_mode_operator(G).at_many(path.times[:-1])
+    g_left = G.at_many(path.times[:-1])
     vols_sq = np.array([m.wiener_vol**2 for m in path.spec.modes])
 
     norms = hminus1_norm_sq_rows(L, g_left)  # (n_steps, n_modes)

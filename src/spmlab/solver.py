@@ -73,12 +73,12 @@ from .grid import DirichletLaplacian, hminus1_norm_sq_rows, spectral_apply
 from .monotone import MonotoneGraph
 from .noise import (
     DiffusionCoefficient,
+    HeldEnsemble,
     IntegralPath,
     MartingalePath,
     MollifiedDiffusion,
     NoiseSpec,
     held_steps,
-    hold_ensemble,
     hold_tails,
     ito_sums,
     lipschitz_constant,
@@ -531,10 +531,10 @@ class EnsembleSolution:
 
 
 def causal_solve(graph: MonotoneGraph, B: DiffusionCoefficient, cfg: SolverConfig,
-                 L: DirichletLaplacian, x0: np.ndarray, paths) -> EnsembleSolution:
-    """The fixed point of Phi in one forward pass: X_i needs only X_0..X_{i-1}, so a
-    march with B at each left limit as it is reached (``coeff``) is the sweeps' limit."""
-    ens = hold_ensemble(paths)
+                 L: DirichletLaplacian, x0: np.ndarray, ens: HeldEnsemble) -> EnsembleSolution:
+    """The fixed point of Phi on a held ensemble in one forward pass: X_i needs only
+    X_0..X_{i-1}, so a march with B at each left limit as it is reached (``coeff``)
+    is the sweeps' limit."""
     states, selections = march_batch(graph, cfg, L, ens.times, np.zeros(ens.times.shape + (L.n,)),
                                      x0, coeff=(B, ens.values))
     return EnsembleSolution(ens.times, states, selections, cfg.lam)
@@ -556,16 +556,15 @@ class PicardResult(EnsembleSolution):
 
 def picard_solve(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
                  cfg: SolverConfig, L: DirichletLaplacian, x0: np.ndarray,
-                 paths) -> PicardResult:
+                 ens: HeldEnsemble) -> PicardResult:
     """Fixed-point construction of the multiplicative-noise solution.
 
     Iterates X -> additive solve with coefficient frozen at the left limits of
-    the previous iterate, over consecutive time windows, on an ensemble given
-    held or as a list of paths. Stops a window when the ensemble distance
-    sup_t mean_paths |X_new - X_prev|^2 drops below picard_tol; raises
-    NonContractionError after three consecutive non-contracting sweeps.
+    the previous iterate, over consecutive time windows, on a held ensemble.
+    Stops a window when the ensemble distance sup_t mean_paths |X_new - X_prev|^2
+    drops below picard_tol; raises NonContractionError after three consecutive
+    non-contracting sweeps.
     """
-    ens = hold_ensemble(paths)
     n_paths = len(ens.times)
     rows = np.arange(n_paths)[:, None]
     base_times = ens.times[0, ens.base_indices[0]]
@@ -674,15 +673,15 @@ class GeneralizedResult:
 
 def generalized_solve(graph: MonotoneGraph, B_rough: DiffusionCoefficient, cfg: SolverConfig,
                       L: DirichletLaplacian, x0: np.ndarray, levels: Sequence[int],
-                      paths) -> GeneralizedResult:
-    """Solve with the coefficient mollified at increasing levels, each by ``causal_solve``.
+                      ens: HeldEnsemble) -> GeneralizedResult:
+    """Solve a held ensemble with the coefficient mollified at increasing levels,
+    each by ``causal_solve``.
 
     Consecutive ensemble distances are reported in both the sup-of-mean (over
     the base grid) and the mean-of-sup metrics; a failure to decrease is
     flagged, not raised. The finest-level ensemble is the generalized solution.
     """
     levels = check_levels(levels)
-    ens = hold_ensemble(paths)
     results = [causal_solve(graph, MollifiedDiffusion(B_rough, n), cfg, L, x0, ens)
                for n in levels]
     pairs = list(zip(results[:-1], results[1:]))

@@ -31,7 +31,7 @@ from .noise import (
     ConstantOperator,
     DiffusionCoefficient,
     NoiseSpec,
-    as_mode_operator,
+    StepOperator,
     lipschitz_constant,
     sample_ensemble,
     stochastic_integrals,
@@ -94,18 +94,17 @@ def _std_err(samples: np.ndarray) -> float:
     return float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
 
 
-def expected_quadratic_budget(G, spec: NoiseSpec, horizon: float,
+def expected_quadratic_budget(G: StepOperator, spec: NoiseSpec, horizon: float,
                               L: DirichletLaplacian) -> float:
     """Exact value of int_0^T |G(s)|_{Q_M}^2 d<M>(s) = sum_k v_k int_0^T |G_k|^2 dt:
     each piece's length in [0, T], the first piece from 0 and the last to T."""
-    op = as_mode_operator(G)
-    edges = np.clip(op.breakpoints, 0.0, horizon)
+    edges = np.clip(G.breakpoints, 0.0, horizon)
     edges[[0, -1]] = 0.0, horizon
-    return float(np.diff(edges) @ (hminus1_norm_sq_rows(L, op.fields) @ spec.variance_rates))
+    return float(np.diff(edges) @ (hminus1_norm_sq_rows(L, G.fields) @ spec.variance_rates))
 
 
-def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed: int,
-               L: DirichletLaplacian) -> VerificationReport:
+def check_doob(spec: NoiseSpec, G: StepOperator, horizon: float, dt: float, n_paths: int,
+               seed: int, L: DirichletLaplacian) -> VerificationReport:
     """E sup_t |G.M(t)|^2 against 4 E |G.M(T)|^2, paired over one ensemble."""
     t0 = time.perf_counter()
     values = stochastic_integrals(G, sample_ensemble(spec, horizon, dt, n_paths, seed), L)
@@ -117,8 +116,8 @@ def check_doob(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed
                    notes=f"mean_diff={diff.mean():.6g}")
 
 
-def check_isometry(spec: NoiseSpec, G, horizon: float, dt: float, n_paths: int, seed: int,
-                   L: DirichletLaplacian) -> VerificationReport:
+def check_isometry(spec: NoiseSpec, G: StepOperator, horizon: float, dt: float, n_paths: int,
+                   seed: int, L: DirichletLaplacian) -> VerificationReport:
     """E |G.M(T)|^2 against the exact integrand budget."""
     t0 = time.perf_counter()
     target = expected_quadratic_budget(G, spec, horizon, L)
@@ -132,13 +131,11 @@ def check_resta(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
                 spec: NoiseSpec, data1, data2, horizon: float, n_paths: int, seed: int,
                 name: str = "stability") -> VerificationReport:
     """Stability of the additive solve in the data: sup_t E|Y1 - Y2|^2 against
-    |x1 - x2|^2 plus the exact budget of G1 - G2."""
+    |x1 - x2|^2 plus the exact budget of G1 - G2; each datum is (x, StepOperator)."""
     t0 = time.perf_counter()
-    x1, g_op1 = data1
-    x2, g_op2 = data2
+    (x1, op1), (x2, op2) = data1, data2
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    op1, op2 = as_mode_operator(g_op1), as_mode_operator(g_op2)
     bound = float(hminus1_norm_sq_rows(L, (x1 - x2)[None, :])[0])
     bound += expected_quadratic_budget(op1 - op2, spec, horizon, L)
 

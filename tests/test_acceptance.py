@@ -93,10 +93,10 @@ def test_criterion_03_noise_brackets(lap, modes):
     spec = mixed_spec()
     g = np.stack([modes[0], 0.4 * modes[2]])
     n_paths = 10_000
-    rep_const = sp.check_isometry(spec, g, 1.0, 1 / 64, n_paths, 101, lap)
+    rep_const = sp.check_isometry(spec, sp.ConstantOperator(g), 1.0, 1 / 64, n_paths, 101, lap)
     op_pc = sp.StepOperator([0.0, 0.5, 1.0], np.stack([g, 0.5 * g]))
     rep_pc = sp.check_isometry(spec, op_pc, 1.0, 1 / 64, n_paths, 102, lap)
-    rep_doob = sp.check_doob(spec, g, 1.0, 1 / 64, n_paths, 103, lap)
+    rep_doob = sp.check_doob(spec, sp.ConstantOperator(g), 1.0, 1 / 64, n_paths, 103, lap)
     ok = rep_const.passed and rep_pc.passed and rep_doob.passed
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
@@ -136,7 +136,7 @@ def test_criterion_05_regularization_sweep(lap, modes):
     ])
     path = sp.sample_path(spec, 0.5, 1 / 512, sp.rng_for(11, 0))
     fields = (0.3 * modes[0] + 0.2 * modes[2])[None, :]
-    gm = sp.stochastic_integral(fields, path, lap)
+    gm = sp.stochastic_integral(sp.ConstantOperator(fields), path, lap)
     cfg = sp.SolverConfig(lam=0.25, dt=1 / 512)
     lams = [2.0 ** (-k) for k in range(2, 9)]
     rep = sp.lambda_sweep(sp.PowerLaw(3.0), cfg, lap, modes[0], gm, lams)
@@ -193,9 +193,9 @@ def test_criterion_07_fixed_point_contraction(lap, modes):
     rep = reports[0]
     ok = rep.passed and (rep.estimate + 3 * rep.std_error < 1.0)
 
-    paths = [sp.sample_path(spec, 1.0, 1 / 64, sp.rng_for(72, i)) for i in range(500)]
+    ens = sp.sample_ensemble(spec, 1.0, 1 / 64, 500, 72)
     cfg_win = sp.SolverConfig(lam=0.0, dt=1 / 64, window_T0=0.25)
-    res = sp.picard_solve(sp.Linear(1.0), B, spec, cfg_win, lap, modes[0], paths)
+    res = sp.picard_solve(sp.Linear(1.0), B, spec, cfg_win, lap, modes[0], ens)
     dists = res.window_distances[0]
     ok &= res.converged and len(res.windows) == 4
     ok &= all(b < a for a, b in zip(dists, dists[1:]))
@@ -213,21 +213,21 @@ def test_criterion_08_generalized_solutions(lap, modes):
     cfg = sp.SolverConfig(lam=0.0, dt=1 / 64)
     levels = [2, 4, 8, 16]
     n_paths = 200
-    paths = [sp.sample_path(spec, 0.25, 1 / 64, sp.rng_for(80, i)) for i in range(n_paths)]
+    ens = sp.sample_ensemble(spec, 0.25, 1 / 64, n_paths, 80)
 
     rough = sp.LinearSpectral(coeffs=[0.5, 0.3], gamma=0.0)
-    gen_rough = sp.generalized_solve(sp.Linear(1.0), rough, cfg, lap, modes[0], levels, paths)
+    gen_rough = sp.generalized_solve(sp.Linear(1.0), rough, cfg, lap, modes[0], levels, ens)
     ok = gen_rough.cauchy_ok and bool(np.all(np.diff(gen_rough.sup_mean_distances) < 0))
 
     # smooth state-independent coefficient: the limit must match the direct
     # solve within the exact stability budget of the residual mollification
     g = np.stack([0.5 * modes[0], 0.3 * modes[1]])
     smooth = sp.ConstantAdditive(fields=g)
-    gen_smooth = sp.generalized_solve(sp.Linear(1.0), smooth, cfg, lap, modes[0], levels, paths)
-    direct = sp.picard_solve(sp.Linear(1.0), smooth, spec, cfg, lap, modes[0], paths)
+    gen_smooth = sp.generalized_solve(sp.Linear(1.0), smooth, cfg, lap, modes[0], levels, ens)
+    direct = sp.picard_solve(sp.Linear(1.0), smooth, spec, cfg, lap, modes[0], ens)
     sums = sqsums = None
-    for ta, tb, p in zip(gen_smooth.limit.trajectories, direct.trajectories, paths):
-        sq = sp.hminus1_norm_sq_rows(lap, (ta.states - tb.states)[p.base_indices])
+    for ta, tb, base in zip(gen_smooth.limit.trajectories, direct.trajectories, ens.base_indices):
+        sq = sp.hminus1_norm_sq_rows(lap, (ta.states - tb.states)[base])
         if sums is None:
             sums, sqsums = np.zeros_like(sq), np.zeros_like(sq)
         sums += sq

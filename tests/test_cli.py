@@ -147,6 +147,19 @@ def test_verify_all_byte_identical_reruns(tmp_path):
     assert "config_sha256=" in first and "master_seed=" in first
 
 
+def test_verify_all_refuses_one_path(tmp_path, capsys):
+    # doob and isometry need a standard error, which one path does not give,
+    # so one path is a config error that writes nothing; two paths still run
+    cfg = small_run(tmp_path)
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["verify-all", "--config", cfg, "--paths", "1", "--out", str(one)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config run/n_paths: verify-all needs at least 2 paths, got 1\n")
+    assert not one.exists()
+    assert main(["verify-all", "--config", cfg, "--paths", "2", "--out", str(two)]) in (0, 1)
+    assert "paths=2" in (two / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("name", list(_COMMANDS))
 def test_summary_and_stdout_start_with_the_command(tmp_path, capsys, name):
     cfg = small_run(tmp_path, generalized={"levels": [2, 4]})

@@ -30,14 +30,14 @@ from spmlab import (
 )
 from spmlab.noise import (
     MartingalePath,
+    _sample_held,
     _union,
     held_steps,
-    hold_ensemble,
     rngs_for,
     sample_ensemble,
     stochastic_integrals,
 )
-from testkit import angle_bracket, growth_constant, hs_norm_q
+from testkit import angle_bracket, cut_paths, growth_constant, hold_paths, hs_norm_q
 
 
 @pytest.fixture(scope="module")
@@ -148,12 +148,12 @@ def test_reproducibility_and_stream_independence():
 def test_stochastic_integral_zero_and_constant(lap):
     spec = two_mode_spec()
     path = sample_path(spec, 1.0, 0.125, rng_for(77, 0))
-    zero = stochastic_integral(np.zeros((2, lap.n)), path, lap)
+    zero = stochastic_integral(ConstantOperator(np.zeros((2, lap.n))), path, lap)
     np.testing.assert_array_equal(zero.values, 0.0)
     # constant single-field integrand telescopes to g * M_k(t)
     g = eigenmode(lap, 1)
     fields = np.stack([g, np.zeros(lap.n)])
-    gm = stochastic_integral(fields, path, lap)
+    gm = stochastic_integral(ConstantOperator(fields), path, lap)
     np.testing.assert_allclose(gm.values, np.outer(path.values[0], g), atol=1e-14)
 
 
@@ -222,8 +222,9 @@ def test_stochastic_integrals_match_explicit_sums(lap, n_modes):
     constant = ConstantOperator(rng.standard_normal((n_modes, lap.n)))
     # two pieces that switch at a jump time of the last path
     step = StepOperator([0.0, 0.2, 0.5], rng.standard_normal((2, n_modes, lap.n)))
+    ens = hold_paths(paths)
     for op in (constant, step):
-        integrals = stochastic_integrals(op, paths, lap)
+        integrals = stochastic_integrals(op, ens, lap)
         assert integrals.shape == (3, 8, lap.n)
         for path, values in zip(paths, integrals):
             m = len(path.times)
@@ -238,12 +239,13 @@ def test_stochastic_integrals_match_explicit_sums(lap, n_modes):
 
 def test_stochastic_integrals_mode_and_node_errors(lap):
     paths = ragged_paths(make_noise_spec([NoiseMode(wiener_vol=1.0)] * 2))
+    ens = hold_paths(paths)
     with pytest.raises(ValueError, match="integrand has 3 modes, path has 2"):
-        stochastic_integrals(np.ones((3, lap.n)), paths, lap)
+        stochastic_integrals(ConstantOperator(np.ones((3, lap.n))), ens, lap)
     with pytest.raises(ValueError, match="integrand fields have 4 nodes, grid has 15"):
-        stochastic_integrals(np.ones((2, 4)), paths, lap)
+        stochastic_integrals(ConstantOperator(np.ones((2, 4))), ens, lap)
     with pytest.raises(ValueError, match="integrand has 1 modes, path has 2"):
-        stochastic_integral(np.ones((1, lap.n)), paths[1], lap)
+        stochastic_integral(ConstantOperator(np.ones((1, lap.n))), paths[1], lap)
 
 
 @pytest.mark.parametrize("breaks", [[0.0, 0.75, 0.5, 1.0], [0.0, 0.5, 0.5, 1.0]],
@@ -282,7 +284,7 @@ def test_step_difference_lives_on_the_union_of_breakpoints():
 def test_realized_qv_cases(lap):
     spec = make_noise_spec([NoiseMode(jump_intensity=2.0, jump_law=TwoPointJumps(1.0))])
     path = sample_path(spec, 1.0, 0.5, rng_for(5, 1))
-    qv0 = realized_qv(np.zeros((1, lap.n)), path, lap)
+    qv0 = realized_qv(ConstantOperator(np.zeros((1, lap.n))), path, lap)
     np.testing.assert_array_equal(qv0, 0.0)
     g = eigenmode(lap, 0)
     qv = realized_qv(ConstantOperator(g[None, :]), path, lap)
@@ -296,14 +298,20 @@ def test_qv_isometry_monte_carlo(lap):
     spec = two_mode_spec()
     g = np.stack([eigenmode(lap, 0), 0.5 * eigenmode(lap, 2)])
     target = 1.0 * float(spec.variance_rates @ hminus1_norm_sq_rows(lap, g))
+    op = ConstantOperator(g)
     n = 4000
-    qvs = np.empty(n)
-    finals = np.empty(n)
-    for i, rng in enumerate(rngs_for(99, range(n))):  # per path: realized_qv reads the jumps
-        path = sample_path(spec, 1.0, 0.125, rng)
-        qvs[i] = realized_qv(g, path, lap)[-1]
-        gm = stochastic_integral(g, path, lap)
-        finals[i] = float(hminus1_norm_sq_rows(lap, gm.values[-1][None, :])[0])
+    # one pass draws the paths and one integral call gives their final values;
+    # realized_qv reads one path's jumps, so it runs on the paths cut from the rows
+    ens, jumps = _sample_held(spec, 1.0, 0.125, rngs_for(99, range(n)))
+    finals = hminus1_norm_sq_rows(lap, stochastic_integrals(op, ens, lap)[:, -1])
+    paths = cut_paths(spec, ens, jumps)
+    for i in (0, 1, 1234, n - 1):
+        ref = sample_path(spec, 1.0, 0.125, rng_for(99, i))
+        for name in ("times", "values", "jump_indices", "jump_modes", "jump_sizes",
+                     "base_indices"):
+            a, b = getattr(paths[i], name), getattr(ref, name)
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    qvs = np.array([realized_qv(op, path, lap)[-1] for path in paths])
     assert abs(qvs.mean() - target) <= 3 * qvs.std(ddof=1) / np.sqrt(n)
     assert abs(finals.mean() - target) <= 3 * finals.std(ddof=1) / np.sqrt(n)
 
@@ -503,8 +511,8 @@ def test_sample_ensemble_is_held_paths_of_their_streams(spec_name, horizon, dt, 
     # layout is equal byte for byte
     spec = make_noise_spec(SAMPLER_SPECS[spec_name])
     ens = sample_ensemble(spec, horizon, dt, n_paths, 17)
-    ref = hold_ensemble([sample_path(spec, horizon, dt, seed_sequence_rng(17, i))
-                         for i in range(n_paths)])
+    ref = hold_paths([sample_path(spec, horizon, dt, seed_sequence_rng(17, i))
+                      for i in range(n_paths)])
     for name in ("times", "values", "base_indices"):
         a, b = getattr(ens, name), getattr(ref, name)
         assert a.shape == b.shape and a.dtype == b.dtype
@@ -518,8 +526,8 @@ def test_sample_ensemble_of_several_seeds_holds_each_seeds_paths(spec_name):
     # the common width
     spec = make_noise_spec(SAMPLER_SPECS[spec_name])
     ens = sample_ensemble(spec, 0.25, 1 / 32, 6, [17, 18])
-    ref = hold_ensemble([sample_path(spec, 0.25, 1 / 32, seed_sequence_rng(seed, i))
-                         for seed in (17, 18) for i in range(6)])
+    ref = hold_paths([sample_path(spec, 0.25, 1 / 32, seed_sequence_rng(seed, i))
+                      for seed in (17, 18) for i in range(6)])
     for name in ("times", "values", "base_indices"):
         a, b = getattr(ens, name), getattr(ref, name)
         assert a.shape == b.shape and a.dtype == b.dtype

@@ -45,6 +45,7 @@ from spmlab import (
 from spmlab.cli import _Context
 from spmlab.config import ExperimentConfig
 from spmlab.noise import sample_ensemble, stochastic_integrals
+from testkit import held
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +147,7 @@ def test_strong_identity_residual_and_dissipation_sign(lap):
     spec = two_mode_spec()
     path = sample_path(spec, 0.25, 1 / 128, rng_for(17, 0))
     fields = np.stack([0.4 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 1)])
-    gm = stochastic_integral(fields, path, lap)
+    gm = stochastic_integral(ConstantOperator(fields), path, lap)
     cfg = SolverConfig(lam=0.05, dt=1 / 128)
     x0 = eigenmode(lap, 0)
     traj = additive_path_solve(PowerLaw(3.0), cfg, lap, x0, gm)
@@ -195,7 +196,7 @@ def test_lambda_sweep_report(lap):
     spec = two_mode_spec()
     path = sample_path(spec, 0.25, 1 / 256, rng_for(11, 0))
     fields = np.stack([0.3 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 2)])
-    gm = stochastic_integral(fields, path, lap)
+    gm = stochastic_integral(ConstantOperator(fields), path, lap)
     cfg = SolverConfig(lam=0.25, dt=1 / 256)
     lams = [2.0 ** (-k) for k in range(2, 8)]
     rep = lambda_sweep(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), gm, lams)
@@ -226,7 +227,7 @@ def test_same_noise_contraction_pathwise(lap):
     gap = float(hminus1_norm_sq_rows(lap, (x1 - x2)[None, :])[0])
     for i in range(5):
         path = sample_path(spec, 0.25, 1 / 64, rng_for(23, i))
-        gm = stochastic_integral(fields, path, lap)
+        gm = stochastic_integral(ConstantOperator(fields), path, lap)
         t1 = additive_path_solve(PowerLaw(3.0), cfg, lap, x1, gm)
         t2 = additive_path_solve(PowerLaw(3.0), cfg, lap, x2, gm)
         dist = hminus1_norm_sq_rows(lap, t1.states - t2.states)
@@ -236,13 +237,13 @@ def test_same_noise_contraction_pathwise(lap):
 def test_picard_zero_coefficient_matches_deterministic(lap):
     spec = two_mode_spec()
     cfg = SolverConfig(lam=0.0, dt=1 / 32)
-    paths = [sample_path(spec, 0.25, 1 / 32, rng_for(41, i)) for i in range(3)]
+    ens = sample_ensemble(spec, 0.25, 1 / 32, 3, 41)
     B0 = ConstantAdditive(fields=np.zeros((2, lap.n)))
     x0 = eigenmode(lap, 0)
-    res = picard_solve(Linear(1.0), B0, spec, cfg, lap, x0, paths)
-    det = additive_path_solve(Linear(1.0), cfg, lap, x0,
-                              IntegralPath.zeros(paths[0].times, lap.n))
-    np.testing.assert_allclose(res.trajectories[0].states[paths[0].base_indices],
+    res = picard_solve(Linear(1.0), B0, spec, cfg, lap, x0, ens)
+    traj = res.trajectories[0]
+    det = additive_path_solve(Linear(1.0), cfg, lap, x0, IntegralPath.zeros(traj.times, lap.n))
+    np.testing.assert_allclose(traj.states[ens.base_indices[0]],
                                det.states[det.times.searchsorted(res.base_times)], atol=1e-12)
     assert res.window_distances[0][-1] == 0.0
 
@@ -250,15 +251,18 @@ def test_picard_zero_coefficient_matches_deterministic(lap):
 def test_picard_constant_coefficient_two_sweeps(lap):
     spec = two_mode_spec()
     cfg = SolverConfig(lam=0.0, dt=1 / 32)
+    # the held ensemble for the solver, the same paths one by one for the references
+    ens = sample_ensemble(spec, 0.25, 1 / 32, 4, 43)
     paths = [sample_path(spec, 0.25, 1 / 32, rng_for(43, i)) for i in range(4)]
     B = ConstantAdditive(fields=np.stack([0.4 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 1)]))
-    res = picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), paths)
+    G = ConstantOperator(B.fields)
+    res = picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), ens)
     # state-independent map: the second sweep reproduces the first exactly
     assert res.iterations == 2
     assert res.window_distances[0][-1] == 0.0
     # and it agrees with the direct additive solve path by path
     for traj, p in zip(res.trajectories, paths):
-        gm = stochastic_integral(B.fields, p, lap)
+        gm = stochastic_integral(G, p, lap)
         direct = additive_path_solve(Linear(1.0), cfg, lap, eigenmode(lap, 0), gm)
         np.testing.assert_allclose(traj.states, direct.states, atol=1e-12)
     # four windows on grids of unequal lengths: each window is gathered from the
@@ -267,10 +271,10 @@ def test_picard_constant_coefficient_two_sweeps(lap):
     assert [len(p.times) for p in paths] == [11, 10, 9, 10]
     for graph, lam, atol in ((Linear(1.0), 0.0, 1e-12), (PowerLaw(3.0), 0.05, 1e-8)):
         wcfg = replace(cfg, lam=lam, window_T0=1 / 16)
-        res = picard_solve(graph, B, spec, wcfg, lap, eigenmode(lap, 0), paths)
+        res = picard_solve(graph, B, spec, wcfg, lap, eigenmode(lap, 0), ens)
         assert len(res.windows) == 4 and res.iterations == 8
         for p, (traj, path) in enumerate(zip(res.trajectories, paths)):
-            gm = stochastic_integral(B.fields, path, lap)
+            gm = stochastic_integral(G, path, lap)
             direct = additive_path_solve(graph, wcfg, lap, eigenmode(lap, 0), gm)
             np.testing.assert_array_equal(traj.times, path.times)
             np.testing.assert_allclose(traj.states, direct.states, rtol=0, atol=atol)
@@ -284,9 +288,9 @@ def test_picard_constant_coefficient_two_sweeps(lap):
 def test_picard_linear_spectral_contracts(lap):
     spec = two_mode_spec()
     cfg = SolverConfig(lam=0.0, dt=1 / 64)
-    paths = [sample_path(spec, 0.5, 1 / 64, rng_for(47, i)) for i in range(40)]
+    ens = sample_ensemble(spec, 0.5, 1 / 64, 40, 47)
     B = LinearSpectral(coeffs=[0.6, 0.4], gamma=1.0)
-    res = picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), paths)
+    res = picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), ens)
     assert res.converged
     dists = res.window_distances[0]
     assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -296,9 +300,9 @@ def test_picard_linear_spectral_contracts(lap):
 def test_picard_windowing_stitches(lap):
     spec = two_mode_spec()
     cfg = SolverConfig(lam=0.0, dt=1 / 32, window_T0=0.25)
-    paths = [sample_path(spec, 1.0, 1 / 32, rng_for(53, i)) for i in range(6)]
+    ens = sample_ensemble(spec, 1.0, 1 / 32, 6, 53)
     B = LinearSpectral(coeffs=[0.5, 0.3], gamma=1.0)
-    res = picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), paths)
+    res = picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), ens)
     assert len(res.windows) == 4
     assert res.windows[0] == (0.0, 0.25) and res.windows[-1][1] == 1.0
     for traj in res.trajectories:
@@ -310,38 +314,38 @@ def test_picard_non_contraction_error(lap):
                                       jump_law=TwoPointJumps(0.4))])
     B = LinearSpectral(coeffs=[40.0], gamma=0.0)
     cfg = SolverConfig(lam=0.0, dt=1 / 64, window_T0=1.0)
-    paths = [sample_path(spec, 1.0, 1 / 64, rng_for(3, i)) for i in range(8)]
+    ens = sample_ensemble(spec, 1.0, 1 / 64, 8, 3)
     with pytest.raises(NonContractionError, match="window_T0"):
-        picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), paths)
+        picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), ens)
 
 
 def test_generalized_smooth_consistency_and_single_level(lap):
     spec = two_mode_spec()
     cfg = SolverConfig(lam=0.0, dt=1 / 32)
-    paths = [sample_path(spec, 0.25, 1 / 32, rng_for(61, i)) for i in range(20)]
+    ens = sample_ensemble(spec, 0.25, 1 / 32, 20, 61)
     x0 = eigenmode(lap, 0)
     # a smooth constant coefficient: mollified solves approach the direct one
     g = np.stack([0.5 * eigenmode(lap, 0), 0.3 * eigenmode(lap, 1)])
     B = ConstantAdditive(fields=g)
-    res = generalized_solve(Linear(1.0), B, cfg, lap, x0, [2, 4, 8, 16], paths)
+    res = generalized_solve(Linear(1.0), B, cfg, lap, x0, [2, 4, 8, 16], ens)
     assert res.cauchy_ok
     assert np.all(np.diff(res.sup_mean_distances) < 0)
-    direct = picard_solve(Linear(1.0), B, spec, cfg, lap, x0, paths)
+    direct = picard_solve(Linear(1.0), B, spec, cfg, lap, x0, ens)
     # exact ensemble bound: distance <= horizon * sum_k v_k |(molly - id) g_k|^2
     floor = 0.25 * float(spec.variance_rates @ hminus1_norm_sq_rows(
         lap, np.stack([mollify(g[k], 16, lap) - g[k] for k in range(2)])))
     gap = ensemble_mean_sup_sq(res.limit.states, direct.states, lap)
     assert gap <= 4.0 * floor + 1e-12
-    single = generalized_solve(Linear(1.0), B, cfg, lap, x0, [4], paths)
+    single = generalized_solve(Linear(1.0), B, cfg, lap, x0, [4], ens)
     assert single.cauchy_ok and len(single.sup_mean_distances) == 0
     with pytest.raises(ValueError):
-        generalized_solve(Linear(1.0), B, cfg, lap, x0, [4, 2], paths)
+        generalized_solve(Linear(1.0), B, cfg, lap, x0, [4, 2], ens)
 
 
 def test_ito_residual_zero_case(lap):
     spec = make_noise_spec([NoiseMode(jump_intensity=1.0, jump_law=TwoPointJumps(0.5))])
     path = sample_path(spec, 0.5, 1 / 16, rng_for(71, 0))
-    gm = stochastic_integral(np.zeros((1, lap.n)), path, lap)
+    gm = stochastic_integral(ConstantOperator(np.zeros((1, lap.n))), path, lap)
     cfg = SolverConfig(lam=0.0, dt=1 / 16)
     traj = additive_path_solve(Linear(1.0), cfg, lap, np.zeros(lap.n), gm)
     R = ito_residual(traj, gm, path, lap)
@@ -404,12 +408,12 @@ def test_two_dimensional_solve_and_picard():
     cfg = SolverConfig(lam=0.05, dt=1 / 64)
     x0 = eigenmode(lap2, 0)
     path = sample_path(spec, 0.25, 1 / 64, rng_for(5, 0))
-    gm = stochastic_integral(0.3 * x0[None, :], path, lap2)
+    gm = stochastic_integral(ConstantOperator(0.3 * x0[None, :]), path, lap2)
     traj = additive_path_solve(PowerLaw(3.0), cfg, lap2, x0, gm)
     assert strong_identity_residual(traj, gm, x0, lap2).max() <= 10 * cfg.newton_tol
-    paths = [sample_path(spec, 0.25, 1 / 64, rng_for(6, i)) for i in range(5)]
+    ens = sample_ensemble(spec, 0.25, 1 / 64, 5, 6)
     res = picard_solve(PowerLaw(3.0), LinearSpectral(coeffs=[0.4], gamma=1.0),
-                       spec, cfg, lap2, x0, paths)
+                       spec, cfg, lap2, x0, ens)
     assert res.converged
 
 
@@ -420,9 +424,9 @@ def test_picard_is_odd_in_the_datum():
     cfg = SolverConfig(lam=0.05, dt=1 / 64)
     B = LinearSpectral(coeffs=[0.6, 0.4], gamma=1.0)
     spec = two_mode_spec()
-    paths = [sample_path(spec, 0.25, 1 / 64, rng_for(9, i)) for i in range(4)]
+    ens = sample_ensemble(spec, 0.25, 1 / 64, 4, 9)
     plus, minus = (picard_solve(PowerLaw(3.0), B, spec, cfg, lap6, sign * eigenmode(lap6, 0),
-                                paths) for sign in (1.0, -1.0))
+                                ens) for sign in (1.0, -1.0))
     assert plus.iterations == minus.iterations
     for a, b in zip(plus.trajectories, minus.trajectories):
         np.testing.assert_allclose(b.states, -a.states, rtol=0, atol=1e-14)
@@ -576,13 +580,6 @@ def test_singular_block_names_its_pending_path(lap, monkeypatch):
                     held(gms), x0)
 
 
-def held(rows):
-    # per-path arrays (N_p + 1, ...) in the held layout (P, N_max + 1, ...):
-    # each path repeats its last row after its last step
-    n = max(len(r) for r in rows)
-    return np.stack([np.concatenate([r, np.repeat(r[-1:], n - len(r), axis=0)]) for r in rows])
-
-
 def ragged_ensemble(lap):
     # three grids on [0, 0.25] with 0, 1 and 3 inserted jump times, so the
     # shorter two are padded in the batch; the driving integrals jump there
@@ -690,19 +687,6 @@ def test_march_batch_rejects_bad_grids(lap):
     np.testing.assert_array_equal(states[0, -1], states[0, -2])
 
 
-def test_picard_rejects_paths_off_the_shared_base_grid(lap):
-    spec = two_mode_spec()
-    cfg = SolverConfig(lam=0.05, dt=1 / 32)
-    B = LinearSpectral(coeffs=[0.5, 0.3], gamma=1.0)
-    path = sample_path(spec, 0.25, 1 / 32, rng_for(3, 0))
-    # a base grid of another length is refused before any stacking, and one
-    # of the same length (9 points) with other times by the comparison
-    for other in (sample_path(spec, 0.5, 1 / 32, rng_for(3, 1)),
-                  sample_path(spec, 0.5, 1 / 16, rng_for(3, 1))):
-        with pytest.raises(ValueError, match="all paths must share the same uniform base grid"):
-            picard_solve(PowerLaw(3.0), B, spec, cfg, lap, eigenmode(lap, 0), [path, other])
-
-
 def test_march_batch_nan_in_driving_integral_names_time_and_path(lap):
     times, gms, x0 = ragged_ensemble(lap)
     gms[2][5, 3] = np.nan
@@ -783,9 +767,8 @@ def test_newton_work_is_pinned(lap, monkeypatch, n_paths, step_by_step, expected
     monkeypatch.setattr(solver, "_drift", counted("drifts", solver._drift))
     # closed-form sine modes, so nothing depends on the eigenvector signs of LAPACK
     x = np.arange(1, lap.n + 1) / (lap.n + 1)
-    fields = np.stack([0.4 * np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)])
-    gms = [stochastic_integral(fields, sample_path(two_mode_spec(), 0.25, 1 / 128,
-                                                   rng_for(31, p)), lap)
+    G = ConstantOperator(np.stack([0.4 * np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)]))
+    gms = [stochastic_integral(G, sample_path(two_mode_spec(), 0.25, 1 / 128, rng_for(31, p)), lap)
            for p in range(n_paths)]
     march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 128), lap,
                 held([g.times for g in gms]), held([g.values for g in gms]), np.sin(np.pi * x))
@@ -796,9 +779,8 @@ def one_long_path(lap):
     # one path of the two-mode noise over [0, 2] at dt = 1/128, with closed-form
     # sine-mode coefficients; at n = 15 it marches in windows of 68 steps
     x = np.arange(1, lap.n + 1) / (lap.n + 1)
-    fields = np.stack([0.4 * np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)])
-    gm = stochastic_integral(fields, sample_path(two_mode_spec(), 2.0, 1 / 128, rng_for(31, 0)),
-                             lap)
+    op = ConstantOperator(np.stack([0.4 * np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)]))
+    gm = stochastic_integral(op, sample_path(two_mode_spec(), 2.0, 1 / 128, rng_for(31, 0)), lap)
     return [gm.times], [gm.values], np.sin(np.pi * x)[None, :]
 
 
@@ -976,9 +958,9 @@ def test_picard_warm_start_work_is_pinned(lap, monkeypatch, n_paths, expected):
     rows = []
     counted_rows(monkeypatch, lap, rows)
     x = np.arange(1, lap.n + 1) / (lap.n + 1)
-    paths = [sample_path(two_mode_spec(), 0.25, 1 / 32, rng_for(61, i)) for i in range(n_paths)]
+    ens = sample_ensemble(two_mode_spec(), 0.25, 1 / 32, n_paths, 61)
     picard_solve(PowerLaw(3.0), LinearSpectral(coeffs=[0.6, 0.4], gamma=1.0), two_mode_spec(),
-                 SolverConfig(lam=0.05, dt=1 / 32), lap, np.sin(np.pi * x), paths)
+                 SolverConfig(lam=0.05, dt=1 / 32), lap, np.sin(np.pi * x), ens)
     assert rows == expected
     assert rows[2] <= rows[0] / 2
 
@@ -1028,7 +1010,7 @@ def test_causal_pass_with_constant_coefficient_is_the_additive_march(lap):
     ens = sample_ensemble(two_mode_spec(), 0.25, 1 / 32, 8, 61)
     B = ConstantAdditive(fields=np.stack([0.5 * eigenmode(lap, 0), 0.3 * eigenmode(lap, 1)]))
     causal = causal_solve(graph, B, cfg, lap, x0, ens)
-    gm = stochastic_integrals(B.fields, ens, lap)
+    gm = stochastic_integrals(ConstantOperator(B.fields), ens, lap)
     states, sels = march_batch(graph, cfg, lap, ens.times, gm, x0)
     assert np.sqrt(hminus1_norm_sq_rows(lap, causal.states - states).max()) <= cfg.newton_tol
     np.testing.assert_allclose(causal.selections, sels, rtol=0, atol=1e-9)

@@ -96,23 +96,24 @@ def test_isometry_of_a_step_that_ends_before_the_horizon(lap):
 
 def test_doob_trivial_and_mixed(lap):
     spec = mixed_spec()
-    zero = check_doob(spec, np.zeros((2, lap.n)), 0.5, 1 / 32, 50, 1, lap)
+    zero = check_doob(spec, ConstantOperator(np.zeros((2, lap.n))), 0.5, 1 / 32, 50, 1, lap)
     assert zero.passed and zero.estimate == 0.0
-    rep = check_doob(spec, np.stack([eigenmode(lap, 0), 0.3 * eigenmode(lap, 1)]),
-                     1.0, 1 / 64, 800, 2, lap)
+    g = ConstantOperator(np.stack([eigenmode(lap, 0), 0.3 * eigenmode(lap, 1)]))
+    rep = check_doob(spec, g, 1.0, 1 / 64, 800, 2, lap)
     assert rep.passed
     assert rep.estimate <= rep.bound_or_target + 3 * rep.std_error
     jump_only = make_noise_spec([NoiseMode(jump_intensity=3.0, jump_law=TwoPointJumps(0.5))])
-    rep2 = check_doob(jump_only, eigenmode(lap, 0)[None, :], 1.0, 1 / 32, 800, 3, lap)
+    g = ConstantOperator(eigenmode(lap, 0)[None, :])
+    rep2 = check_doob(jump_only, g, 1.0, 1 / 32, 800, 3, lap)
     assert rep2.passed
 
 
 def test_isometry_constant_and_step(lap):
     spec = mixed_spec()
-    zero = check_isometry(spec, np.zeros((2, lap.n)), 0.5, 1 / 32, 50, 1, lap)
+    zero = check_isometry(spec, ConstantOperator(np.zeros((2, lap.n))), 0.5, 1 / 32, 50, 1, lap)
     assert zero.passed and zero.estimate == 0.0 and zero.bound_or_target == 0.0
     g = np.stack([eigenmode(lap, 0), 0.4 * eigenmode(lap, 2)])
-    rep = check_isometry(spec, g, 1.0, 1 / 64, 1500, 5, lap)
+    rep = check_isometry(spec, ConstantOperator(g), 1.0, 1 / 64, 1500, 5, lap)
     assert rep.passed
     op = StepOperator([0.0, 0.5, 1.0], np.stack([g, 0.3 * g]))
     rep2 = check_isometry(spec, op, 1.0, 1 / 64, 1500, 6, lap)
@@ -123,7 +124,7 @@ def test_isometry_detects_wrong_target(lap):
     # sanity of the harness itself: a deliberately broken target must fail
     spec = mixed_spec()
     g = eigenmode(lap, 0)[None, :] * np.ones((2, 1))
-    rep = check_isometry(spec, g, 1.0, 1 / 64, 1500, 7, lap)
+    rep = check_isometry(spec, ConstantOperator(g), 1.0, 1 / 64, 1500, 7, lap)
     broken = _report("broken", "identity", rep.estimate, 2.0 * rep.bound_or_target,
                      rep.std_error, 3.0, rep.n_paths, 0.0)
     assert not broken.passed
@@ -195,8 +196,8 @@ def test_apriori_cases(lap):
     assert zero.passed
     spec = mixed_spec()
     path = sample_path(spec, 0.25, 1 / 64, rng_for(4, 0))
-    gm = stochastic_integral(np.stack([0.3 * eigenmode(lap, 0),
-                                       0.2 * eigenmode(lap, 1)]), path, lap)
+    gm = stochastic_integral(ConstantOperator(np.stack([0.3 * eigenmode(lap, 0),
+                                                        0.2 * eigenmode(lap, 1)])), path, lap)
     rep = check_apriori(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), gm,
                         [2.0 ** (-k) for k in range(2, 7)])
     assert rep.passed
@@ -257,7 +258,7 @@ def test_lipschitz_map_cases(lap):
 
 def test_reports_deterministic(lap):
     spec = mixed_spec()
-    g = np.stack([eigenmode(lap, 0), 0.4 * eigenmode(lap, 2)])
+    g = ConstantOperator(np.stack([eigenmode(lap, 0), 0.4 * eigenmode(lap, 2)]))
     a = check_isometry(spec, g, 0.5, 1 / 32, 200, 42, lap)
     b = check_isometry(spec, g, 0.5, 1 / 32, 200, 42, lap)
     assert a.estimate == b.estimate and a.std_error == b.std_error
