@@ -194,8 +194,9 @@ def _cmd_verify_all(ctx: _Context):
     x0, B = ctx.x0, ctx.B
     seed = cfg.master_seed
     horizon, n_paths = cfg.horizon, cfg.n_paths
-    if n_paths < 2:  # doob and isometry need a standard error, so two samples
+    if n_paths < 2:  # verify-all checks ensembles: one path is refused, not lifted to a floor
         raise ConfigError(f"config run/n_paths: verify-all needs at least 2 paths, got {n_paths}")
+    n_mc = max(100, n_paths)  # stability's floor: few samples make the 3-sigma band meaningless
 
     fields = B.mode_fields(x0, L)
     op_full = ConstantOperator(fields)
@@ -204,9 +205,9 @@ def _cmd_verify_all(ctx: _Context):
                          np.stack([fields, 0.5 * fields]))
 
     reports = [
-        check_doob(spec, op_full, horizon, cfg.dt, n_paths, seed, L),
-        check_isometry(spec, op_full, horizon, cfg.dt, n_paths, seed + 1, L),
-        check_isometry(spec, op_pc, horizon, cfg.dt, n_paths, seed + 2, L),
+        check_doob(spec, op_full, horizon, cfg.dt, n_mc, seed, L),
+        check_isometry(spec, op_full, horizon, cfg.dt, n_mc, seed + 1, L),
+        check_isometry(spec, op_pc, horizon, cfg.dt, n_mc, seed + 2, L),
         check_resta(graph, scfg, L, spec, (x0, op_full),
                     (0.5 * x0, op_half), horizon, max(100, n_paths // 2), seed + 3),
         check_apriori(graph, scfg, L, x0, ctx.frozen_integral(seed + 4)[1],
@@ -215,7 +216,7 @@ def _cmd_verify_all(ctx: _Context):
     k_est = lipschitz_constant(B, spec, L, seed=seed + 5)
     threshold = contraction_time_limit(k_est, scfg.epsilon)
     T0 = min(horizon, 0.5 * threshold) if np.isfinite(threshold) else horizon
-    reports.extend(check_contraction(graph, B, spec, scfg, L, x0, [T0],
+    reports.append(check_contraction(graph, B, spec, scfg, L, x0, T0,
                                      max(50, n_paths // 2), seed + 5, k_est))
     reports.append(check_lipschitz_map(graph, B, spec, scfg, L, x0,
                                        x0 + 0.5 * np.roll(x0, 1) + 0.1,

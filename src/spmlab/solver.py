@@ -139,17 +139,26 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Time-indexed solution: states X(t_i) and the drift selections eta(t_i).
+    """The solution record: states X(t_i) and the drift selections eta(t_i).
 
-    ``selections`` is the regularized selection (the Yosida value at the
-    state, or the minimal section when lam = 0); the discrete evolution
-    integrates ``selections + lam * states``.
+    One path has ``times`` (N+1,), ``states`` and ``selections`` (N+1, n);
+    held paths, in the layout of ``noise``, have ``times`` (P, N+1), ``states``
+    and ``selections`` (P, N+1, n). ``selections`` is the regularized selection
+    (the Yosida value at the state, or the minimal section when lam = 0); the
+    discrete evolution integrates ``selections + lam * states``.
     """
 
     times: np.ndarray
     states: np.ndarray
     selections: np.ndarray
     lam: float
+
+    @property
+    def trajectories(self) -> list:
+        """One one-path ``Trajectory`` per held path: views of its rows up to its last step."""
+        return [Trajectory(times=self.times[p, :m + 1], states=self.states[p, :m + 1],
+                           selections=self.selections[p, :m + 1], lam=self.lam)
+                for p, m in enumerate(held_steps(self.times))]
 
 
 def contraction_time_limit(k: float, eps: float) -> float:
@@ -512,37 +521,19 @@ def lambda_sweep(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
 # ---------------------------------------------------------------------------
 # multiplicative noise: the causal pass and the fixed-point solve
 
-@dataclass
-class EnsembleSolution:
-    """The ensemble solution in the held layout: ``times`` (P, N+1), ``states``
-    and ``selections`` (P, N+1, n)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    selections: np.ndarray
-    lam: float
-
-    @property
-    def trajectories(self) -> list:
-        """One ``Trajectory`` per path: views of its rows up to its last step."""
-        return [Trajectory(times=self.times[p, :m + 1], states=self.states[p, :m + 1],
-                           selections=self.selections[p, :m + 1], lam=self.lam)
-                for p, m in enumerate(held_steps(self.times))]
-
-
 def causal_solve(graph: MonotoneGraph, B: DiffusionCoefficient, cfg: SolverConfig,
-                 L: DirichletLaplacian, x0: np.ndarray, ens: HeldEnsemble) -> EnsembleSolution:
+                 L: DirichletLaplacian, x0: np.ndarray, ens: HeldEnsemble) -> Trajectory:
     """The fixed point of Phi on a held ensemble in one forward pass: X_i needs only
     X_0..X_{i-1}, so a march with B at each left limit as it is reached (``coeff``)
-    is the sweeps' limit."""
+    is the sweeps' limit. Returns the held ``Trajectory`` of the ensemble."""
     states, selections = march_batch(graph, cfg, L, ens.times, np.zeros(ens.times.shape + (L.n,)),
                                      x0, coeff=(B, ens.values))
-    return EnsembleSolution(ens.times, states, selections, cfg.lam)
+    return Trajectory(ens.times, states, selections, cfg.lam)
 
 
 @dataclass
-class PicardResult(EnsembleSolution):
-    """An ``EnsembleSolution`` with the windows and sweeps that built it."""
+class PicardResult(Trajectory):
+    """The held ``Trajectory`` of the ensemble with the windows and sweeps that built it."""
 
     base_times: np.ndarray
     windows: list
@@ -667,7 +658,7 @@ class GeneralizedResult:
     cauchy_ok: bool
 
     @property
-    def limit(self) -> EnsembleSolution:
+    def limit(self) -> Trajectory:
         return self.results[-1]
 
 

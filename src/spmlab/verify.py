@@ -180,45 +180,39 @@ def check_apriori(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian
 
 
 def check_contraction(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,
-                      cfg: SolverConfig, L: DirichletLaplacian, x0,
-                      T0_list: Sequence[float], n_paths: int, seed: int, k_est=None) -> list:
-    """Measured contraction factor of one fixed-point sweep per window length.
+                      cfg: SolverConfig, L: DirichletLaplacian, x0, T0: float,
+                      n_paths: int, seed: int, k_est=None) -> VerificationReport:
+    """Measured contraction factor of one fixed-point sweep on a window of length T0.
 
     Applies the map to the constant candidates X1 = x0 and X2 = x0 + d, d half
     the first eigenmode, and compares the squared ensemble distance ratio
-    against the theoretical modulus k * T0 * (1 + 6/eps) / (1 - 6 eps). For
-    window lengths below the contraction threshold the factor must also sit
-    below one at the margin. k is ``k_est`` if given, else measured at ``seed``.
+    against the theoretical modulus k * T0 * (1 + 6/eps) / (1 - 6 eps). For a
+    window below the contraction threshold the factor must also sit below one
+    at the margin. k is ``k_est`` if given, else measured at ``seed``.
     """
+    t0 = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
     d = 0.5 * eigenmode(L, 0)
     denom = float(hminus1_norm_sq_rows(L, d[None, :])[0])
     k_est = lipschitz_constant(B, spec, L, seed=seed) if k_est is None else k_est
     threshold = contraction_time_limit(k_est, cfg.epsilon)
-    modulus_coeff = (1.0 + 6.0 / cfg.epsilon) / (1.0 - 6.0 * cfg.epsilon)
     op1 = ConstantOperator(B.mode_fields(x0, L))
     op2 = ConstantOperator(B.mode_fields(x0 + d, L))
 
-    reports = []
-    for T0 in T0_list:
-        t0 = time.perf_counter()
-        ens = sample_ensemble(spec, T0, cfg.dt, n_paths, seed)
-        sup_sq = hminus1_norm_sq_rows(
-            L, _paired_differences(graph, cfg, L, ens, (x0, op1), (x0, op2))).max(axis=1)
-        factor = float(sup_sq.mean()) / denom
-        se = _std_err(sup_sq) / denom
-        bound = k_est * T0 * modulus_coeff
-        below_threshold = T0 < threshold
-        passed = factor <= bound + MARGIN_SIGMAS * se
-        if below_threshold:
-            passed = passed and (factor + MARGIN_SIGMAS * se < 1.0)
-        reports.append(_report(
-            f"contraction_T0={T0:.6g}", "inequality", factor, bound, se, MARGIN_SIGMAS,
-            n_paths, t0, passed=passed,
-            notes=f"threshold={threshold:.6g} k={k_est:.6g} "
-                  f"below_threshold={below_threshold}",
-        ))
-    return reports
+    ens = sample_ensemble(spec, T0, cfg.dt, n_paths, seed)
+    sup_sq = hminus1_norm_sq_rows(
+        L, _paired_differences(graph, cfg, L, ens, (x0, op1), (x0, op2))).max(axis=1)
+    factor = float(sup_sq.mean()) / denom
+    se = _std_err(sup_sq) / denom
+    bound = k_est * T0 * ((1.0 + 6.0 / cfg.epsilon) / (1.0 - 6.0 * cfg.epsilon))
+    below_threshold = T0 < threshold
+    passed = factor <= bound + MARGIN_SIGMAS * se
+    if below_threshold:
+        passed = passed and (factor + MARGIN_SIGMAS * se < 1.0)
+    return _report(f"contraction_T0={T0:.6g}", "inequality", factor, bound, se, MARGIN_SIGMAS,
+                   n_paths, t0, passed=passed,
+                   notes=f"threshold={threshold:.6g} k={k_est:.6g} "
+                         f"below_threshold={below_threshold}")
 
 
 def check_lipschitz_map(graph: MonotoneGraph, B: DiffusionCoefficient, spec: NoiseSpec,

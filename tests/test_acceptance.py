@@ -188,9 +188,7 @@ def test_criterion_07_fixed_point_contraction(lap, modes):
     k = sp.lipschitz_constant(B, spec, lap, seed=70)
     threshold = sp.contraction_time_limit(k, cfg.epsilon)
     T0 = min(0.5, 0.5 * threshold)
-    reports = sp.check_contraction(sp.Linear(1.0), B, spec, cfg, lap, modes[0],
-                                   [T0], 500, 71)
-    rep = reports[0]
+    rep = sp.check_contraction(sp.Linear(1.0), B, spec, cfg, lap, modes[0], T0, 500, 71)
     ok = rep.passed and (rep.estimate + 3 * rep.std_error < 1.0)
 
     ens = sp.sample_ensemble(spec, 1.0, 1 / 64, 500, 72)

@@ -148,8 +148,9 @@ def test_verify_all_byte_identical_reruns(tmp_path):
 
 
 def test_verify_all_refuses_one_path(tmp_path, capsys):
-    # doob and isometry need a standard error, which one path does not give,
-    # so one path is a config error that writes nothing; two paths still run
+    # one path is a config error that writes nothing; two paths run, and doob
+    # and both isometry rows draw stability's floor of 100 paths, since a
+    # standard error from two samples gives a 3-sigma band of about 80 %
     cfg = small_run(tmp_path)
     one, two = tmp_path / "one", tmp_path / "two"
     assert main(["verify-all", "--config", cfg, "--paths", "1", "--out", str(one)]) == 2
@@ -157,7 +158,9 @@ def test_verify_all_refuses_one_path(tmp_path, capsys):
         "config error: config run/n_paths: verify-all needs at least 2 paths, got 1\n")
     assert not one.exists()
     assert main(["verify-all", "--config", cfg, "--paths", "2", "--out", str(two)]) in (0, 1)
-    assert "paths=2" in (two / "summary.txt").read_text()
+    rows = [line for line in (two / "summary.txt").read_text().splitlines()
+            if " doob:" in line or " isometry:" in line]
+    assert len(rows) == 3 and all(row.endswith(" paths=100") for row in rows)
 
 
 @pytest.mark.parametrize("name", list(_COMMANDS))

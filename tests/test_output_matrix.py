@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -100,3 +101,42 @@ def test_compare_reads_summary_numbers_as_cells(tmp_path, changed, report, numer
     old = write_matrix(tmp_path / "old", files)
     new = write_matrix(tmp_path / "new", {**files, **changed})
     assert load_tool().compare(old, new) == (report, numeric)
+
+
+FINGERPRINT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                           "output_fingerprint.json")
+
+
+def test_outputs_match_the_committed_fingerprint(tmp_path):
+    # the whole matrix, run afresh and summarised: exit codes, file names,
+    # headers, row counts, cell counts and texts exactly, and each column's
+    # sum, sum of |x|, min and max within 1e-9 of its largest magnitude.
+    # A change that moves outputs regenerates the file with --write-fingerprint
+    tool = load_tool()
+    assert tool.main([str(tmp_path)]) == 0
+    with open(FINGERPRINT) as fh:
+        expected = json.load(fh)
+    assert tool.fingerprint_mismatches(expected, tool.fingerprint(str(tmp_path))) == []
+
+
+@pytest.mark.parametrize("changed, report", [
+    ({}, []),
+    ({"run/picard.csv": TABLE.replace("1.25", "1.2500000000001")}, []),
+    ({"run/picard.csv": TABLE.replace("1.25", "1.25000001")},
+     ["run/picard.csv state: moved by 1e-08 of 1.25"]),
+    ({"run/picard.csv": TABLE.replace("-2e-3", "nan")},
+     ["run/picard.csv state: moved by nan of 1.25"]),
+    ({"run/picard.csv": TABLE.replace("1,-2e-3,pass", "1,-2e-3,fail")},
+     ["run/picard.csv verdict: cell count or texts differ"]),
+    ({"run/picard.csv": TABLE + "1,2,3,pass\n"}, ["run/picard.csv: header or row count differs"]),
+    ({"run/extra.csv": TABLE}, ["only in actual: run/extra.csv"]),
+    ({"exit_codes.txt": "run 1\n"}, ["exit codes {'run': '0'} -> {'run': '1'}"]),
+], ids=["identical", "ulps", "moved", "nan", "text", "rows", "file-set", "exit-code"])
+def test_fingerprint_mismatches(tmp_path, changed, report):
+    # numbers may move by 1e-9 of their column's largest magnitude; texts and
+    # counts may not move at all
+    tool = load_tool()
+    files = {"run/picard.csv": TABLE, "run/summary.txt": "done\n", "exit_codes.txt": "run 0\n"}
+    old = write_matrix(tmp_path / "old", files)
+    new = write_matrix(tmp_path / "new", {**files, **changed})
+    assert tool.fingerprint_mismatches(tool.fingerprint(old), tool.fingerprint(new)) == report

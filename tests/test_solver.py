@@ -44,7 +44,8 @@ from spmlab import (
 )
 from spmlab.cli import _Context
 from spmlab.config import ExperimentConfig
-from spmlab.noise import sample_ensemble, stochastic_integrals
+from spmlab.noise import held_steps, sample_ensemble, stochastic_integrals
+from spmlab.solver import Trajectory
 from testkit import held
 
 
@@ -274,6 +275,11 @@ def test_picard_constant_coefficient_two_sweeps(lap):
         res = picard_solve(graph, B, spec, wcfg, lap, eigenmode(lap, 0), ens)
         assert len(res.windows) == 4 and res.iterations == 8
         for p, (traj, path) in enumerate(zip(res.trajectories, paths)):
+            # each row is a one-path Trajectory of views into the held arrays
+            assert isinstance(traj, Trajectory) and traj.lam == lam
+            for view, whole in ((traj.times, res.times), (traj.states, res.states),
+                                (traj.selections, res.selections)):
+                assert np.shares_memory(view, whole)
             gm = stochastic_integral(G, path, lap)
             direct = additive_path_solve(graph, wcfg, lap, eigenmode(lap, 0), gm)
             np.testing.assert_array_equal(traj.times, path.times)
@@ -1014,6 +1020,15 @@ def test_causal_pass_with_constant_coefficient_is_the_additive_march(lap):
     states, sels = march_batch(graph, cfg, lap, ens.times, gm, x0)
     assert np.sqrt(hminus1_norm_sq_rows(lap, causal.states - states).max()) <= cfg.newton_tol
     np.testing.assert_allclose(causal.selections, sels, rtol=0, atol=1e-9)
+    # a held row of the record has the diagnostics of the one-path solve
+    m = held_steps(ens.times)[0]
+    gm0 = IntegralPath(ens.times[0, :m + 1], gm[0, :m + 1])
+    alone = additive_path_solve(graph, cfg, lap, x0, gm0)
+    ours, theirs = (trajectory_diagnostics(t, graph, lap) for t in (causal.trajectories[0], alone))
+    np.testing.assert_allclose(ours["dual_norms"], theirs["dual_norms"], rtol=0,
+                               atol=cfg.newton_tol)
+    for key in ("potential_integral", "conjugate_integral"):
+        assert ours[key] == pytest.approx(theirs[key], rel=0, abs=1e-9)
 
 
 def test_causal_pass_non_finite_state_names_time_and_path(lap):

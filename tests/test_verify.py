@@ -220,19 +220,17 @@ def test_contraction_zero_coefficient(lap):
     spec = mixed_spec()
     cfg = SolverConfig(lam=0.0, dt=1 / 32)
     B0 = ConstantAdditive(fields=np.zeros((2, lap.n)))
-    reports = check_contraction(Linear(1.0), B0, spec, cfg, lap, eigenmode(lap, 0),
-                                [0.25], 30, 1)
-    assert len(reports) == 1
-    assert reports[0].passed and reports[0].estimate == pytest.approx(0.0, abs=1e-14)
+    rep = check_contraction(Linear(1.0), B0, spec, cfg, lap, eigenmode(lap, 0), 0.25, 30, 1)
+    assert rep.passed and rep.estimate == pytest.approx(0.0, abs=1e-14)
 
 
 def test_contraction_linear_spectral(lap):
     spec = mixed_spec()
     cfg = SolverConfig(lam=0.0, dt=1 / 64)
     B = LinearSpectral(coeffs=[0.6, 0.4], gamma=1.0)
-    reports = check_contraction(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0),
-                                [0.125, 0.25], 150, 9)
-    for rep in reports:
+    # one call per window, each on the ensemble and the sampled k of seed 9
+    for T0 in (0.125, 0.25):
+        rep = check_contraction(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), T0, 150, 9)
         assert rep.passed
         assert rep.estimate + 3 * rep.std_error < 1.0
 
@@ -275,7 +273,6 @@ def test_contraction_above_threshold_only_bound(lap):
     k = lipschitz_constant(B, spec, lap, seed=9)
     threshold = contraction_time_limit(k, cfg.epsilon)
     T0 = min(2.0 * threshold, 2.0)
-    reports = check_contraction(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0),
-                                [T0], 60, 10)
-    assert reports[0].passed
-    assert "below_threshold=False" in reports[0].notes
+    rep = check_contraction(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), T0, 60, 10)
+    assert rep.passed
+    assert "below_threshold=False" in rep.notes

@@ -18,6 +18,12 @@ exit codes, a CSV header or row count, a non-numeric cell or a file that is
 not CSV. A ``summary.txt`` is compared token by token: its numbers as CSV
 cells, reported under the word before them (``estimate=...``, ``key: value``),
 and its provenance line and all other text exactly.
+
+    PYTHONPATH=src python tools/output_matrix.py OUT_DIR --write-fingerprint PATH
+
+also writes the matrix's fingerprint (``fingerprint``) as JSON to PATH; the
+committed one, ``tests/data/output_fingerprint.json``, is what the test suite
+compares a fresh matrix with (``fingerprint_mismatches``).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import argparse
 import contextlib
 import csv
 import io
+import json
 import os
 import re
 import sys
@@ -39,6 +46,10 @@ from workloads import WORKLOADS, command_line  # noqa: E402
 
 # the bundled default config of the spmlab on PYTHONPATH, read as a file
 DEFAULT_CONFIG = str(resources.files("spmlab.data").joinpath("default_config.json"))
+# a fingerprint number may move by this fraction of its column's largest magnitude,
+# which absorbs last-bit BLAS differences and cancellation in sums near zero
+FINGERPRINT_RTOL = 1e-9
+_STATS = ("sum", "abs_sum", "min", "max")
 # (name, argv without --out) of every run but the workloads; runs() adds --out after the command
 COMMANDS = [
     ("simulate-additive", ["simulate-additive"]),
@@ -153,11 +164,71 @@ def compare(old_dir: str, new_dir: str) -> tuple[list[str], bool]:
     return lines, numeric
 
 
+def _column_print(cells) -> dict:
+    """The count of a column's numeric cells with their sum, sum of |x|, min and
+    max at %.17g, and how often each other text (an empty cell, a verdict) occurs."""
+    numbers, texts = [], {}
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            texts[cell] = texts.get(cell, 0) + 1
+    x = np.array(numbers)
+    stats = (x.sum(), np.abs(x).sum(), x.min(), x.max()) if numbers else ()
+    return {"count": len(numbers), **{k: "%.17g" % v for k, v in zip(_STATS, stats)},
+            "texts": texts}
+
+
+def fingerprint(out_dir: str) -> dict:
+    """A matrix summarised: its exit codes, file names, and per CSV file
+    the header, the row count and a ``_column_print`` of each column."""
+    with open(os.path.join(out_dir, "exit_codes.txt")) as fh:
+        codes = dict(line.split() for line in fh)
+    files = {}
+    for name in sorted(_files(out_dir) - {"exit_codes.txt"}):
+        files[name] = None
+        if name.endswith(".csv"):  # the provenance line, the header, then rows
+            text = _read(os.path.join(out_dir, name)).decode()
+            _, header, *rows = csv.reader(io.StringIO(text))
+            files[name] = {"header": header, "rows": len(rows),
+                           "columns": [_column_print(cells) for cells in zip(*rows)]}
+    return {"exit_codes": codes, "files": files}
+
+
+def fingerprint_mismatches(expected: dict, actual: dict) -> list[str]:
+    """What differs between two fingerprints: any exit code, file name, header,
+    row count, cell count or text, or a number by more than FINGERPRINT_RTOL of
+    its column's largest magnitude in ``expected``."""
+    if expected["exit_codes"] != actual["exit_codes"]:
+        return [f"exit codes {expected['exit_codes']} -> {actual['exit_codes']}"]
+    lines = [f"only in {side}: {name}" for side, a, b in (("expected", expected, actual),
+                                                          ("actual", actual, expected))
+             for name in sorted(a["files"].keys() - b["files"].keys())]
+    for name in sorted(expected["files"].keys() & actual["files"].keys()):
+        old, new = expected["files"][name], actual["files"][name]
+        if old is None or new is None or (old["header"], old["rows"]) != (new["header"],
+                                                                          new["rows"]):
+            if old != new:
+                lines.append(f"{name}: header or row count differs")
+            continue
+        for column, a, b in zip(old["header"], old["columns"], new["columns"]):
+            if (a["count"], a["texts"]) != (b["count"], b["texts"]):
+                lines.append(f"{name} {column}: cell count or texts differ")
+            elif a["count"]:
+                scale = max(abs(float(a["min"])), abs(float(a["max"])))
+                moved = max(abs(float(a[k]) - float(b[k])) for k in _STATS)
+                if not moved <= FINGERPRINT_RTOL * scale:  # NaN moves too
+                    lines.append(f"{name} {column}: moved by {moved:.3g} of {scale:.3g}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir")
     parser.add_argument("--against", metavar="DIR",
                         help="an earlier matrix to compare the outputs with, cell by cell")
+    parser.add_argument("--write-fingerprint", metavar="PATH",
+                        help="write the matrix's fingerprint as JSON to PATH")
     args = parser.parse_args(argv)
 
     import spmlab.cli as cli
@@ -172,6 +243,10 @@ def main(argv=None) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "exit_codes.txt"), "w") as fh:
         fh.write("\n".join(codes) + "\n")
+    if args.write_fingerprint is not None:
+        with open(args.write_fingerprint, "w") as fh:
+            json.dump(fingerprint(args.out_dir), fh, indent=1)
+            fh.write("\n")
     if args.against is None:
         return 0
     lines, numeric = compare(args.against, args.out_dir)
