@@ -2,14 +2,14 @@
 
 ``ExperimentConfig.load`` reads a JSON config (the bundled default when none
 is given), applies dotted-path overrides (``solver.picard_tol=1e-8``) to it and
-validates the result once against ``spmlab/data/experiment.schema.json``; the
-defaults live in one table, ``_DEFAULTS``, merged in afterwards. Cross-section
-rules the schema cannot express (one diffusion coefficient entry per noise
-mode, the solver's surjectivity and lam = 0 gates, its sweep and level orders)
-are enforced here. Every refusal names its section once, through
-``_section``. Graphs, jump laws and noise modes are built by their own
-constructors from the config entries that name one of their fields, so their
-defaults live in one place.
+validates the result once with ``_errors``, which interprets the Draft-7
+keywords of ``spmlab/data/experiment.schema.json``. The defaults, merged in
+afterwards, live in one table, ``_DEFAULTS``. Cross-section rules the schema
+cannot express (one diffusion coefficient entry per noise mode, the solver's
+surjectivity and lam = 0 gates, its sweep and level orders) are enforced here.
+Every refusal names its section once, through ``_section``. Graphs, jump laws
+and noise modes are built by their own constructors from the config entries
+that name one of their fields, so their defaults live in one place.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import fields
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError, SolverError
@@ -66,13 +66,83 @@ def default_config_dict() -> dict:
         return json.load(fh)
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None),
+          "number": numbers.Number, "integer": int}
+# keyword: (whether a number fails the bound, the words between the two)
+_BOUNDS = {"minimum": (lambda x, b: x < b, "less than the minimum"),
+           "exclusiveMinimum": (lambda x, b: x <= b, "less than or equal to the minimum"),
+           "exclusiveMaximum": (lambda x, b: x >= b, "greater than or equal to the maximum")}
+_KEYWORDS = {*_BOUNDS, *"""type enum const required properties items minItems maxItems allOf
+             oneOf if then $schema title description definitions""".split()}
+
+
+def _is_type(value, name: str) -> bool:
+    """Draft 7's types: a bool is no number, and an integral float is an integer."""
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name]) and (name == "boolean" or not isinstance(value, bool))
+
+
+def _errors(schema: dict, value, path: tuple, root: dict):
+    """(path, message) for each rule of schema that value breaks, worded and
+    ordered as by Draft7Validator, for the keywords the bundled schema uses;
+    others raise ValueError. enum and const hold scalars; True is not 1."""
+    if "$ref" in schema:  # Draft 7 ignores the siblings of a $ref
+        target = root
+        for key in schema["$ref"].removeprefix("#/").split("/"):
+            target = target[key]
+        yield from _errors(target, value, path, root)
+        return
+    obj, array = isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        if key not in _KEYWORDS and (key, arg) != ("additionalProperties", False):
+            raise ValueError(f"schema keyword {key!r} is not supported")
+        elif key == "type":
+            names = [arg] if isinstance(arg, str) else arg
+            if not any(_is_type(value, name) for name in names):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+        elif key in ("enum", "const") and not any(
+                isinstance(value, bool) == isinstance(each, bool) and value == each
+                for each in (arg if key == "enum" else [arg])):
+            yield path, (f"{value!r} is not one of {arg!r}" if key == "enum"
+                         else f"{arg!r} was expected")
+        elif key in _BOUNDS and _is_type(value, "number") and _BOUNDS[key][0](value, arg):
+            yield path, f"{value!r} is {_BOUNDS[key][1]} of {arg!r}"
+        elif key == "minItems" and array and len(value) < arg:
+            yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems" and array and len(value) > arg:
+            yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif key == "required" and obj:
+            yield from ((path, f"{n!r} is a required property") for n in arg if n not in value)
+        elif key == "properties" and obj:
+            for name in (name for name in arg if name in value):
+                yield from _errors(arg[name], value[name], path + (name,), root)
+        elif key == "additionalProperties" and obj:
+            extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+            if extras:
+                yield path, "Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+        elif key == "items" and array:
+            for index, item in enumerate(value):
+                yield from _errors(arg, item, path + (index,), root)
+        elif key == "allOf":
+            yield from (error for sub in arg for error in _errors(sub, value, path, root))
+        elif key == "oneOf":
+            passed = [sub for sub in arg if not any(_errors(sub, value, path, root))]
+            if not passed:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(passed) > 1:  # the first one valid goes last
+                each = ", ".join(map(repr, passed[1:] + passed[:1]))
+                yield path, f"{value!r} is valid under each of {each}"
+        elif key == "if" and "then" in schema and not any(_errors(arg, value, path, root)):
+            yield from _errors(schema["then"], value, path, root)
+
+
 def _validate_schema(data: dict):
-    validator = jsonschema.Draft7Validator(_schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config {where}: {err.message}")
+    schema = _schema()  # raises the first error after a stable sort by path
+    first = min(_errors(schema, data, (), schema), key=lambda error: error[0], default=None)
+    if first is not None:
+        raise ConfigError(f"config {'/'.join(map(str, first[0])) or '<root>'}: {first[1]}")
 
 
 @contextmanager

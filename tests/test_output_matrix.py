@@ -131,12 +131,19 @@ def test_outputs_match_the_committed_fingerprint(tmp_path):
     ({"run/picard.csv": TABLE + "1,2,3,pass\n"}, ["run/picard.csv: header or row count differs"]),
     ({"run/extra.csv": TABLE}, ["only in actual: run/extra.csv"]),
     ({"exit_codes.txt": "run 1\n"}, ["exit codes {'run': '0'} -> {'run': '1'}"]),
-], ids=["identical", "ulps", "moved", "nan", "text", "rows", "file-set", "exit-code"])
+    ({"run/summary.txt": SUMMARY.replace("1.25", "1.2500000000001")}, []),
+    ({"run/summary.txt": SUMMARY.replace("1.25", "1.25000001")},
+     ["run/summary.txt estimate: moved by 1e-08 of 1.25"]),
+    ({"run/summary.txt": SUMMARY.replace("[PASS]", "[FAIL]")}, ["run/summary.txt: text differs"]),
+    ({"run/summary.txt": SUMMARY.replace("sha256=0", "sha256=1")},
+     ["run/summary.txt: text differs"]),
+], ids=["identical", "ulps", "moved", "nan", "text", "rows", "file-set", "exit-code",
+        "summary-ulps", "summary-moved", "summary-word", "summary-provenance"])
 def test_fingerprint_mismatches(tmp_path, changed, report):
-    # numbers may move by 1e-9 of their column's largest magnitude; texts and
-    # counts may not move at all
+    # numbers may move by 1e-9 of their column's (a summary key's) largest
+    # magnitude; texts and counts may not move at all
     tool = load_tool()
-    files = {"run/picard.csv": TABLE, "run/summary.txt": "done\n", "exit_codes.txt": "run 0\n"}
+    files = {"run/picard.csv": TABLE, "run/summary.txt": SUMMARY, "exit_codes.txt": "run 0\n"}
     old = write_matrix(tmp_path / "old", files)
     new = write_matrix(tmp_path / "new", {**files, **changed})
     assert tool.fingerprint_mismatches(tool.fingerprint(old), tool.fingerprint(new)) == report

@@ -105,12 +105,25 @@ def _report(label: str, cells: list) -> tuple[str, bool]:
     return f"{label}: {len(cells)} cells, max rel {rel.max():.3g}, max abs {diff.max():.3g}", True
 
 
+def _summary_tokens(text: bytes) -> list[list[str]]:
+    """A summary's lines, each split into its words and numbers with the separators
+    between them; the key of token i is token ``max(i - 2, 0)``, the token before the
+    separator before it (the key of ``key=value`` and ``key: value``)."""
+    return [re.split(r"([\s=:]+)", line) for line in text.decode().splitlines()]
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _summary_cells(old: bytes, new: bytes) -> dict | None:
-    """Differing tokens of two summaries, as (old, new) texts by the token before the
-    separator before each (the key of ``key=value`` and ``key: value``), or None when
-    their provenance lines or token counts differ."""
-    old, new = ([re.split(r"([\s=:]+)", line) for line in t.decode().splitlines()]
-                for t in (old, new))
+    """Differing tokens of two summaries, as (old, new) texts by their key, or None
+    when their provenance lines or token counts differ."""
+    old, new = _summary_tokens(old), _summary_tokens(new)
     if old[:1] != new[:1] or [len(t) for t in old] != [len(t) for t in new]:
         return None
     cells = {}
@@ -179,26 +192,45 @@ def _column_print(cells) -> dict:
             "texts": texts}
 
 
+def _summary_print(text: bytes) -> dict:
+    """A summary's provenance line, its other lines with each number replaced by
+    ``<num>``, its keys in the order they first hold a number, and a
+    ``_column_print`` of each key's numbers."""
+    provenance, *rest = _summary_tokens(text) or [[]]
+    lines, numbers = ["".join(provenance)], {}
+    for tokens in rest:
+        for i, token in enumerate(tokens):
+            if _is_number(token):
+                numbers.setdefault(tokens[max(i - 2, 0)], []).append(token)
+        lines.append("".join("<num>" if _is_number(t) else t for t in tokens))
+    return {"text": lines, "header": list(numbers),
+            "columns": [_column_print(cells) for cells in numbers.values()]}
+
+
 def fingerprint(out_dir: str) -> dict:
-    """A matrix summarised: its exit codes, file names, and per CSV file
-    the header, the row count and a ``_column_print`` of each column."""
+    """A matrix summarised: its exit codes, file names, per CSV file the header,
+    the row count and a ``_column_print`` of each column, and per summary its
+    ``_summary_print``."""
     with open(os.path.join(out_dir, "exit_codes.txt")) as fh:
         codes = dict(line.split() for line in fh)
     files = {}
     for name in sorted(_files(out_dir) - {"exit_codes.txt"}):
         files[name] = None
+        text = _read(os.path.join(out_dir, name))
         if name.endswith(".csv"):  # the provenance line, the header, then rows
-            text = _read(os.path.join(out_dir, name)).decode()
-            _, header, *rows = csv.reader(io.StringIO(text))
+            _, header, *rows = csv.reader(io.StringIO(text.decode()))
             files[name] = {"header": header, "rows": len(rows),
                            "columns": [_column_print(cells) for cells in zip(*rows)]}
+        elif os.path.basename(name) == "summary.txt":
+            files[name] = _summary_print(text)
     return {"exit_codes": codes, "files": files}
 
 
 def fingerprint_mismatches(expected: dict, actual: dict) -> list[str]:
     """What differs between two fingerprints: any exit code, file name, header,
-    row count, cell count or text, or a number by more than FINGERPRINT_RTOL of
-    its column's largest magnitude in ``expected``."""
+    row count, summary text, cell count or text, or a number by more than
+    FINGERPRINT_RTOL of its column's (a summary key's) largest magnitude in
+    ``expected``."""
     if expected["exit_codes"] != actual["exit_codes"]:
         return [f"exit codes {expected['exit_codes']} -> {actual['exit_codes']}"]
     lines = [f"only in {side}: {name}" for side, a, b in (("expected", expected, actual),
@@ -206,10 +238,10 @@ def fingerprint_mismatches(expected: dict, actual: dict) -> list[str]:
              for name in sorted(a["files"].keys() - b["files"].keys())]
     for name in sorted(expected["files"].keys() & actual["files"].keys()):
         old, new = expected["files"][name], actual["files"][name]
-        if old is None or new is None or (old["header"], old["rows"]) != (new["header"],
-                                                                          new["rows"]):
+        if old is None or new is None or {**old, "columns": 0} != {**new, "columns": 0}:
             if old != new:
-                lines.append(f"{name}: header or row count differs")
+                what = "text" if old and "text" in old else "header or row count"
+                lines.append(f"{name}: {what} differs")
             continue
         for column, a, b in zip(old["header"], old["columns"], new["columns"]):
             if (a["count"], a["texts"]) != (b["count"], b["texts"]):
