@@ -25,7 +25,6 @@ from .monotone import Linear, PowerLaw, ScaledSignum, StefanPiecewise
 from .noise import (
     ConstantAdditive,
     ConstantOperator,
-    IntegralPath,
     LinearSpectral,
     MollifiedDiffusion,
     NoiseMode,
@@ -40,11 +39,13 @@ from .noise import (
     sample_ensemble,
     sample_path,
     stochastic_integral,
+    stochastic_integrals,
     uniform_times,
 )
 from .solver import (
     SolverConfig,
     additive_path_solve,
+    additive_solve,
     causal_solve,
     contraction_time_limit,
     ensemble_mean_sup_sq,

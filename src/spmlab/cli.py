@@ -33,14 +33,12 @@ from .noise import (
     ConstantOperator,
     StepOperator,
     lipschitz_constant,
-    rng_for,
     sample_ensemble,
-    sample_path,
-    stochastic_integral,
+    stochastic_integrals,
 )
 from .reporting import fmt_value, provenance_line, report_table, write_csv, write_summary
 from .solver import (
-    additive_path_solve,
+    additive_solve,
     contraction_time_limit,
     generalized_solve,
     lambda_sweep,
@@ -82,10 +80,11 @@ class _Context:
         self.B = cfg.diffusion(self.L)
 
     def frozen_integral(self, seed):
-        """Path 0 under seed and its integral of the coefficient frozen at the datum."""
-        path = sample_path(self.spec, self.cfg.horizon, self.cfg.dt, rng_for(seed, 0))
+        """Path 0 under seed as a one-row ensemble, and its held integral of the
+        coefficient frozen at the datum."""
+        ens = sample_ensemble(self.spec, self.cfg.horizon, self.cfg.dt, 1, seed)
         op = ConstantOperator(self.B.mode_fields(self.x0, self.L))
-        return path, stochastic_integral(op, path, self.L)
+        return ens, stochastic_integrals(op, ens, self.L)
 
 
 def _time_text(times):
@@ -103,25 +102,27 @@ def _trajectory_table(traj):
 @_command("simulate-additive", "single-path solve with the coefficient frozen at the datum")
 def _cmd_simulate_additive(ctx: _Context):
     L, x0 = ctx.L, ctx.x0
-    path, gm = ctx.frozen_integral(ctx.cfg.master_seed)
-    traj = additive_path_solve(ctx.graph, ctx.scfg, L, x0, gm)
+    ens, gm = ctx.frozen_integral(ctx.cfg.master_seed)
+    traj = additive_solve(ctx.graph, ctx.scfg, L, x0, ens.times, gm)
 
     diag = trajectory_diagnostics(traj, ctx.graph, L)
     resid = strong_identity_residual(traj, gm, x0, L)
-    k, m = path.values.shape
+    values = ens.values[0].T  # (K, N+1), mode-major rows
+    k, m = values.shape
+    _, index, modes, _ = ens.jumps
     jumps = np.zeros((k, m), dtype=bool)
-    jumps[path.jump_modes, path.jump_indices] = True
-    tables = {"trajectory.csv": _trajectory_table(traj),
+    jumps[modes, index] = True
+    tables = {"trajectory.csv": _trajectory_table(traj.trajectories[0]),
               "martingale.csv": (["time", "mode", "value", "is_jump"], [
-                  np.tile(_time_text(path.times), k), np.repeat(np.arange(k), m),
-                  path.values.ravel(), jumps.ravel()])}
+                  np.tile(_time_text(ens.times[0]), k), np.repeat(np.arange(k), m),
+                  values.ravel(), jumps.ravel()])}
     lines = [
         f"horizon: {fmt_value(ctx.cfg.horizon)}",
-        f"steps: {len(traj.times) - 1}",
+        f"steps: {m - 1}",
         f"lambda: {fmt_value(ctx.scfg.lam)}",
-        f"final_dual_norm: {fmt_value(float(diag['dual_norms'][-1]))}",
-        f"potential_integral: {fmt_value(diag['potential_integral'])}",
-        f"conjugate_integral: {fmt_value(diag['conjugate_integral'])}",
+        f"final_dual_norm: {fmt_value(float(diag['dual_norms'][0, -1]))}",
+        f"potential_integral: {fmt_value(float(diag['potential_integral'][0]))}",
+        f"conjugate_integral: {fmt_value(float(diag['conjugate_integral'][0]))}",
         f"max_identity_residual: {fmt_value(float(resid.max()))}",
     ]
     return tables, lines, 0, ()
@@ -173,8 +174,9 @@ def _cmd_generalized(ctx: _Context):
 
 @_command("lambda-sweep", "regularization sweep on one fixed path")
 def _cmd_lambda_sweep(ctx: _Context):
-    _, gm = ctx.frozen_integral(ctx.cfg.master_seed)
-    report = lambda_sweep(ctx.graph, ctx.scfg, ctx.L, ctx.x0, gm, ctx.cfg.sweep_lambdas())
+    ens, gm = ctx.frozen_integral(ctx.cfg.master_seed)
+    report = lambda_sweep(ctx.graph, ctx.scfg, ctx.L, ctx.x0, ens.times, gm,
+                          ctx.cfg.sweep_lambdas())
 
     columns = [report.lambdas, [None, *report.sup_diffs], report.gap_integrals,
                report.gap_ratios, report.potential_integrals, report.conjugate_integrals]
@@ -204,14 +206,14 @@ def _cmd_verify_all(ctx: _Context):
     op_pc = StepOperator([0.0, 0.5 * horizon, horizon],
                          np.stack([fields, 0.5 * fields]))
 
+    ens, gm = ctx.frozen_integral(seed + 4)
     reports = [
         check_doob(spec, op_full, horizon, cfg.dt, n_mc, seed, L),
         check_isometry(spec, op_full, horizon, cfg.dt, n_mc, seed + 1, L),
         check_isometry(spec, op_pc, horizon, cfg.dt, n_mc, seed + 2, L),
         check_resta(graph, scfg, L, spec, (x0, op_full),
                     (0.5 * x0, op_half), horizon, max(100, n_paths // 2), seed + 3),
-        check_apriori(graph, scfg, L, x0, ctx.frozen_integral(seed + 4)[1],
-                      cfg.sweep_lambdas()),
+        check_apriori(graph, scfg, L, x0, ens.times, gm, cfg.sweep_lambdas()),
     ]
     k_est = lipschitz_constant(B, spec, L, seed=seed + 5)
     threshold = contraction_time_limit(k_est, scfg.epsilon)

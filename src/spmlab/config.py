@@ -20,6 +20,7 @@ import json
 import numbers
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -56,6 +57,7 @@ _GRAPHS = {"power_law": PowerLaw, "linear": Linear, "scaled_signum": ScaledSignu
 _JUMP_LAWS = {"two_point": TwoPointJumps, "normal": NormalJumps}
 
 
+@cache  # parsed once per process and shared: never edit it in place
 def _schema() -> dict:
     with resources.files("spmlab.data").joinpath("experiment.schema.json").open() as fh:
         return json.load(fh)

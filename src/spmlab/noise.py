@@ -29,6 +29,11 @@ array, N the most steps of any path, each row held at its path's final time
 after its last step, so held steps have length zero; mode values (P, N+1, K)
 and driving integrals, states and selections (P, N+1, n) are held at their
 last row. A sup over a path is a max along axis 1, its final value row -1.
+The ensemble carries its jump records (path, grid index, mode, size), which
+the realized quadratic variation (``realized_qv``) reads. One path is the
+one-row ensemble ``sample_ensemble(spec, horizon, dt, 1, seed)``;
+``sample_path`` and ``stochastic_integral`` are one-row views of it that the
+package no longer calls, kept for the benchmark.
 
 Diffusion coefficients map a stack of state fields to one field per mode and
 state (``mode_fields_batch``, the one method each variant implements); the
@@ -216,16 +221,9 @@ def uniform_times(horizon: float, dt: float) -> np.ndarray:
 
 @dataclass
 class MartingalePath:
-    """One sampled path of all modes on a shared grid.
+    """One path, a row of a ``HeldEnsemble``: ``times`` (N+1,), mode ``values``
+    (K, N+1), its jump records and ``base_indices``."""
 
-    ``times`` contains the uniform base grid plus every jump time; ``values``
-    holds the cadlag right limits M_k(t_i). Jump records identify the left
-    limits: the jump of mode ``jump_modes[j]`` with size ``jump_sizes[j]``
-    happens exactly at ``times[jump_indices[j]]``. ``base_indices`` maps the
-    uniform grid into ``times`` for cross-path comparisons.
-    """
-
-    spec: NoiseSpec
     times: np.ndarray
     values: np.ndarray
     jump_indices: np.ndarray
@@ -236,27 +234,26 @@ class MartingalePath:
 
 def sample_path(spec: NoiseSpec, horizon: float, base_dt: float,
                 seed: np.random.Generator) -> MartingalePath:
-    """Sample one path on [0, horizon] with base step ``base_dt``: the one-path
-    case of ``sample_ensemble``.
-
-    The base grid is ``uniform_times(horizon, base_dt)``; all Poisson jump
-    times are inserted into it. ``seed`` is the Generator the path draws
-    from (``rng_for``); equal streams give bit-identical paths.
-    """
-    ens, (_, index, modes, sizes) = _sample_held(spec, horizon, base_dt, [seed])
-    return MartingalePath(spec=spec, times=ens.times[0],
-                          values=np.ascontiguousarray(ens.values[0].T), jump_indices=index,
-                          jump_modes=modes, jump_sizes=sizes, base_indices=ens.base_indices[0])
+    """One path drawn from the Generator ``seed`` (``rng_for``), the one-row view
+    of ``sample_ensemble``; kept for the benchmark."""
+    ens = _sample_held(spec, horizon, base_dt, [seed])
+    _, index, modes, sizes = ens.jumps
+    return MartingalePath(times=ens.times[0], values=np.ascontiguousarray(ens.values[0].T),
+                          jump_indices=index, jump_modes=modes, jump_sizes=sizes,
+                          base_indices=ens.base_indices[0])
 
 
 @dataclass(frozen=True)
 class HeldEnsemble:
     """P paths in the held layout: ``times`` (P, N+1), mode ``values``
-    (P, N+1, K) and the shared base grid's ``base_indices`` (P, n_base+1)."""
+    (P, N+1, K), the shared base grid's ``base_indices`` (P, n_base+1) and the
+    ``jumps`` records (path, grid index, mode, size), sorted by path, time and
+    draw: jump j of mode[j] by size[j] happens exactly at times[path[j], index[j]]."""
 
     times: np.ndarray
     values: np.ndarray
     base_indices: np.ndarray
+    jumps: tuple
 
     def at_base(self, held: np.ndarray) -> np.ndarray:
         """The base-grid rows of a held (P, N+1, ...) array, (P, n_base+1, ...)."""
@@ -277,9 +274,8 @@ def hold_tails(steps: np.ndarray, *arrays: np.ndarray) -> None:
 
 
 def _sample_held(spec: NoiseSpec, horizon: float, base_dt: float, rngs: list):
-    """Path p drawn from rngs[p] in the order of one path alone, held, with its
-    jumps (path, grid index, mode, size) sorted by path, time and draw; only
-    the generator calls run per path, the merge, increments and cumsum once."""
+    """The ``HeldEnsemble`` of path p drawn from rngs[p] in the order of one path
+    alone; only the generator calls run per path, the merge, increments and cumsum once."""
     base = uniform_times(horizon, base_dt)
     n_paths, n_base, vols = len(rngs), len(base), np.array([m.wiener_vol for m in spec.modes])
     jumpy = [(k, m) for k, m in enumerate(spec.modes) if m.jump_intensity > 0]
@@ -326,7 +322,7 @@ def _sample_held(spec: NoiseSpec, horizon: float, base_dt: float, rngs: list):
     values = np.zeros((n_paths, len(at[0]), spec.n_modes))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     base_indices = point[:n_fixed].reshape(n_paths, n_base) - first[:, None]
-    return HeldEnsemble(times, values, base_indices), (jp, index, jm, js)
+    return HeldEnsemble(times, values, base_indices, (jp, index, jm, js))
 
 
 def sample_ensemble(spec: NoiseSpec, horizon: float, base_dt: float, n_paths: int,
@@ -334,7 +330,7 @@ def sample_ensemble(spec: NoiseSpec, horizon: float, base_dt: float, n_paths: in
     """Paths 0, ..., n_paths - 1 under one master seed, or under each seed of a list
     in turn, each on its own ``rng_for`` stream, a seed's all seeded in one pass."""
     rngs = [rng for seed in np.atleast_1d(master_seed) for rng in rngs_for(seed, range(n_paths))]
-    return _sample_held(spec, horizon, base_dt, rngs)[0]
+    return _sample_held(spec, horizon, base_dt, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +375,6 @@ class ConstantOperator(StepOperator):
         super().__init__([-np.inf, np.inf], np.atleast_2d(fields)[None])
 
 
-@dataclass
-class IntegralPath:
-    """A stochastic integral evaluated on a path grid.
-
-    ``values[i]`` is the field (G . M)(t_i); ``integrand`` keeps the operator
-    so that the realized quadratic variation can be reconstructed later.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    integrand: Optional[StepOperator] = None
-
-    @classmethod
-    def zeros(cls, times, n_nodes: int) -> "IntegralPath":
-        times = np.asarray(times, dtype=float)
-        return cls(times=times, values=np.zeros((len(times), n_nodes)), integrand=None)
-
-
 def ito_sums(g_left: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Running sums sum_{j <= i} sum_k G_k(t_{j-1}) (M_k(t_j) - M_k(t_{j-1})) of P
     paths at once, held (P, N+1, n) from zero: values holds the mode values
@@ -427,31 +405,27 @@ def stochastic_integrals(G: StepOperator, ens: HeldEnsemble, L: DirichletLaplaci
     return ito_sums(g_left, ens.values)
 
 
-def stochastic_integral(G: StepOperator, path: MartingalePath,
-                        L: DirichletLaplacian) -> IntegralPath:
-    """The one-path case of ``stochastic_integrals``, on the path as a one-row
-    ensemble, keeping its integrand."""
-    ens = HeldEnsemble(path.times[None], path.values.T[None], path.base_indices[None])
-    return IntegralPath(path.times, stochastic_integrals(G, ens, L)[0], G)
+def stochastic_integral(G: StepOperator, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:
+    """One path's integral (N+1, n), the one-row view of ``stochastic_integrals``;
+    kept for the benchmark."""
+    jumps = (np.zeros_like(path.jump_indices), path.jump_indices, path.jump_modes, path.jump_sizes)
+    ens = HeldEnsemble(path.times[None], path.values.T[None], path.base_indices[None], jumps)
+    return stochastic_integrals(G, ens, L)[0]
 
 
-def realized_qv(G: StepOperator, path: MartingalePath, L: DirichletLaplacian) -> np.ndarray:
-    """Quadratic variation [G . M](t_i) in the dual norm.
-
-    Continuous part by left-endpoint quadrature of sum_k sigma_k^2 |G_k(s)|^2,
-    jump part as the exact sum of |G_k(jump-) * jump|^2 over recorded jumps.
-    A jump at times[i] sees the integrand at the left endpoint times[i - 1].
-    """
-    g_left = G.at_many(path.times[:-1])
-    vols_sq = np.array([m.wiener_vol**2 for m in path.spec.modes])
-
-    norms = hminus1_norm_sq_rows(L, g_left)  # (n_steps, n_modes)
-    incr = (norms @ vols_sq) * np.diff(path.times)
-    steps = path.jump_indices - 1
-    np.add.at(incr, steps, path.jump_sizes**2 * norms[steps, path.jump_modes])
-
-    out = np.zeros(len(path.times))
-    np.cumsum(incr, out=out[1:])
+def realized_qv(G: StepOperator, ens: HeldEnsemble, spec: NoiseSpec,
+                L: DirichletLaplacian) -> np.ndarray:
+    """Quadratic variation [G . M](t_i) in the dual norm of held paths, (P, N+1):
+    left-endpoint quadrature of sum_k sigma_k^2 |G_k(s)|^2 plus the exact sum of
+    |G_k(jump-) * jump|^2 over the jump records, a jump at times[p, i] seeing G at
+    times[p, i - 1]. A held step has length zero and no jump, so it adds nothing."""
+    norms = hminus1_norm_sq_rows(L, G.at_many(ens.times[:, :-1]))  # (P, N, K)
+    vols_sq = np.array([m.wiener_vol**2 for m in spec.modes])
+    incr = (norms @ vols_sq) * np.diff(ens.times, axis=1)
+    path, index, modes, sizes = ens.jumps
+    np.add.at(incr, (path, index - 1), sizes**2 * norms[path, index - 1, modes])
+    out = np.zeros(ens.times.shape)
+    np.cumsum(incr, axis=1, out=out[:, 1:])
     return out
 
 

@@ -34,8 +34,10 @@ resolvent solve (value, slope and selection together) and one LAPACK call
 their Jacobians, built in one array expression, are one block-diagonal band
 with no -I across a path seam. Elimination never mixes the blocks, so every
 path gets the arithmetic of a solve of its own. The line search takes one
-step length per window. ``implicit_step`` is the one-path, one-step case, and
-a one-node grid takes the same Newton iteration as any other.
+step length per window. A one-node grid takes the same Newton iteration as
+any other. One path is a one-row ensemble: ``additive_solve`` and the
+diagnostics take held rows, and the one-path views ``additive_path_solve`` and
+``implicit_step`` are kept for the benchmark only.
 Each path may carry its own lam, so ``lambda_sweep`` solves its whole list in
 one march. The gates live here (``check_gates``); the config loader calls them.
 
@@ -74,15 +76,15 @@ from .monotone import MonotoneGraph
 from .noise import (
     DiffusionCoefficient,
     HeldEnsemble,
-    IntegralPath,
-    MartingalePath,
     MollifiedDiffusion,
     NoiseSpec,
+    StepOperator,
     held_steps,
     hold_tails,
     ito_sums,
     lipschitz_constant,
     realized_qv,
+    stochastic_integrals,
 )
 
 
@@ -314,7 +316,8 @@ def implicit_step(graph: MonotoneGraph, lam: float, L: DirichletLaplacian, tau: 
 
     Returns (y, selection) with the dual-norm residual below
     newton_tol * (1 + |rhs|); raises SolverError when damped Newton misses
-    that target. This is the one-row, one-step case of the batched core.
+    that target. The one-row, one-step view of the batched core, kept for the
+    benchmark.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -442,44 +445,53 @@ def march_batch(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
     return states, selections
 
 
+def additive_solve(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
+                   x0: np.ndarray, times: np.ndarray, gm: np.ndarray) -> Trajectory:
+    """Backward Euler on y = X - g for held paths, grids times (P, N+1) and driving
+    integrals gm (P, N+1, n): ``march_batch`` as a held ``Trajectory``."""
+    times = np.asarray(times, dtype=float)
+    return Trajectory(times, *march_batch(graph, cfg, L, times, gm, x0), cfg.lam)
+
+
 def additive_path_solve(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
-                        x0: np.ndarray, gm: IntegralPath) -> Trajectory:
-    """Backward Euler on y = X - g along the grid of the driving integral."""
-    states, selections = march_batch(graph, cfg, L, [gm.times], [gm.values], x0)
-    return Trajectory(times=np.asarray(gm.times, dtype=float), states=states[0],
-                      selections=selections[0], lam=cfg.lam)
+                        x0: np.ndarray, times: np.ndarray, gm: np.ndarray) -> Trajectory:
+    """One path's ``additive_solve``, times (N+1,) and gm (N+1, n); kept for the benchmark."""
+    return additive_solve(graph, cfg, L, x0, [times], [gm]).trajectories[0]
 
 
-def strong_identity_residual(traj: Trajectory, gm: IntegralPath, x0: np.ndarray,
+def strong_identity_residual(traj: Trajectory, gm: np.ndarray, x0: np.ndarray,
                              L: DirichletLaplacian) -> np.ndarray:
-    """Dual norms of X(t_i) - Lap sum_j tau_j drift_j - x0 - g(t_i).
+    """Dual norms of X(t_i) - Lap sum_j tau_j drift_j - x0 - g(t_i) of held
+    paths, (P, N+1), for driving integrals gm (P, N+1, n).
 
     The drift section is selections + lam * states, the quantity the scheme
     actually integrates; at lam = 0 it coincides with the graph section.
     """
     drift = traj.selections + traj.lam * traj.states
     cum = np.zeros_like(traj.states)
-    np.cumsum(np.diff(traj.times)[:, None] * drift[1:], axis=0, out=cum[1:])
-    defect = traj.states - x0[None, :] - gm.values + cum @ L.matrix.T
+    np.cumsum(np.diff(traj.times, axis=1)[:, :, None] * drift[:, 1:], axis=1, out=cum[:, 1:])
+    defect = traj.states - x0 - gm + cum @ L.matrix.T
     return _dual_norms(L, defect)
 
 
 def _spacetime_integral(times: np.ndarray, L: DirichletLaplacian, values: np.ndarray):
     """Backward Euler quadrature sum_i tau_i * w * sum_nodes values[..., i, :] of
-    fields given at t_1, ..., t_N; leading axes (one per lam) are kept."""
+    fields given at t_1, ..., t_N, for grids times (P, N+1): one per path (or lam)."""
     return np.sum(np.diff(times) * L.grid.weight * np.sum(values, axis=-1), axis=-1)
 
 
 def trajectory_diagnostics(traj: Trajectory, graph: MonotoneGraph,
                            L: DirichletLaplacian) -> dict:
-    """Dual norms plus the space-time integrals of the potential at the
-    resolvent point and of the conjugate at the selection."""
-    z = graph.resolvent(traj.lam, traj.states[1:]) if traj.lam > 0 else traj.states[1:]
+    """Dual norms (P, N+1) of held paths plus the space-time integrals (P,) of the
+    potential at the resolvent point and of the conjugate at the selection; a
+    held step has length zero and adds nothing."""
+    states = traj.states[:, 1:]
+    z = graph.resolvent(traj.lam, states) if traj.lam > 0 else states
     return {
         "dual_norms": _dual_norms(L, traj.states),
-        "potential_integral": float(_spacetime_integral(traj.times, L, graph.potential(z))),
-        "conjugate_integral": float(_spacetime_integral(
-            traj.times, L, graph.conjugate(traj.selections[1:]))),
+        "potential_integral": _spacetime_integral(traj.times, L, graph.potential(z)),
+        "conjugate_integral": _spacetime_integral(
+            traj.times, L, graph.conjugate(traj.selections[:, 1:])),
     }
 
 
@@ -497,23 +509,24 @@ class LambdaSweepReport:
     initial_norm_sq: float
 
 
-def lambda_sweep(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
-                 x0: np.ndarray, gm: IntegralPath, lambdas: Sequence[float]) -> LambdaSweepReport:
-    """Solve one pathwise problem for a decreasing list of regularization
-    parameters in one batched march and report the convergence quantities."""
+def lambda_sweep(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian, x0: np.ndarray,
+                 times: np.ndarray, gm: np.ndarray, lambdas: Sequence[float]) -> LambdaSweepReport:
+    """Solve one held path, grid times (1, N+1) and driving integral gm (1, N+1, n),
+    for a decreasing list of regularization parameters in one batched march and
+    report the convergence quantities."""
     lams = check_lambdas(lambdas)
-    times, values = (np.broadcast_to(a, (len(lams),) + np.shape(a)) for a in (gm.times, gm.values))
-    states, sels = march_batch(graph, cfg, L, times, values, x0, lam=lams)
+    times, gm = (np.broadcast_to(a, (len(lams),) + np.shape(a)[1:]) for a in (times, gm))
+    states, sels = march_batch(graph, cfg, L, times, gm, x0, lam=lams)
     z = graph.resolvent(lams[:, None, None], states[:, 1:])
-    gaps = _spacetime_integral(gm.times, L, (states[:, 1:] - z) ** 2)
+    gaps = _spacetime_integral(times, L, (states[:, 1:] - z) ** 2)
 
     return LambdaSweepReport(
         lambdas=lams,
         sup_diffs=np.sqrt(hminus1_norm_sq_rows(L, np.diff(states, axis=0)).max(axis=1)),
         gap_integrals=gaps,
         gap_ratios=gaps / lams,
-        potential_integrals=_spacetime_integral(gm.times, L, graph.potential(z)),
-        conjugate_integrals=_spacetime_integral(gm.times, L, graph.conjugate(sels[:, 1:])),
+        potential_integrals=_spacetime_integral(times, L, graph.potential(z)),
+        conjugate_integrals=_spacetime_integral(times, L, graph.conjugate(sels[:, 1:])),
         initial_norm_sq=float(hminus1_norm_sq_rows(L, np.asarray(x0)[None, :])[0]),
     )
 
@@ -691,34 +704,31 @@ def generalized_solve(graph: MonotoneGraph, B_rough: DiffusionCoefficient, cfg: 
 # ---------------------------------------------------------------------------
 # pathwise energy identity
 
-def ito_residual(traj: Trajectory, gm: IntegralPath, path: MartingalePath,
+def ito_residual(traj: Trajectory, G: StepOperator, ens: HeldEnsemble, spec: NoiseSpec,
                  L: DirichletLaplacian) -> np.ndarray:
-    """Defect of the discrete energy identity for the squared dual norm.
+    """Defect of the discrete energy identity for the squared dual norm of held
+    paths, (P, N+1), for the solution driven by the integral g = G . M of ens:
 
     R(t_i) = |X(t_i)|^2 - |X(0)|^2 + 2 sum <X, drift>_2 tau
              - 2 sum <X(t-), dg>_{-1} - [G . M](t_i),
 
-    with the realized quadratic variation reconstructed from the stored
-    integrand. For jump-only noise the defect is exactly the backward Euler
-    remainder and shrinks linearly with the step; a Wiener component adds the
-    realized-versus-compensated variation gap of order sqrt(step).
+    with the realized quadratic variation of ``realized_qv``. For jump-only
+    noise the defect is exactly the backward Euler remainder and shrinks
+    linearly with the step; a Wiener component adds the realized-versus-
+    compensated variation gap of order sqrt(step).
     """
-    if gm.integrand is None:
-        raise ValueError("gm must carry its integrand to reconstruct the variation")
-    if len(gm.times) != len(traj.times):
-        raise ValueError("trajectory and integral are on different grids")
     states = traj.states
     drift = traj.selections + traj.lam * states
     w = L.grid.weight
-    dtau = np.diff(traj.times)
 
     norms_sq = hminus1_norm_sq_rows(L, states)
-    drift_cum = np.cumsum(dtau * w * np.sum(states[1:] * drift[1:], axis=1))
-    dg = np.diff(gm.values, axis=0)
+    drift_cum = np.cumsum(np.diff(traj.times, axis=1) * w
+                          * np.sum(states[:, 1:] * drift[:, 1:], axis=2), axis=1)
+    dg = np.diff(stochastic_integrals(G, ens, L), axis=1)
     lifted = spectral_apply(L, 1.0 / L.eigenvalues, dg)  # rows (-Lap)^{-1} dg_j
-    mart_cum = np.cumsum(w * np.sum(states[:-1] * lifted, axis=1))
-    qv = realized_qv(gm.integrand, path, L)
+    mart_cum = np.cumsum(w * np.sum(states[:, :-1] * lifted, axis=2), axis=1)
 
-    out = np.zeros(len(traj.times))
-    out[1:] = (norms_sq[1:] - norms_sq[0] + 2.0 * drift_cum - 2.0 * mart_cum - qv[1:])
+    out = np.zeros(traj.times.shape)
+    out[:, 1:] = (norms_sq[:, 1:] - norms_sq[:, :1] + 2.0 * drift_cum - 2.0 * mart_cum
+                  - realized_qv(G, ens, spec, L)[:, 1:])
     return out

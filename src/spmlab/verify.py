@@ -157,15 +157,16 @@ def _paired_differences(graph, cfg, L, ens, data1, data2):
 
 
 def check_apriori(graph: MonotoneGraph, cfg: SolverConfig, L: DirichletLaplacian,
-                  x0, gm, lambdas: Sequence[float]) -> VerificationReport:
-    """Boundedness of the regularization quantities along a lambda sweep.
+                  x0, times, gm, lambdas: Sequence[float]) -> VerificationReport:
+    """Boundedness of the regularization quantities along a lambda sweep of one
+    held path, grid times (1, N+1) and driving integral gm (1, N+1, n).
 
     Both int(j(z) + j*(eta)) and int|X - z|^2 / lam must stay within
     APRIORI_FACTOR of their values at the largest lambda (the fitted constant);
     the factor-2 slack mirrors the path dependence of the bounding constant.
     """
     t0 = time.perf_counter()
-    report = lambda_sweep(graph, cfg, L, x0, gm, lambdas)
+    report = lambda_sweep(graph, cfg, L, x0, times, gm, lambdas)
     combo = report.potential_integrals + report.conjugate_integrals
     ratios = []
     for series in (combo, report.gap_ratios):

@@ -117,11 +117,11 @@ def test_criterion_04_linear_exactness(lap, modes):
         tau = horizon / n_steps
         times = sp.uniform_times(horizon, tau)
         cfg = sp.SolverConfig(lam=0.0, dt=tau)
-        traj = sp.additive_path_solve(sp.Linear(1.0), cfg, lap, phi,
-                                      sp.IntegralPath.zeros(times, lap.n))
+        traj = sp.additive_solve(sp.Linear(1.0), cfg, lap, phi,
+                                 times[None], np.zeros((1, len(times), lap.n)))
         exact_discrete = (1 + tau * mu) ** (-n_steps) * phi
-        ok &= bool(np.max(np.abs(traj.states[-1] - exact_discrete)) <= 1e-10)
-        errors[n_steps] = sp.norm_hminus1(traj.states[-1] - np.exp(-mu * horizon) * phi, lap)
+        ok &= bool(np.max(np.abs(traj.states[0, -1] - exact_discrete)) <= 1e-10)
+        errors[n_steps] = sp.norm_hminus1(traj.states[0, -1] - np.exp(-mu * horizon) * phi, lap)
     order = np.log2(errors[64] / errors[128])
     ok &= 0.9 <= order <= 1.1
     elapsed = time.perf_counter() - t0
@@ -134,12 +134,12 @@ def test_criterion_05_regularization_sweep(lap, modes):
     spec = sp.make_noise_spec([
         sp.NoiseMode(wiener_vol=0.3, jump_intensity=4.0, jump_law=sp.TwoPointJumps(0.4)),
     ])
-    path = sp.sample_path(spec, 0.5, 1 / 512, sp.rng_for(11, 0))
+    ens = sp.sample_ensemble(spec, 0.5, 1 / 512, 1, 11)
     fields = (0.3 * modes[0] + 0.2 * modes[2])[None, :]
-    gm = sp.stochastic_integral(sp.ConstantOperator(fields), path, lap)
+    gm = sp.stochastic_integrals(sp.ConstantOperator(fields), ens, lap)
     cfg = sp.SolverConfig(lam=0.25, dt=1 / 512)
     lams = [2.0 ** (-k) for k in range(2, 9)]
-    rep = sp.lambda_sweep(sp.PowerLaw(3.0), cfg, lap, modes[0], gm, lams)
+    rep = sp.lambda_sweep(sp.PowerLaw(3.0), cfg, lap, modes[0], ens.times, gm, lams)
     within_two = bool(np.all(rep.gap_ratios <= 2.0 * rep.gap_ratios[0]))
     decreasing = bool(np.all(np.diff(rep.sup_diffs) < 0))
     elapsed = time.perf_counter() - t0
@@ -256,11 +256,11 @@ def test_criterion_09_energy_identity_residual(lap, modes):
                               ("power3", sp.PowerLaw(3.0), 0.05)]:
         resids = []
         for dt in (1 / 64, 1 / 128, 1 / 256):
-            path = sp.sample_path(spec, 0.5, dt, sp.rng_for(7, 0))
-            gm = sp.stochastic_integral(G, path, lap)
-            traj = sp.additive_path_solve(graph, sp.SolverConfig(lam=lam, dt=dt),
-                                          lap, modes[0], gm)
-            resids.append(abs(sp.ito_residual(traj, gm, path, lap)[-1]))
+            ens = sp.sample_ensemble(spec, 0.5, dt, 1, 7)
+            gm = sp.stochastic_integrals(G, ens, lap)
+            traj = sp.additive_solve(graph, sp.SolverConfig(lam=lam, dt=dt),
+                                     lap, modes[0], ens.times, gm)
+            resids.append(abs(sp.ito_residual(traj, G, ens, spec, lap)[0, -1]))
         ratios = [b / a for a, b in zip(resids, resids[1:])]
         ratios_all[label] = ratios
         ok &= all(0.35 <= r <= 0.65 for r in ratios)

@@ -1,15 +1,17 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import spmlab
 import spmlab.cli
 import spmlab.config
 from spmlab.cli import _COMMANDS, main
 from spmlab.config import ExperimentConfig, default_config_dict
 from spmlab.errors import ConfigError
 from spmlab.monotone import Linear, PowerLaw, StefanPiecewise
-from spmlab.noise import NoiseMode, NormalJumps, rng_for, sample_path
+from spmlab.noise import NoiseMode, NormalJumps, sample_ensemble
 
 
 def deep_update(base: dict, patch: dict) -> dict:
@@ -65,12 +67,13 @@ def test_simulate_additive_martingale_csv(tmp_path):
     assert header == ["time", "mode", "value", "is_jump"]
     assert any(r[3] == "true" for r in rows)
     exp = ExperimentConfig.load(cfg)
-    path = sample_path(exp.noise_spec(), exp.horizon, exp.dt, rng_for(exp.master_seed, 0))
-    n_modes, n_times = path.values.shape
+    ens = sample_ensemble(exp.noise_spec(), exp.horizon, exp.dt, 1, exp.master_seed)
+    _, n_times, n_modes = ens.values.shape
     # mode-major rows; is_jump is true exactly at the recorded (index, mode) jumps
-    jumps = set(zip(path.jump_indices.tolist(), path.jump_modes.tolist()))
+    _, index, modes, _ = ens.jumps
+    jumps = set(zip(index.tolist(), modes.tolist()))
     assert [(int(r[1]), float(r[0]), float(r[2])) for r in rows] == [
-        (k, path.times[i], path.values[k, i]) for k in range(n_modes) for i in range(n_times)]
+        (k, ens.times[0, i], ens.values[0, i, k]) for k in range(n_modes) for i in range(n_times)]
     assert [r[3] for r in rows] == ["true" if (i, k) in jumps else "false"
                                     for k in range(n_modes) for i in range(n_times)]
     # time-major rows in the trajectory
@@ -78,7 +81,7 @@ def test_simulate_additive_martingale_csv(tmp_path):
     assert header == ["time", "node", "state", "selection"]
     n_nodes = exp.laplacian().n
     assert [(float(r[0]), int(r[1])) for r in rows] == [
-        (t, node) for t in path.times for node in range(n_nodes)]
+        (t, node) for t in ens.times[0] for node in range(n_nodes)]
 
 
 def test_lambda_sweep_monotone_column(tmp_path):
@@ -422,3 +425,30 @@ def test_spectral_random_initial_field_deterministic():
     b = cfg.initial_field(L)
     np.testing.assert_array_equal(a, b)
     assert np.all(np.isfinite(a)) and np.any(a != 0)
+
+
+# the one-path views the benchmark still names, and the commands that must run
+# without them: one path is a one-row ensemble
+ONE_PATH_VIEWS = ("sample_path", "stochastic_integral", "additive_path_solve", "implicit_step")
+NO_VIEW_COMMANDS = [["simulate-additive"], ["lambda-sweep"], ["verify-all", "--paths", "2"],
+                    ["simulate-multiplicative", "--paths", "4"], ["generalized", "--paths", "4"]]
+
+
+def test_no_command_reaches_a_one_path_view(monkeypatch, tmp_path):
+    # each view is replaced by one that raises, in its defining module and in
+    # every spmlab module that holds it by name, as the benchmark's tracer wraps them
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a command called the one-path view {name}")
+        return call
+
+    originals = {name: getattr(spmlab, name) for name in ONE_PATH_VIEWS}
+    for key, module in list(sys.modules.items()):
+        for name, fn in originals.items():
+            if key.split(".")[0] == "spmlab" and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, refused(name))
+    assert all(getattr(sys.modules[fn.__module__], name) is not fn
+               for name, fn in originals.items())
+    tiny = ["--set", "noise.T=0.125", "--set", "noise.dt=0.03125"]
+    for argv in NO_VIEW_COMMANDS:
+        assert main([*argv, *tiny, "--out", str(tmp_path / argv[0])]) == 0, argv

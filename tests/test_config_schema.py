@@ -117,7 +117,7 @@ def test_draft7_rules(data, message):
 
 
 def test_ref_ignores_its_siblings():
-    schema = _schema()
+    schema = copy.deepcopy(_schema())  # the parsed schema is shared: edit a copy
     schema["properties"]["initial"]["type"] = "string"  # beside the $ref: not read
     assert list(_errors(schema, default_config_dict(), (), schema)) == []
 
@@ -128,7 +128,7 @@ def test_ref_ignores_its_siblings():
     (("properties", "grid"), "additionalProperties", True),
 ], ids=["maximum", "in-definition", "additional-true"])
 def test_unknown_schema_keyword_is_refused(monkeypatch, where, keyword, value):
-    schema = _schema()
+    schema = copy.deepcopy(_schema())
     _at(schema, where)[keyword] = value
     monkeypatch.setattr(spmlab.config, "_schema", lambda: schema)
     with pytest.raises(ValueError, match=f"schema keyword '{keyword}' is not supported"):
@@ -136,7 +136,7 @@ def test_unknown_schema_keyword_is_refused(monkeypatch, where, keyword, value):
 
 
 def test_annotations_are_passed_over(monkeypatch):
-    schema = _schema()
+    schema = copy.deepcopy(_schema())
     schema["properties"]["noise"]["properties"]["T"]["description"] = "horizon"
     monkeypatch.setattr(spmlab.config, "_schema", lambda: schema)
     _validate_schema(default_config_dict())

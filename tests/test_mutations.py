@@ -1,4 +1,4 @@
-"""A mutation net for the march: the strong-identity residual of a single-path
+"""A mutation net for the march: the strong-identity residual of a one-path
 solve must see each of three planted defects, and the causal pass must see
 two planted defects of ``picard_solve``.
 
@@ -19,7 +19,7 @@ from spmlab.cli import _Context, main
 from spmlab.config import ExperimentConfig
 from spmlab.grid import hminus1_norm_sq_rows
 from spmlab.noise import sample_ensemble
-from spmlab.solver import additive_path_solve, causal_solve, strong_identity_residual
+from spmlab.solver import additive_solve, causal_solve, strong_identity_residual
 
 CONFIGS = {
     "default": [],
@@ -68,9 +68,9 @@ DEFECTS = {
 @pytest.mark.parametrize("config", CONFIGS)
 def test_identity_residual_sees_each_defect(monkeypatch, config, defect):
     ctx = _Context(ExperimentConfig.load(None, CONFIGS[config]))
-    _, gm = ctx.frozen_integral(ctx.cfg.master_seed)
+    ens, gm = ctx.frozen_integral(ctx.cfg.master_seed)
     DEFECTS[defect](monkeypatch)
-    traj = additive_path_solve(ctx.graph, ctx.scfg, ctx.L, ctx.x0, gm)
+    traj = additive_solve(ctx.graph, ctx.scfg, ctx.L, ctx.x0, ens.times, gm)
     residual = float(strong_identity_residual(traj, gm, ctx.x0, ctx.L).max())
     if defect == "clean":
         assert residual <= 1e-12

@@ -30,14 +30,13 @@ from spmlab import (
 )
 from spmlab.noise import (
     MartingalePath,
-    _sample_held,
     _union,
     held_steps,
     rngs_for,
     sample_ensemble,
     stochastic_integrals,
 )
-from testkit import angle_bracket, cut_paths, growth_constant, hold_paths, hs_norm_q
+from testkit import angle_bracket, growth_constant, hold_paths, hs_norm_q
 
 
 @pytest.fixture(scope="module")
@@ -147,37 +146,40 @@ def test_reproducibility_and_stream_independence():
 
 def test_stochastic_integral_zero_and_constant(lap):
     spec = two_mode_spec()
-    path = sample_path(spec, 1.0, 0.125, rng_for(77, 0))
-    zero = stochastic_integral(ConstantOperator(np.zeros((2, lap.n))), path, lap)
-    np.testing.assert_array_equal(zero.values, 0.0)
+    ens = sample_ensemble(spec, 1.0, 0.125, 1, 77)
+    zero = stochastic_integrals(ConstantOperator(np.zeros((2, lap.n))), ens, lap)
+    np.testing.assert_array_equal(zero, 0.0)
     # constant single-field integrand telescopes to g * M_k(t)
     g = eigenmode(lap, 1)
     fields = np.stack([g, np.zeros(lap.n)])
-    gm = stochastic_integral(ConstantOperator(fields), path, lap)
-    np.testing.assert_allclose(gm.values, np.outer(path.values[0], g), atol=1e-14)
+    gm = stochastic_integrals(ConstantOperator(fields), ens, lap)
+    np.testing.assert_allclose(gm[0], np.outer(ens.values[0, :, 0], g), atol=1e-14)
 
 
 def test_stochastic_integral_jump_hand_sum(lap):
+    # paths 0 and 1 of seed 5; each final value is g times its jumps' sum
     spec = make_noise_spec([NoiseMode(jump_intensity=2.0, jump_law=TwoPointJumps(1.0))])
-    path = sample_path(spec, 1.0, 0.5, rng_for(5, 1))
-    assert len(path.jump_sizes) > 0
+    ens = sample_ensemble(spec, 1.0, 0.5, 2, 5)
+    path, _, _, sizes = ens.jumps
+    assert np.count_nonzero(path == 1) > 0
     g = eigenmode(lap, 0)
-    gm = stochastic_integral(ConstantOperator(g[None, :]), path, lap)
-    np.testing.assert_allclose(gm.values[-1], g * path.jump_sizes.sum(), atol=1e-14)
+    gm = stochastic_integrals(ConstantOperator(g[None, :]), ens, lap)
+    for p in range(2):
+        np.testing.assert_allclose(gm[p, -1], g * sizes[path == p].sum(), atol=1e-14)
 
 
 def test_step_operator_left_limits(lap):
     spec = make_noise_spec([NoiseMode(wiener_vol=1.0)])
-    path = sample_path(spec, 1.0, 0.25, rng_for(8, 0))
+    ens = sample_ensemble(spec, 1.0, 0.25, 1, 8)
     g1, g2 = eigenmode(lap, 0), eigenmode(lap, 1)
     op = StepOperator([0.0, 0.5, 1.0], np.stack([g1[None, :], g2[None, :]]))
-    gm = stochastic_integral(op, path, lap)
-    m = path.values[0]
-    t = path.times
+    gm = stochastic_integrals(op, ens, lap)
+    m = ens.values[0, :, 0]
+    t = ens.times[0]
     k = int(np.searchsorted(t, 0.5))
     expected = np.where((t <= 0.5)[:, None], np.outer(m, g1),
                         np.outer(m[k], g1) + np.outer(m - m[k], g2))
-    np.testing.assert_allclose(gm.values, expected, atol=1e-12)
+    np.testing.assert_allclose(gm[0], expected, atol=1e-12)
 
 
 def ragged_paths(spec):
@@ -193,7 +195,7 @@ def ragged_paths(spec):
                   out=values[:, 1:])
         idx = np.searchsorted(times, jumps).astype(int)
         paths.append(MartingalePath(
-            spec=spec, times=times, values=values, jump_indices=idx,
+            times=times, values=values, jump_indices=idx,
             jump_modes=np.zeros(len(idx), dtype=int),
             jump_sizes=values[0, idx] - values[0, idx - 1],
             base_indices=np.searchsorted(times, base)))
@@ -206,7 +208,7 @@ def ito_reference(op, path, n):
     for j in range(1, len(path.times)):
         g = op.at_many(path.times[j - 1:j])[0]
         incr = np.zeros(n)
-        for k in range(path.spec.n_modes):
+        for k in range(len(path.values)):
             incr = incr + g[k] * (path.values[k, j] - path.values[k, j - 1])
         out[j] = out[j - 1] + incr if j > 1 else incr
     return out
@@ -232,9 +234,8 @@ def test_stochastic_integrals_match_explicit_sums(lap, n_modes):
             # every row after the path's last step holds its last row, bit for bit
             np.testing.assert_array_equal(values[m:], np.broadcast_to(values[m - 1],
                                                                       values[m:].shape))
-            ig = stochastic_integral(op, path, lap)
-            assert ig.integrand is op and ig.times is path.times
-            np.testing.assert_array_equal(ig.values, values[:m])
+            # the one-path view is the one-row ensemble's integral
+            np.testing.assert_array_equal(stochastic_integral(op, path, lap), values[:m])
 
 
 def test_stochastic_integrals_mode_and_node_errors(lap):
@@ -282,15 +283,19 @@ def test_step_difference_lives_on_the_union_of_breakpoints():
 
 
 def test_realized_qv_cases(lap):
+    # paths 0 and 1 of seed 5, held: each row's variation is its own jumps'
     spec = make_noise_spec([NoiseMode(jump_intensity=2.0, jump_law=TwoPointJumps(1.0))])
-    path = sample_path(spec, 1.0, 0.5, rng_for(5, 1))
-    qv0 = realized_qv(ConstantOperator(np.zeros((1, lap.n))), path, lap)
+    ens = sample_ensemble(spec, 1.0, 0.5, 2, 5)
+    path, _, _, sizes = ens.jumps
+    qv0 = realized_qv(ConstantOperator(np.zeros((1, lap.n))), ens, spec, lap)
     np.testing.assert_array_equal(qv0, 0.0)
     g = eigenmode(lap, 0)
-    qv = realized_qv(ConstantOperator(g[None, :]), path, lap)
+    qv = realized_qv(ConstantOperator(g[None, :]), ens, spec, lap)
+    assert qv.shape == ens.times.shape
     gsq = float(hminus1_norm_sq_rows(lap, g[None, :])[0])
-    assert qv[-1] == pytest.approx((path.jump_sizes**2).sum() * gsq, rel=1e-12)
-    assert np.all(np.diff(qv) >= -1e-15)
+    for p in range(2):
+        assert qv[p, -1] == pytest.approx((sizes[path == p]**2).sum() * gsq, rel=1e-12)
+    assert np.all(np.diff(qv, axis=1) >= -1e-15)
 
 
 def test_qv_isometry_monte_carlo(lap):
@@ -300,18 +305,11 @@ def test_qv_isometry_monte_carlo(lap):
     target = 1.0 * float(spec.variance_rates @ hminus1_norm_sq_rows(lap, g))
     op = ConstantOperator(g)
     n = 4000
-    # one pass draws the paths and one integral call gives their final values;
-    # realized_qv reads one path's jumps, so it runs on the paths cut from the rows
-    ens, jumps = _sample_held(spec, 1.0, 0.125, rngs_for(99, range(n)))
+    # one pass draws the paths, one integral call gives their final values and
+    # one realized_qv call their variations, read off the ensemble's jump records
+    ens = sample_ensemble(spec, 1.0, 0.125, n, 99)
     finals = hminus1_norm_sq_rows(lap, stochastic_integrals(op, ens, lap)[:, -1])
-    paths = cut_paths(spec, ens, jumps)
-    for i in (0, 1, 1234, n - 1):
-        ref = sample_path(spec, 1.0, 0.125, rng_for(99, i))
-        for name in ("times", "values", "jump_indices", "jump_modes", "jump_sizes",
-                     "base_indices"):
-            a, b = getattr(paths[i], name), getattr(ref, name)
-            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    qvs = np.array([realized_qv(op, path, lap)[-1] for path in paths])
+    qvs = realized_qv(op, ens, spec, lap)[:, -1]
     assert abs(qvs.mean() - target) <= 3 * qvs.std(ddof=1) / np.sqrt(n)
     assert abs(finals.mean() - target) <= 3 * finals.std(ddof=1) / np.sqrt(n)
 
@@ -429,16 +427,16 @@ def test_realized_qv_step_operator_left_limit(lap):
     # the jump contribution must use the integrand value in force just before
     # the jump, not the value after a breakpoint crossing
     spec = make_noise_spec([NoiseMode(jump_intensity=2.0, jump_law=TwoPointJumps(1.0))])
-    path = sample_path(spec, 1.0, 0.5, rng_for(5, 1))
+    ens = sample_ensemble(spec, 1.0, 0.5, 2, 5)
     g1, g2 = eigenmode(lap, 0), eigenmode(lap, 1)
     op = StepOperator([0.0, 0.5, 1.0], np.stack([g1[None, :], g2[None, :]]))
-    qv = realized_qv(op, path, lap)
-    expected = 0.0
-    for idx, size in zip(path.jump_indices, path.jump_sizes):
-        t_left = path.times[idx - 1]
+    qv = realized_qv(op, ens, spec, lap)
+    expected = np.zeros(2)
+    for p, idx, _, size in zip(*ens.jumps):
+        t_left = ens.times[p, idx - 1]
         g = g1 if t_left < 0.5 else g2
-        expected += size**2 * float(hminus1_norm_sq_rows(lap, g[None, :])[0])
-    assert qv[-1] == pytest.approx(expected, rel=1e-12)
+        expected[p] += size**2 * float(hminus1_norm_sq_rows(lap, g[None, :])[0])
+    np.testing.assert_allclose(qv[:, -1], expected, rtol=1e-12)
 
 
 def test_union_is_union1d_bit_for_bit():
@@ -465,6 +463,15 @@ SAMPLER_SPECS = {
 def seed_sequence_rng(seed, index):
     # the oracle stream of path index under seed, from numpy's own SeedSequence
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def assert_same_held_ensemble(ens, ref):
+    # the held grids, values and base indices, and each jump record array, byte for byte
+    pairs = [(ens.times, ref.times), (ens.values, ref.values),
+             (ens.base_indices, ref.base_indices), *zip(ens.jumps, ref.jumps, strict=True)]
+    for a, b in pairs:
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 # 2**128 - 1 and 2**128 are the last four-word and the first five-word seed
@@ -513,10 +520,7 @@ def test_sample_ensemble_is_held_paths_of_their_streams(spec_name, horizon, dt, 
     ens = sample_ensemble(spec, horizon, dt, n_paths, 17)
     ref = hold_paths([sample_path(spec, horizon, dt, seed_sequence_rng(17, i))
                       for i in range(n_paths)])
-    for name in ("times", "values", "base_indices"):
-        a, b = getattr(ens, name), getattr(ref, name)
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+    assert_same_held_ensemble(ens, ref)
 
 
 @pytest.mark.parametrize("spec_name", sorted(SAMPLER_SPECS))
@@ -528,7 +532,4 @@ def test_sample_ensemble_of_several_seeds_holds_each_seeds_paths(spec_name):
     ens = sample_ensemble(spec, 0.25, 1 / 32, 6, [17, 18])
     ref = hold_paths([sample_path(spec, 0.25, 1 / 32, seed_sequence_rng(seed, i))
                       for seed in (17, 18) for i in range(6)])
-    for name in ("times", "values", "base_indices"):
-        a, b = getattr(ens, name), getattr(ref, name)
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+    assert_same_held_ensemble(ens, ref)

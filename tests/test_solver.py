@@ -7,7 +7,6 @@ import spmlab.solver as solver
 from spmlab import (
     ConstantAdditive,
     ConstantOperator,
-    IntegralPath,
     Linear,
     LinearSpectral,
     NoiseMode,
@@ -19,6 +18,7 @@ from spmlab import (
     StefanPiecewise,
     TwoPointJumps,
     additive_path_solve,
+    additive_solve,
     build_laplacian,
     causal_solve,
     eigenmode,
@@ -35,9 +35,6 @@ from spmlab import (
     mollify,
     norm_hminus1,
     picard_solve,
-    rng_for,
-    sample_path,
-    stochastic_integral,
     strong_identity_residual,
     trajectory_diagnostics,
     uniform_times,
@@ -47,6 +44,11 @@ from spmlab.config import ExperimentConfig
 from spmlab.noise import held_steps, sample_ensemble, stochastic_integrals
 from spmlab.solver import Trajectory
 from testkit import held
+
+
+def quiet(times, L):
+    # one noiseless path on a grid: the held one-row grid and its zero driving integral
+    return times[None], np.zeros((1, len(times), L.n))
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +121,7 @@ def test_implicit_step_powerlaw_vs_bisection(lap1):
 def test_additive_zero_data_zero_solution(lap):
     times = uniform_times(0.5, 0.05)
     cfg = SolverConfig(lam=0.1, dt=0.05)
-    traj = additive_path_solve(PowerLaw(3.0), cfg, lap, np.zeros(lap.n),
-                               IntegralPath.zeros(times, lap.n))
+    traj = additive_solve(PowerLaw(3.0), cfg, lap, np.zeros(lap.n), *quiet(times, lap))
     np.testing.assert_array_equal(traj.states, 0.0)
 
 
@@ -130,64 +131,66 @@ def test_additive_linear_exact_decay(lap):
     phi = eigenmode(lap, 0)
     mu = lap.eigenvalues[0]
     cfg = SolverConfig(lam=0.0, dt=tau)
-    traj = additive_path_solve(Linear(1.0), cfg, lap, phi, IntegralPath.zeros(times, lap.n))
+    traj = additive_solve(Linear(1.0), cfg, lap, phi, *quiet(times, lap))
     for i, t in enumerate(times):
-        np.testing.assert_allclose(traj.states[i], (1 + tau * mu) ** (-i) * phi, atol=1e-12)
+        np.testing.assert_allclose(traj.states[0, i], (1 + tau * mu) ** (-i) * phi, atol=1e-12)
 
 
 def test_additive_powerlaw_dissipative(lap):
     times = uniform_times(0.5, 0.01)
     cfg = SolverConfig(lam=0.05, dt=0.01)
     x0 = eigenmode(lap, 0) + 0.3 * eigenmode(lap, 2)
-    traj = additive_path_solve(PowerLaw(3.0), cfg, lap, x0, IntegralPath.zeros(times, lap.n))
-    norms = hminus1_norm_sq_rows(lap, traj.states)
+    traj = additive_solve(PowerLaw(3.0), cfg, lap, x0, *quiet(times, lap))
+    norms = hminus1_norm_sq_rows(lap, traj.states[0])
     assert np.all(np.diff(norms) <= 1e-12)
 
 
 def test_strong_identity_residual_and_dissipation_sign(lap):
     spec = two_mode_spec()
-    path = sample_path(spec, 0.25, 1 / 128, rng_for(17, 0))
+    ens = sample_ensemble(spec, 0.25, 1 / 128, 1, 17)
     fields = np.stack([0.4 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 1)])
-    gm = stochastic_integral(ConstantOperator(fields), path, lap)
+    gm = stochastic_integrals(ConstantOperator(fields), ens, lap)
     cfg = SolverConfig(lam=0.05, dt=1 / 128)
     x0 = eigenmode(lap, 0)
-    traj = additive_path_solve(PowerLaw(3.0), cfg, lap, x0, gm)
+    traj = additive_solve(PowerLaw(3.0), cfg, lap, x0, ens.times, gm)
     resid = strong_identity_residual(traj, gm, x0, lap)
+    assert resid.shape == ens.times.shape
     assert resid.max() <= 10 * cfg.newton_tol
     # the selection at the state never opposes it
-    pairing = np.array([inner_l2(traj.states[i], traj.selections[i], lap.grid)
-                        for i in range(len(traj.times))])
+    pairing = np.array([inner_l2(traj.states[0, i], traj.selections[0, i], lap.grid)
+                        for i in range(ens.times.shape[1])])
     assert np.all(pairing >= -1e-10)
     diag = trajectory_diagnostics(traj, PowerLaw(3.0), lap)
-    assert diag["potential_integral"] >= 0
-    assert diag["conjugate_integral"] >= 0
+    assert diag["potential_integral"][0] >= 0
+    assert diag["conjugate_integral"][0] >= 0
+    # the one-path view is the one-row solve
+    view = additive_path_solve(PowerLaw(3.0), cfg, lap, x0, ens.times[0], gm[0])
+    np.testing.assert_array_equal(view.states, traj.states[0])
 
 
 def test_gates(lap):
-    times = uniform_times(0.1, 0.05)
-    gm = IntegralPath.zeros(times, lap.n)
+    path = quiet(uniform_times(0.1, 0.05), lap)
     with pytest.raises(SolverError, match="surjective"):
-        additive_path_solve(ScaledSignum(1.0), SolverConfig(lam=0.1, dt=0.05), lap,
-                            np.zeros(lap.n), gm)
+        additive_solve(ScaledSignum(1.0), SolverConfig(lam=0.1, dt=0.05), lap,
+                       np.zeros(lap.n), *path)
     # gated variant runs when explicitly allowed
     cfg = SolverConfig(lam=0.1, dt=0.05, allow_nonsurjective=True)
-    additive_path_solve(ScaledSignum(1.0), cfg, lap, np.zeros(lap.n), gm)
+    additive_solve(ScaledSignum(1.0), cfg, lap, np.zeros(lap.n), *path)
     with pytest.raises(SolverError, match="Lipschitz"):
-        additive_path_solve(PowerLaw(3.0), SolverConfig(lam=0.0, dt=0.05), lap,
-                            np.zeros(lap.n), gm)
+        additive_solve(PowerLaw(3.0), SolverConfig(lam=0.0, dt=0.05), lap,
+                       np.zeros(lap.n), *path)
 
 
 def test_lambda_sweep_linear_first_order(lap):
     # closed form: the regularized drift slope is c/(1+lam*c) + lam, which is
     # c + lam*(1 - c^2) + O(lam^2); for c != 1 the solves differ by O(lam)
-    times = uniform_times(0.2, 0.01)
-    gm = IntegralPath.zeros(times, lap.n)
+    path = quiet(uniform_times(0.2, 0.01), lap)
     x0 = eigenmode(lap, 0)
     cfg = SolverConfig(lam=0.0, dt=0.01)
-    base = additive_path_solve(Linear(0.5), cfg, lap, x0, gm)
+    base = additive_solve(Linear(0.5), cfg, lap, x0, *path)
     gaps = []
     for lam in (0.2, 0.1, 0.05, 0.025):
-        traj = additive_path_solve(Linear(0.5), SolverConfig(lam=lam, dt=0.01), lap, x0, gm)
+        traj = additive_solve(Linear(0.5), SolverConfig(lam=lam, dt=0.01), lap, x0, *path)
         gaps.append(np.sqrt(hminus1_norm_sq_rows(lap, traj.states - base.states)).max())
     ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
     assert np.all(ratios > 1.5) and np.all(ratios < 2.5)
@@ -195,27 +198,28 @@ def test_lambda_sweep_linear_first_order(lap):
 
 def test_lambda_sweep_report(lap):
     spec = two_mode_spec()
-    path = sample_path(spec, 0.25, 1 / 256, rng_for(11, 0))
+    ens = sample_ensemble(spec, 0.25, 1 / 256, 1, 11)
     fields = np.stack([0.3 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 2)])
-    gm = stochastic_integral(ConstantOperator(fields), path, lap)
+    gm = stochastic_integrals(ConstantOperator(fields), ens, lap)
     cfg = SolverConfig(lam=0.25, dt=1 / 256)
     lams = [2.0 ** (-k) for k in range(2, 8)]
-    rep = lambda_sweep(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), gm, lams)
+    rep = lambda_sweep(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), ens.times, gm, lams)
     assert np.all(np.diff(rep.sup_diffs) < 0)
     assert np.all(rep.gap_ratios <= rep.gap_ratios[0] * (1 + 1e-12))
     assert np.all(rep.gap_integrals >= 0)
     # the batched sweep agrees with the smallest lam solved on its own
     alone = trajectory_diagnostics(
-        additive_path_solve(PowerLaw(3.0), replace(cfg, lam=lams[-1]), lap, eigenmode(lap, 0), gm),
-        PowerLaw(3.0), lap)
-    assert rep.potential_integrals[-1] == pytest.approx(alone["potential_integral"], rel=1e-9)
-    assert rep.conjugate_integrals[-1] == pytest.approx(alone["conjugate_integral"], rel=1e-9)
+        additive_solve(PowerLaw(3.0), replace(cfg, lam=lams[-1]), lap, eigenmode(lap, 0), ens.times,
+                       gm), PowerLaw(3.0), lap)
+    assert rep.potential_integrals[-1] == pytest.approx(alone["potential_integral"][0], rel=1e-9)
+    assert rep.conjugate_integrals[-1] == pytest.approx(alone["conjugate_integral"][0], rel=1e-9)
     # the gate tests the swept lams, not cfg.lam: lam = 0 is refused for
     # PowerLaw(3) only when it is marched
-    rep0 = lambda_sweep(PowerLaw(3.0), replace(cfg, lam=0.0), lap, eigenmode(lap, 0), gm, lams)
+    rep0 = lambda_sweep(PowerLaw(3.0), replace(cfg, lam=0.0), lap, eigenmode(lap, 0), ens.times,
+                        gm, lams)
     np.testing.assert_array_equal(rep0.gap_integrals, rep.gap_integrals)
     with pytest.raises(ValueError):
-        lambda_sweep(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), gm, [0.1, 0.2])
+        lambda_sweep(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), ens.times, gm, [0.1, 0.2])
 
 
 def test_same_noise_contraction_pathwise(lap):
@@ -226,13 +230,12 @@ def test_same_noise_contraction_pathwise(lap):
     x1 = eigenmode(lap, 0)
     x2 = 0.5 * eigenmode(lap, 0) + 0.2 * eigenmode(lap, 3)
     gap = float(hminus1_norm_sq_rows(lap, (x1 - x2)[None, :])[0])
-    for i in range(5):
-        path = sample_path(spec, 0.25, 1 / 64, rng_for(23, i))
-        gm = stochastic_integral(ConstantOperator(fields), path, lap)
-        t1 = additive_path_solve(PowerLaw(3.0), cfg, lap, x1, gm)
-        t2 = additive_path_solve(PowerLaw(3.0), cfg, lap, x2, gm)
-        dist = hminus1_norm_sq_rows(lap, t1.states - t2.states)
-        assert np.all(dist <= gap * (1 + 1e-10))
+    ens = sample_ensemble(spec, 0.25, 1 / 64, 5, 23)
+    gm = stochastic_integrals(ConstantOperator(fields), ens, lap)
+    t1 = additive_solve(PowerLaw(3.0), cfg, lap, x1, ens.times, gm)
+    t2 = additive_solve(PowerLaw(3.0), cfg, lap, x2, ens.times, gm)
+    dist = hminus1_norm_sq_rows(lap, t1.states - t2.states)
+    assert np.all(dist <= gap * (1 + 1e-10))
 
 
 def test_picard_zero_coefficient_matches_deterministic(lap):
@@ -243,51 +246,55 @@ def test_picard_zero_coefficient_matches_deterministic(lap):
     x0 = eigenmode(lap, 0)
     res = picard_solve(Linear(1.0), B0, spec, cfg, lap, x0, ens)
     traj = res.trajectories[0]
-    det = additive_path_solve(Linear(1.0), cfg, lap, x0, IntegralPath.zeros(traj.times, lap.n))
+    det = additive_solve(Linear(1.0), cfg, lap, x0, *quiet(traj.times, lap))
     np.testing.assert_allclose(traj.states[ens.base_indices[0]],
-                               det.states[det.times.searchsorted(res.base_times)], atol=1e-12)
+                               det.states[0, det.times[0].searchsorted(res.base_times)],
+                               atol=1e-12)
     assert res.window_distances[0][-1] == 0.0
 
 
 def test_picard_constant_coefficient_two_sweeps(lap):
     spec = two_mode_spec()
     cfg = SolverConfig(lam=0.0, dt=1 / 32)
-    # the held ensemble for the solver, the same paths one by one for the references
+    # the held ensemble for the solver, each path cut to its steps and solved
+    # alone as a one-row ensemble for the references
     ens = sample_ensemble(spec, 0.25, 1 / 32, 4, 43)
-    paths = [sample_path(spec, 0.25, 1 / 32, rng_for(43, i)) for i in range(4)]
     B = ConstantAdditive(fields=np.stack([0.4 * eigenmode(lap, 0), 0.2 * eigenmode(lap, 1)]))
-    G = ConstantOperator(B.fields)
+    gm = stochastic_integrals(ConstantOperator(B.fields), ens, lap)
+    lengths = held_steps(ens.times) + 1
+
+    def alone(graph, cfg, p):
+        m = lengths[p]
+        return additive_solve(graph, cfg, lap, eigenmode(lap, 0), ens.times[p:p + 1, :m],
+                              gm[p:p + 1, :m])
+
     res = picard_solve(Linear(1.0), B, spec, cfg, lap, eigenmode(lap, 0), ens)
     # state-independent map: the second sweep reproduces the first exactly
     assert res.iterations == 2
     assert res.window_distances[0][-1] == 0.0
     # and it agrees with the direct additive solve path by path
-    for traj, p in zip(res.trajectories, paths):
-        gm = stochastic_integral(G, p, lap)
-        direct = additive_path_solve(Linear(1.0), cfg, lap, eigenmode(lap, 0), gm)
-        np.testing.assert_allclose(traj.states, direct.states, atol=1e-12)
+    for p, traj in enumerate(res.trajectories):
+        np.testing.assert_allclose(traj.states, alone(Linear(1.0), cfg, p).states[0], atol=1e-12)
     # four windows on grids of unequal lengths: each window is gathered from the
     # held ensemble and written back through the same indices; the windowed
     # march stops Newton at other per-step targets, hence the looser nonlinear atol
-    assert [len(p.times) for p in paths] == [11, 10, 9, 10]
+    assert list(lengths) == [11, 10, 9, 10]
     for graph, lam, atol in ((Linear(1.0), 0.0, 1e-12), (PowerLaw(3.0), 0.05, 1e-8)):
         wcfg = replace(cfg, lam=lam, window_T0=1 / 16)
         res = picard_solve(graph, B, spec, wcfg, lap, eigenmode(lap, 0), ens)
         assert len(res.windows) == 4 and res.iterations == 8
-        for p, (traj, path) in enumerate(zip(res.trajectories, paths)):
+        for p, traj in enumerate(res.trajectories):
             # each row is a one-path Trajectory of views into the held arrays
             assert isinstance(traj, Trajectory) and traj.lam == lam
             for view, whole in ((traj.times, res.times), (traj.states, res.states),
                                 (traj.selections, res.selections)):
                 assert np.shares_memory(view, whole)
-            gm = stochastic_integral(G, path, lap)
-            direct = additive_path_solve(graph, wcfg, lap, eigenmode(lap, 0), gm)
-            np.testing.assert_array_equal(traj.times, path.times)
-            np.testing.assert_allclose(traj.states, direct.states, rtol=0, atol=atol)
-            np.testing.assert_allclose(traj.selections, direct.selections, rtol=0, atol=atol)
+            direct = alone(graph, wcfg, p)
+            np.testing.assert_array_equal(traj.times, direct.times[0])
+            np.testing.assert_allclose(traj.states, direct.states[0], rtol=0, atol=atol)
+            np.testing.assert_allclose(traj.selections, direct.selections[0], rtol=0, atol=atol)
             # the held states and selections repeat the last row after the last step
-            for rows in (res.states[p, len(path.times) - 1:],
-                         res.selections[p, len(path.times) - 1:]):
+            for rows in (res.states[p, lengths[p] - 1:], res.selections[p, lengths[p] - 1:]):
                 np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
 
@@ -350,25 +357,25 @@ def test_generalized_smooth_consistency_and_single_level(lap):
 
 def test_ito_residual_zero_case(lap):
     spec = make_noise_spec([NoiseMode(jump_intensity=1.0, jump_law=TwoPointJumps(0.5))])
-    path = sample_path(spec, 0.5, 1 / 16, rng_for(71, 0))
-    gm = stochastic_integral(ConstantOperator(np.zeros((1, lap.n))), path, lap)
+    ens = sample_ensemble(spec, 0.5, 1 / 16, 1, 71)
+    G = ConstantOperator(np.zeros((1, lap.n)))
     cfg = SolverConfig(lam=0.0, dt=1 / 16)
-    traj = additive_path_solve(Linear(1.0), cfg, lap, np.zeros(lap.n), gm)
-    R = ito_residual(traj, gm, path, lap)
+    traj = additive_solve(Linear(1.0), cfg, lap, np.zeros(lap.n), ens.times,
+                          stochastic_integrals(G, ens, lap))
+    R = ito_residual(traj, G, ens, spec, lap)
+    assert R.shape == ens.times.shape
     np.testing.assert_allclose(R, 0.0, atol=1e-14)
 
 
 def test_ito_residual_linear_no_noise_halves(lap):
     resids = []
+    spec, G = make_noise_spec([NoiseMode()]), ConstantOperator(np.zeros((1, lap.n)))
     for dt in (1 / 32, 1 / 64, 1 / 128):
-        times = uniform_times(0.5, dt)
-        gm = IntegralPath(times=times, values=np.zeros((len(times), lap.n)),
-                          integrand=ConstantOperator(np.zeros((1, lap.n))))
-        path = sample_path(make_noise_spec([NoiseMode()]), 0.5, dt, rng_for(0, 0))
+        ens = sample_ensemble(spec, 0.5, dt, 1, 0)
         cfg = SolverConfig(lam=0.0, dt=dt)
-        traj = additive_path_solve(Linear(1.0), cfg, lap, eigenmode(lap, 0), gm)
-        R = ito_residual(traj, gm, path, lap)
-        resids.append(abs(R[-1]))
+        traj = additive_solve(Linear(1.0), cfg, lap, eigenmode(lap, 0), *quiet(ens.times[0], lap))
+        R = ito_residual(traj, G, ens, spec, lap)
+        resids.append(abs(R[0, -1]))
     ratios = np.array(resids[1:]) / np.array(resids[:-1])
     assert np.all(ratios > 0.35) and np.all(ratios < 0.65)
 
@@ -379,12 +386,11 @@ def test_ito_residual_jump_noise_halves(lap):
     for graph, lam in [(Linear(1.0), 0.0), (PowerLaw(3.0), 0.05)]:
         resids = []
         for dt in (1 / 64, 1 / 128, 1 / 256):
-            path = sample_path(spec, 0.5, dt, rng_for(7, 0))
-            gm = stochastic_integral(G, path, lap)
-            traj = additive_path_solve(graph, SolverConfig(lam=lam, dt=dt), lap,
-                                       eigenmode(lap, 0), gm)
-            R = ito_residual(traj, gm, path, lap)
-            resids.append(abs(R[-1]))
+            ens = sample_ensemble(spec, 0.5, dt, 1, 7)
+            traj = additive_solve(graph, SolverConfig(lam=lam, dt=dt), lap, eigenmode(lap, 0),
+                                  ens.times, stochastic_integrals(G, ens, lap))
+            R = ito_residual(traj, G, ens, spec, lap)
+            resids.append(abs(R[0, -1]))
         ratios = np.array(resids[1:]) / np.array(resids[:-1])
         assert np.all(ratios > 0.35) and np.all(ratios < 0.65)
 
@@ -413,9 +419,9 @@ def test_two_dimensional_solve_and_picard():
                                       jump_law=TwoPointJumps(0.4))])
     cfg = SolverConfig(lam=0.05, dt=1 / 64)
     x0 = eigenmode(lap2, 0)
-    path = sample_path(spec, 0.25, 1 / 64, rng_for(5, 0))
-    gm = stochastic_integral(ConstantOperator(0.3 * x0[None, :]), path, lap2)
-    traj = additive_path_solve(PowerLaw(3.0), cfg, lap2, x0, gm)
+    one = sample_ensemble(spec, 0.25, 1 / 64, 1, 5)
+    gm = stochastic_integrals(ConstantOperator(0.3 * x0[None, :]), one, lap2)
+    traj = additive_solve(PowerLaw(3.0), cfg, lap2, x0, one.times, gm)
     assert strong_identity_residual(traj, gm, x0, lap2).max() <= 10 * cfg.newton_tol
     ens = sample_ensemble(spec, 0.25, 1 / 64, 5, 6)
     res = picard_solve(PowerLaw(3.0), LinearSpectral(coeffs=[0.4], gamma=1.0),
@@ -774,10 +780,9 @@ def test_newton_work_is_pinned(lap, monkeypatch, n_paths, step_by_step, expected
     # closed-form sine modes, so nothing depends on the eigenvector signs of LAPACK
     x = np.arange(1, lap.n + 1) / (lap.n + 1)
     G = ConstantOperator(np.stack([0.4 * np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)]))
-    gms = [stochastic_integral(G, sample_path(two_mode_spec(), 0.25, 1 / 128, rng_for(31, p)), lap)
-           for p in range(n_paths)]
-    march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 128), lap,
-                held([g.times for g in gms]), held([g.values for g in gms]), np.sin(np.pi * x))
+    ens = sample_ensemble(two_mode_spec(), 0.25, 1 / 128, n_paths, 31)
+    march_batch(PowerLaw(3.0), SolverConfig(lam=0.05, dt=1 / 128), lap, ens.times,
+                stochastic_integrals(G, ens, lap), np.sin(np.pi * x))
     assert counts == expected
 
 
@@ -786,8 +791,8 @@ def one_long_path(lap):
     # sine-mode coefficients; at n = 15 it marches in windows of 68 steps
     x = np.arange(1, lap.n + 1) / (lap.n + 1)
     op = ConstantOperator(np.stack([0.4 * np.sin(np.pi * x), 0.2 * np.sin(2 * np.pi * x)]))
-    gm = stochastic_integral(op, sample_path(two_mode_spec(), 2.0, 1 / 128, rng_for(31, 0)), lap)
-    return [gm.times], [gm.values], np.sin(np.pi * x)[None, :]
+    ens = sample_ensemble(two_mode_spec(), 2.0, 1 / 128, 1, 31)
+    return list(ens.times), list(stochastic_integrals(op, ens, lap)), np.sin(np.pi * x)[None, :]
 
 
 def recording_lapack(monkeypatch, record):
@@ -1020,15 +1025,15 @@ def test_causal_pass_with_constant_coefficient_is_the_additive_march(lap):
     states, sels = march_batch(graph, cfg, lap, ens.times, gm, x0)
     assert np.sqrt(hminus1_norm_sq_rows(lap, causal.states - states).max()) <= cfg.newton_tol
     np.testing.assert_allclose(causal.selections, sels, rtol=0, atol=1e-9)
-    # a held row of the record has the diagnostics of the one-path solve
+    # a held row of the record has the diagnostics of its path solved alone as
+    # a one-row ensemble: the held steps after its last one add nothing
     m = held_steps(ens.times)[0]
-    gm0 = IntegralPath(ens.times[0, :m + 1], gm[0, :m + 1])
-    alone = additive_path_solve(graph, cfg, lap, x0, gm0)
-    ours, theirs = (trajectory_diagnostics(t, graph, lap) for t in (causal.trajectories[0], alone))
-    np.testing.assert_allclose(ours["dual_norms"], theirs["dual_norms"], rtol=0,
+    alone = additive_solve(graph, cfg, lap, x0, ens.times[:1, :m + 1], gm[:1, :m + 1])
+    ours, theirs = (trajectory_diagnostics(t, graph, lap) for t in (causal, alone))
+    np.testing.assert_allclose(ours["dual_norms"][0, :m + 1], theirs["dual_norms"][0], rtol=0,
                                atol=cfg.newton_tol)
     for key in ("potential_integral", "conjugate_integral"):
-        assert ours[key] == pytest.approx(theirs[key], rel=0, abs=1e-9)
+        assert ours[key][0] == pytest.approx(theirs[key][0], rel=0, abs=1e-9)
 
 
 def test_causal_pass_non_finite_state_names_time_and_path(lap):

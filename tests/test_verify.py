@@ -4,7 +4,6 @@ import pytest
 from spmlab import (
     ConstantAdditive,
     ConstantOperator,
-    IntegralPath,
     Linear,
     LinearSpectral,
     NoiseMode,
@@ -26,11 +25,9 @@ from spmlab import (
     hminus1_norm_sq_rows,
     make_grid,
     make_noise_spec,
-    rng_for,
-    sample_path,
-    stochastic_integral,
     uniform_times,
 )
+from spmlab.noise import sample_ensemble, stochastic_integrals
 from spmlab.verify import _report
 
 
@@ -191,20 +188,20 @@ def test_resta_bound_sums_union_pieces_of_misaligned_steps(lap):
 def test_apriori_cases(lap):
     cfg = SolverConfig(lam=0.25, dt=1 / 64)
     times = uniform_times(0.25, 1 / 64)
-    zero = check_apriori(PowerLaw(3.0), cfg, lap, np.zeros(lap.n),
-                         IntegralPath.zeros(times, lap.n), [0.25, 0.125, 0.0625])
+    zero = check_apriori(PowerLaw(3.0), cfg, lap, np.zeros(lap.n), times[None],
+                         np.zeros((1, len(times), lap.n)), [0.25, 0.125, 0.0625])
     assert zero.passed
     spec = mixed_spec()
-    path = sample_path(spec, 0.25, 1 / 64, rng_for(4, 0))
-    gm = stochastic_integral(ConstantOperator(np.stack([0.3 * eigenmode(lap, 0),
-                                                        0.2 * eigenmode(lap, 1)])), path, lap)
-    rep = check_apriori(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), gm,
+    ens = sample_ensemble(spec, 0.25, 1 / 64, 1, 4)
+    gm = stochastic_integrals(ConstantOperator(np.stack([0.3 * eigenmode(lap, 0),
+                                                         0.2 * eigenmode(lap, 1)])), ens, lap)
+    rep = check_apriori(PowerLaw(3.0), cfg, lap, eigenmode(lap, 0), ens.times, gm,
                         [2.0 ** (-k) for k in range(2, 7)])
     assert rep.passed
     # linear graph: the gap integral is exactly lam^2/(1+lam)^2 * int X^2,
     # so the ratio to lam decreases along the sweep and stays fitted
     rep_lin = check_apriori(Linear(1.0), SolverConfig(lam=0.25, dt=1 / 64), lap,
-                            eigenmode(lap, 0), gm, [0.25, 0.125, 0.0625])
+                            eigenmode(lap, 0), ens.times, gm, [0.25, 0.125, 0.0625])
     assert rep_lin.passed
 
 

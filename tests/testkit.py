@@ -5,7 +5,7 @@ the held ensemble layout built row by row, apart from the sampler."""
 import numpy as np
 
 from spmlab import hminus1_norm_sq_rows
-from spmlab.noise import HeldEnsemble, MartingalePath, held_steps
+from spmlab.noise import HeldEnsemble
 
 
 def angle_bracket(spec, t: float) -> float:
@@ -46,18 +46,11 @@ def held(rows):
 
 
 def hold_paths(paths) -> HeldEnsemble:
-    """The held ensemble of a list of ``MartingalePath``s on one base grid."""
+    """The held ensemble of a list of ``MartingalePath``s on one base grid, with
+    their jump records (path, grid index, mode, size) in path order."""
+    counts = [len(p.jump_indices) for p in paths]
+    jumps = (np.repeat(np.arange(len(paths)), counts),
+             *(np.concatenate([getattr(p, name) for p in paths])
+               for name in ("jump_indices", "jump_modes", "jump_sizes")))
     return HeldEnsemble(held([p.times for p in paths]), held([p.values.T for p in paths]),
-                        np.stack([p.base_indices for p in paths]))
-
-
-def cut_paths(spec, ens: HeldEnsemble, jumps) -> list:
-    """The ``MartingalePath``s of a held ensemble, up to each path's last step,
-    with their jump records (path, grid index, mode, size) sorted by path."""
-    jp, index, modes, sizes = jumps
-    ends = np.searchsorted(jp, np.arange(len(ens.times) + 1))
-    return [MartingalePath(spec=spec, times=ens.times[p, :m + 1],
-                           values=np.ascontiguousarray(ens.values[p, :m + 1].T),
-                           jump_indices=index[a:b], jump_modes=modes[a:b],
-                           jump_sizes=sizes[a:b], base_indices=ens.base_indices[p])
-            for p, (m, a, b) in enumerate(zip(held_steps(ens.times), ends[:-1], ends[1:]))]
+                        np.stack([p.base_indices for p in paths]), jumps)
