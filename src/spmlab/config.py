@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .grid import DEFAULT_NODE_CAP, build_laplacian, eigenmode, make_grid
+from .grid import DEFAULT_NODE_CAP, build_laplacian, eigenmode, make_grid, mode_field
 from .monotone import Linear, PowerLaw, ScaledSignum, StefanPiecewise
 from .noise import (
     ConstantAdditive,
@@ -180,8 +180,7 @@ def _build_field(spec: dict, L) -> np.ndarray:
         rng = np.random.default_rng(int(spec.get("seed", 0)))
         decay = float(spec.get("decay", 0.0))
         coeff = rng.standard_normal(L.n) * L.eigenvalues ** (-0.5 * decay)
-        field = (L.eigenvectors @ coeff) / np.sqrt(L.grid.weight)
-        return float(spec.get("scale", 1.0)) * field
+        return float(spec.get("scale", 1.0)) * mode_field(L, coeff)
     raise ValueError(f"unknown field kind {kind!r}")
 
 

@@ -71,7 +71,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NonContractionError, SolverError
-from .grid import DirichletLaplacian, hminus1_norm_sq_rows, spectral_apply
+from .grid import DirichletLaplacian, hminus1_norm_sq_rows, neg_laplacian, spectral_apply
 from .monotone import MonotoneGraph
 from .noise import (
     DiffusionCoefficient,
@@ -238,7 +238,6 @@ def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False, gu
     non-finite residual never enter the solve, which would spread it to every
     window. Returns (y, selection), each (k, w, n).
     """
-    mat = L.matrix
     k, w, n = g.shape
 
     def failure(j, i, what):
@@ -249,7 +248,8 @@ def _newton_batch(graph, lam, L, tau, y0, g, tol, max_iter, name_paths=False, gu
     def residual(y, start, tau, value):
         # y_i + tau_i*(-Lap) b(y_i + g_i) - y_{i-1}, with y_0 = start
         prev = start[:, None] if w == 1 else np.concatenate((start[:, None], y[:, :-1]), axis=1)
-        return y + tau[:, :, None] * (value.reshape(-1, n) @ mat).reshape(value.shape) - prev
+        lap = neg_laplacian(L, value.reshape(-1, n)).reshape(value.shape)
+        return y + tau[:, :, None] * lap - prev
 
     def targets():  # tol * (1 + |y_{i-1}|) at the current iterate
         return tol[:, None] * (1.0 + _dual_norms(L, np.concatenate((y0[:, None], y[:, :-1]), 1)))
@@ -470,7 +470,7 @@ def strong_identity_residual(traj: Trajectory, gm: np.ndarray, x0: np.ndarray,
     drift = traj.selections + traj.lam * traj.states
     cum = np.zeros_like(traj.states)
     np.cumsum(np.diff(traj.times, axis=1)[:, :, None] * drift[:, 1:], axis=1, out=cum[:, 1:])
-    defect = traj.states - x0 - gm + cum @ L.matrix.T
+    defect = traj.states - x0 - gm + neg_laplacian(L, cum)
     return _dual_norms(L, defect)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -14,8 +16,8 @@ from spmlab import (
     smooth_gamma,
     solve_laplacian,
 )
-from spmlab.grid import spectral_apply
-from testkit import apply_laplacian
+from spmlab.grid import mode_field, neg_laplacian, spectral_apply
+from testkit import apply_laplacian, dense_reference
 
 RNG = np.random.default_rng(1234)
 
@@ -28,8 +30,8 @@ def lap15():
 def test_single_node_matrix_by_hand():
     # n=1, length=1: h=1/2 and the stencil gives 2/h^2 = 8
     L = build_laplacian(make_grid(1, 1, 1.0))
-    assert L.matrix.shape == (1, 1)
-    assert L.matrix[0, 0] == pytest.approx(8.0)
+    assert dense_reference(L).matrix.shape == (1, 1)
+    assert dense_reference(L).matrix[0, 0] == pytest.approx(8.0)
     assert L.eigenvalues[0] == pytest.approx(8.0)
 
 
@@ -46,17 +48,18 @@ def test_band_layout_rebuilds_the_matrix(dim, n, b):
     inside = (i >= 0) & (i < L.n)
     dense = np.zeros((L.n, L.n))
     dense[i[inside], cols[inside]] = L.band[inside]
-    np.testing.assert_array_equal(dense, L.matrix)
+    np.testing.assert_array_equal(dense, dense_reference(L).matrix)
     np.testing.assert_array_equal(L.band[~inside], 0.0)
 
 
 def assert_true_eigenpairs(L):
     # oracle apart from the closed form: a dense eigensolve of the assembled
     # matrix, the eigen-equation residual and the orthonormality of the basis
-    V, lam = L.eigenvectors, L.eigenvalues
-    np.testing.assert_allclose(lam, eigh(L.matrix, eigvals_only=True), rtol=0,
+    ref = dense_reference(L)
+    V, lam = ref.eigenvectors, L.eigenvalues
+    np.testing.assert_allclose(lam, eigh(ref.matrix, eigvals_only=True), rtol=0,
                                atol=1e-13 * lam.max())
-    assert np.linalg.norm(L.matrix @ V - V * lam) <= 1e-13 * np.linalg.norm(L.matrix)
+    assert np.linalg.norm(ref.matrix @ V - V * lam) <= 1e-13 * np.linalg.norm(ref.matrix)
     np.testing.assert_allclose(V.T @ V, np.eye(L.n), rtol=0, atol=1e-13)
 
 
@@ -95,7 +98,7 @@ def test_canonical_sine_basis(n, repeated):
     key = np.round(values / values.max(), 10)
     order = sorted(range(len(pairs)), key=lambda k: (key[k], pairs[k]))
     assert np.sum(np.diff(key[order]) == 0) == repeated
-    assert np.all(L.eigenvectors[0] > 0)
+    assert np.all(dense_reference(L).eigenvectors[0] > 0)
     scale = 2.0 / np.sqrt((n[0] + 1) * (n[1] + 1) * g.weight)
     for k, m in enumerate(order):
         i, j = pairs[m]
@@ -166,7 +169,7 @@ def test_solve_laplacian(lap15):
     f = RNG.standard_normal(15)
     u = solve_laplacian(lap15, f)
     np.testing.assert_allclose(apply_laplacian(lap15, u), -f, atol=1e-12)
-    resid = lap15.matrix @ u - f
+    resid = dense_reference(lap15).matrix @ u - f
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(f)
 
 
@@ -255,3 +258,89 @@ def test_eigenmode_index_validation(lap15):
         eigenmode(lap15, 15)
     with pytest.raises(ValueError):
         eigenmode(lap15, -1)
+
+
+FACTOR_GRIDS = [(1, 1), (1, 2), (1, 15), (2, (1, 5)), (2, (5, 1)), (2, (5, 7)), (2, (7, 5)),
+                (2, (6, 6)), (2, (16, 16))]
+
+
+def canonical_multipliers(L):
+    # 1/mu, mu^-gamma and the mollifier's exp(-mu/level^2), in canonical order
+    return [1.0 / L.eigenvalues, L.eigenvalues ** -0.75, np.exp(-L.eigenvalues / 9)]
+
+
+@pytest.mark.parametrize("dim,n", FACTOR_GRIDS)
+def test_factored_operators_match_the_kronecker_reference(dim, n):
+    # the axis-by-axis operators against the dense Kronecker sum and product of
+    # the testkit: the closed-form pieces bit for bit, dual norms, spectral
+    # multipliers, -Lap and mode sums to 1e-13 relative (the (6, 6) grid has
+    # eigenvalue ties, the degenerate axes n = 1 a one-node factor)
+    L = build_laplacian(make_grid(dim, n, 1.0))
+    ref = dense_reference(L)
+    np.testing.assert_array_equal(L.eigenvalues, ref.eigenvalues)
+    np.testing.assert_array_equal(L.band, ref.band)
+    assert L.half_bandwidth == ref.half_bandwidth
+    w = np.sqrt(L.grid.weight)
+    for k in range(L.n):
+        np.testing.assert_array_equal(eigenmode(L, k), ref.eigenvectors[:, k] / w)
+
+    rows = np.random.default_rng(30).standard_normal((6, L.n))
+    coeff = rows @ ref.eigenvectors
+    norms = hminus1_norm_sq_rows(L, rows)
+    np.testing.assert_allclose(norms, (coeff * coeff) @ (L.grid.weight / ref.eigenvalues),
+                               rtol=1e-13, atol=0)
+    expected = {"neg_laplacian": rows @ ref.matrix,
+                "mode_field": np.stack([(ref.eigenvectors @ c) / w for c in rows])}
+    got = {"neg_laplacian": neg_laplacian(L, rows),
+           "mode_field": np.stack([mode_field(L, c) for c in rows])}
+    for i, m in enumerate(canonical_multipliers(L)):
+        expected[i] = ((rows @ ref.eigenvectors) * m) @ ref.eigenvectors.T
+        got[i] = spectral_apply(L, m, rows)
+    for key, value in expected.items():
+        scale = np.linalg.norm(value, axis=1, keepdims=True)
+        assert np.all(np.abs(got[key] - value) <= 1e-13 * scale), key
+    if dim == 1:
+        # 1D keeps the dense products of the eigenbasis and the matrix bit for bit
+        np.testing.assert_array_equal(norms, hminus1_norm_sq_rows_dense(L, rows))
+        for key, value in expected.items():
+            np.testing.assert_array_equal(got[key], value)
+        for f in (rows[0], rows.reshape(2, 3, L.n)):
+            np.testing.assert_array_equal(neg_laplacian(L, f), f @ ref.matrix)
+            for m in canonical_multipliers(L):
+                np.testing.assert_array_equal(spectral_apply(L, m, f),
+                                              ((f @ ref.eigenvectors) * m) @ ref.eigenvectors.T)
+
+
+def hminus1_norm_sq_rows_dense(L, rows):
+    coeff = rows.reshape(-1, L.n) @ dense_reference(L).eigenvectors
+    return ((coeff * coeff) @ (L.grid.weight / L.eigenvalues)).reshape(rows.shape[:-1])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 15), (2, (5, 7))])
+def test_axis_operators_refuse_a_field_of_another_length(dim, n):
+    # a field whose length is a multiple of L.n would otherwise be read by the
+    # reshape onto the grid axes as several rows
+    L = build_laplacian(make_grid(dim, n, 1.0))
+    message = f"rows must have {L.n} columns, got {2 * L.n}"
+    for f in (np.ones(2 * L.n), np.ones((3, 2 * L.n))):
+        for op in (lambda f: spectral_apply(L, 1.0 / L.eigenvalues, f),
+                   lambda f: neg_laplacian(L, f), lambda f: hminus1_norm_sq_rows(L, f),
+                   lambda f: smooth_gamma(f, 0.5, L), lambda f: mollify(f, 2, L)):
+            with pytest.raises(ValueError, match=message):
+                op(f)
+
+
+def test_largest_grid_builds_and_measures_without_an_n_by_n_array():
+    # at the node cap, 64 x 64, the band alone is 4.2 MB, and a dense matrix
+    # with its eigenbasis would be 268 MB
+    tracemalloc.start()
+    try:
+        L = build_laplacian(make_grid(2, 64, 1.0))
+        rows = np.ones((4, L.n))
+        hminus1_norm_sq_rows(L, rows)
+        spectral_apply(L, 1.0 / L.eigenvalues, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert L.band.nbytes > 4e6
+    assert peak < 16 * 2**20

@@ -43,7 +43,7 @@ from spmlab.cli import _Context
 from spmlab.config import ExperimentConfig
 from spmlab.noise import held_steps, sample_ensemble, stochastic_integrals
 from spmlab.solver import Trajectory
-from testkit import held
+from testkit import dense_reference, held
 
 
 def quiet(times, L):
@@ -114,7 +114,7 @@ def test_implicit_step_powerlaw_vs_bisection(lap1):
     graph = PowerLaw(3.0)
     for rhs, g in [(1.0, 0.0), (-0.7, 0.3), (2.5, -1.0)]:
         y, _ = implicit_step(graph, lam, lap1, tau, np.array([rhs]), np.array([g]))
-        oracle = scalar_step_oracle(graph, lam, lap1.matrix[0, 0], tau, g, rhs)
+        oracle = scalar_step_oracle(graph, lam, dense_reference(lap1).matrix[0, 0], tau, g, rhs)
         assert y[0] == pytest.approx(oracle, abs=1e-9)
 
 
@@ -456,7 +456,7 @@ def test_implicit_step_residual_contract_stefan(lap):
         g = 0.3 * rng.standard_normal(lap.n)
         y, sel = implicit_step(graph, lam, lap, tau, rhs, g, newton_tol=1e-10)
         drift = np.asarray(graph.yosida(lam, y + g)) + lam * (y + g)
-        resid = y + tau * (lap.matrix @ drift) - rhs
+        resid = y + tau * (dense_reference(lap).matrix @ drift) - rhs
         assert norm_hminus1(resid, lap) <= 1e-10 * (1 + norm_hminus1(rhs, lap))
         np.testing.assert_allclose(sel, np.asarray(graph.yosida(lam, y + g)), atol=1e-13)
 
@@ -471,12 +471,12 @@ def serial_reference_step(graph, lam, L, tau, rhs, g):
         return np.asarray(graph.minimal_section(u)), np.asarray(graph.section_slope(u))
 
     def residual(y):
-        return y + tau * (L.matrix @ drift(y + g)[0]) - rhs
+        return y + tau * (dense_reference(L).matrix @ drift(y + g)[0]) - rhs
 
     y = rhs.copy()
     res = norm_hminus1(residual(y), L)
     for _ in range(100):
-        jac = np.eye(L.n) + tau * L.matrix * drift(y + g)[1][None, :]
+        jac = np.eye(L.n) + tau * dense_reference(L).matrix * drift(y + g)[1][None, :]
         delta = np.linalg.solve(jac, -residual(y))
         step = 1.0
         while step > 1e-9 and norm_hminus1(residual(y + step * delta), L) >= res:
@@ -642,7 +642,7 @@ def test_march_batch_matches_serial_reference(lap, monkeypatch, graph, lam, step
             x = states[p][i + 1]
             drift = sels[p][i + 1] + lam * x
             rhs = states[p][i] - gm[i]
-            resid = (x - gm[i + 1]) + tau * (lap.matrix @ drift) - rhs
+            resid = (x - gm[i + 1]) + tau * (dense_reference(lap).matrix @ drift) - rhs
             target = cfg.newton_tol / n_steps * (1 + norm_hminus1(rhs, lap))
             assert norm_hminus1(resid, lap) <= target
             y = y_next
@@ -739,7 +739,7 @@ def test_one_node_fallback_solves_only_the_failing_paths(lap1):
         g = gms[p][:, 0]
         for i in range(len(times[p]) - 1):
             tau = times[p][i + 1] - times[p][i]
-            y = scalar_step_oracle(graph, lam, lap1.matrix[0, 0], tau, g[i + 1],
+            y = scalar_step_oracle(graph, lam, dense_reference(lap1).matrix[0, 0], tau, g[i + 1],
                                    states[p][i, 0] - g[i])
             assert states[p][i + 1, 0] == pytest.approx(y + g[i + 1], abs=1e-9)
 
@@ -826,7 +826,7 @@ def test_window_band_solve_matches_dense_solve(dim, n):
         jac = np.kron(np.eye(w, k=-1), -np.eye(L.n))
         for i in range(w):
             block = slice(i * L.n, (i + 1) * L.n)
-            jac[block, block] = np.eye(L.n) + tau[r, i] * L.matrix * slope[r, i]
+            jac[block, block] = np.eye(L.n) + tau[r, i] * dense_reference(L).matrix * slope[r, i]
         np.testing.assert_allclose(x[r].ravel(), np.linalg.solve(jac, rhs[r].ravel()),
                                    rtol=1e-10, atol=1e-12)
         alone, info, _ = solver._solve_jacobians(L, tau[r:r + 1], slope[r:r + 1],
@@ -854,12 +854,13 @@ def test_window_matches_step_by_step(lap, monkeypatch, graph, lam, ensemble):
     assert kls == {lap.n, "gtsv"}
     np.testing.assert_allclose(states, stepped, rtol=0, atol=1e-9)
     np.testing.assert_allclose(sels, stepped_sels, rtol=0, atol=1e-9)
+    mat = dense_reference(lap).matrix
     for p, t in enumerate(times):
         n_steps = np.count_nonzero(t < t[-1])
         for i in range(n_steps):
             x, rhs = states[p, i + 1], states[p, i] - gms[p, i]
             drift = sels[p, i + 1] + lam * x
-            resid = (x - gms[p, i + 1]) + (t[i + 1] - t[i]) * (lap.matrix @ drift) - rhs
+            resid = (x - gms[p, i + 1]) + (t[i + 1] - t[i]) * (mat @ drift) - rhs
             target = cfg.newton_tol / n_steps * (1 + norm_hminus1(rhs, lap))
             assert norm_hminus1(resid, lap) <= target
 
@@ -931,6 +932,7 @@ def test_warm_start_moves_only_where_newton_starts(lap, monkeypatch, step_by_ste
     graph = PowerLaw(3.0)
     cold, _ = march_batch(graph, cfg, lap, times, gms, x0)
     noise = 0.3 * np.random.default_rng(23).standard_normal(cold.shape)
+    mat = dense_reference(lap).matrix
     for warm in (np.zeros_like(cold), x0[:, None] + noise):
         states, sels = march_batch(graph, cfg, lap, times, gms, x0, warm=warm)
         np.testing.assert_allclose(states, cold, rtol=0, atol=1e-9)
@@ -941,7 +943,7 @@ def test_warm_start_moves_only_where_newton_starts(lap, monkeypatch, step_by_ste
             for i in range(n_steps):
                 x, rhs = states[p, i + 1], states[p, i] - gms[p, i]
                 drift = sels[p, i + 1] + 0.05 * x
-                resid = (x - gms[p, i + 1]) + (t[i + 1] - t[i]) * (lap.matrix @ drift) - rhs
+                resid = (x - gms[p, i + 1]) + (t[i + 1] - t[i]) * (mat @ drift) - rhs
                 target = cfg.newton_tol / n_steps * (1 + norm_hminus1(rhs, lap))
                 assert norm_hminus1(resid, lap) <= target
     # started a few ulps from its own result, the march factors no row, done

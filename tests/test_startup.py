@@ -1,7 +1,7 @@
 """Start-up guards, each run in a fresh interpreter.
 
 Importing ``spmlab.cli`` must not import the ``scipy.linalg`` package, the
-numpy submodules it drags in or jsonschema, and a command run through
+numpy submodules it drags in, ``scipy.fft`` or jsonschema, and a command run through
 ``cli.main`` must not import a numpy or scipy module on its own clock. The
 LAPACK extension that ``solver`` loads from its file must be the one
 ``scipy.linalg`` uses, whichever of the two is imported first.
@@ -38,6 +38,8 @@ def test_import_leaves_scipy_linalg_and_numpy_extras_out():
     """)
     assert "scipy.linalg._flapack" in loaded
     assert not {"scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma"} & set(loaded)
+    # the Laplacian's eigenbasis is applied by axis, with no fast sine transform
+    assert "scipy.fft" not in loaded
     # the config is validated without jsonschema and the packages it imports
     assert not {"jsonschema", "referencing", "attr", "jsonschema_specifications"} & set(loaded)
 

@@ -1,6 +1,10 @@
 """Reference helpers that only the tests use: the bracket of the noise, the
-Hilbert-Schmidt norm and growth constant of a coefficient, Lap by matrix, and
+Hilbert-Schmidt norm and growth constant of a coefficient, the dense -Lap and
+its eigenbasis assembled as Kronecker sums and products, Lap by matrix, and
 the held ensemble layout built row by row, apart from the sampler."""
+
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,9 +37,38 @@ def growth_constant(B, spec, L, n_samples: int = 48, scale: float = 1.0, seed: i
     return float(np.max(hs_sq / (1.0 + sq[:n_samples + 1])))
 
 
+def dense_reference(L) -> SimpleNamespace:
+    """The dense ``matrix`` (n, n) of -Lap on L's grid, its canonical ``eigenvalues``
+    and ``eigenvectors`` (columns), and its ``band`` with ``half_bandwidth``, built
+    apart from ``grid``: Kronecker sums and products of the closed-form axis
+    factors, ordered by eigenvalue, equal ones by mode index."""
+    return _dense_reference(L.grid)
+
+
+@cache
+def _dense_reference(grid) -> SimpleNamespace:
+    mat, vals, vecs = np.zeros((1, 1)), np.zeros(1), np.ones((1, 1))
+    for n, h in zip(grid.n_per_axis, grid.h):
+        j = np.arange(1, n + 1)
+        a = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / (h * h)
+        mu = 4.0 / (h * h) * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+        v = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+        mat = np.kron(mat, np.eye(n)) + np.kron(np.eye(len(vals)), a)
+        vals, vecs = (vals[:, None] + mu).ravel(), np.kron(vecs, v)
+    s = np.sort(vals)
+    tie = np.searchsorted(s[np.diff(s, prepend=-np.inf) > 1e-12 * s[-1]], vals, side="right")
+    order = np.lexsort((*np.indices(grid.shape).reshape(grid.dim, -1)[::-1], tie))
+    i, j = np.nonzero(mat)
+    b = int(np.max(np.abs(i - j)))
+    band = np.zeros((2 * b + 1, len(mat)))
+    band[b + i - j, j] = mat[i, j]
+    return SimpleNamespace(matrix=mat, eigenvalues=vals[order], eigenvectors=vecs[:, order],
+                           band=band, half_bandwidth=b)
+
+
 def apply_laplacian(L, u) -> np.ndarray:
-    """Apply Lap (negative definite): returns -(matrix @ u)."""
-    return -(L.matrix @ np.asarray(u, dtype=float))
+    """Apply Lap (negative definite): returns -(matrix @ u) with the dense reference."""
+    return -(dense_reference(L).matrix @ np.asarray(u, dtype=float))
 
 
 def held(rows):
